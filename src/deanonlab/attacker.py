@@ -47,7 +47,6 @@ class ITSConfig:
 
     epsilon: float
     steps_l: int
-    group_order: str = "sequential"
     final_phase_order: str = "by_info_value_desc"
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class ITSConfig:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if self.steps_l < 1:
             raise ValueError("steps_l must be at least 1")
-        if self.group_order != "sequential":
-            raise ValueError("only sequential group order is supported")
         if self.final_phase_order not in FINAL_PHASE_ORDERS:
             raise ValueError(f"final_phase_order must be one of {FINAL_PHASE_ORDERS}")
 

@@ -63,16 +63,21 @@ class BoundReport:
     conditions_met: dict
 
     def to_json(self) -> dict:
+        """Plain dict of the report; an infinite value (unbounded) becomes None."""
         return {
-            "upper_finite": self.upper_finite,
-            "upper_finite_stated": self.upper_finite_stated,
-            "upper_asymptotic_leading": self.upper_asymptotic_leading,
-            "lower_converse": self.lower_converse,
-            "groups_required_finite": self.groups_required_finite,
-            "groups_required_asymptotic": self.groups_required_asymptotic,
-            "params_used": dict(self.params_used),
+            "upper_finite": _finite_or_none(self.upper_finite),
+            "upper_finite_stated": _finite_or_none(self.upper_finite_stated),
+            "upper_asymptotic_leading": _finite_or_none(self.upper_asymptotic_leading),
+            "lower_converse": _finite_or_none(self.lower_converse),
+            "groups_required_finite": _finite_or_none(self.groups_required_finite),
+            "groups_required_asymptotic": _finite_or_none(self.groups_required_asymptotic),
+            "params_used": {k: _finite_or_none(v) for k, v in self.params_used.items()},
             "conditions_met": dict(self.conditions_met),
         }
+
+
+def _finite_or_none(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _check_core_params(mutual_info_bits: float, epsilon: float, steps: int):
@@ -111,7 +116,12 @@ def query_upper_bound(
 
 
 def converse_lower_bound(entropy_bits: float, mutual_info_bits: float) -> float:
-    """Leading-order lower bound H / I on any strategy's expected queries."""
+    """Leading-order lower bound H / I on any strategy's expected queries.
+
+    Zero when H = 0, whatever I: a known victim needs no queries at all.
+    """
+    if entropy_bits == 0.0:
+        return 0.0
     if mutual_info_bits <= 0.0:
         raise ValueError("converse requires strictly positive mutual information")
     return entropy_bits / mutual_info_bits
@@ -182,17 +192,15 @@ def build_report(
 ) -> BoundReport:
     """Assemble the full bound report for one model configuration."""
     upper = query_upper_bound(entropy_bits, mutual_info_bits, i_max_bits, epsilon, steps, m)
-    if mutual_info_bits > 0.0:
+    if mutual_info_bits > 0.0 or entropy_bits == 0.0:
         lower = converse_lower_bound(entropy_bits, mutual_info_bits)
-        leading = entropy_bits / mutual_info_bits
     else:
         lower = math.inf
-        leading = math.inf
     suff = group_sufficiency(n, entropy_bits, mutual_info_bits, i_max_bits, epsilon, steps, m)
     return BoundReport(
         upper_finite=upper.certified,
         upper_finite_stated=upper.stated,
-        upper_asymptotic_leading=leading,
+        upper_asymptotic_leading=lower,
         lower_converse=lower,
         groups_required_finite=suff.finite_required,
         groups_required_asymptotic=suff.asymptotic_required,

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 
-from . import bounds as bounds_mod
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +25,6 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .stochastics import entropy
 
 
 def _add_model_flags(parser: argparse.ArgumentParser):
@@ -96,7 +94,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             if value != "auto":
-                value = float(value) if key == "epsilon" else int(value)
+                try:
+                    value = float(value) if key == "epsilon" else int(value)
+                except ValueError:
+                    raise ConfigError(key, "must be 'auto' or a number") from None
             data[key] = value
     strategy = getattr(args, "strategy", None)
     if strategy is not None:
@@ -106,48 +107,23 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _emit(summaries, config: ExperimentConfig):
-    if config.out:
-        emit_results(summaries, config.format, config.out)
-        return
-    if config.format == "json":
-        print(json.dumps([s.to_json() for s in summaries], indent=2))
-    else:
-        import csv as csv_mod
-        from .harness import CSV_COLUMNS
-
-        writer = csv_mod.writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        for summary in summaries:
-            writer.writerow(summary.csv_row())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         if args.command == "simulate":
             summary = run_experiment(config)
-            _emit([summary], config)
+            emit_results([summary], config.format, config.out)
         elif args.command == "sweep":
             points = [p for p in args.points.split(",") if p]
             if not points:
                 raise ConfigError("points", "need at least one sweep point")
             summaries = run_sweep(config, args.axis, points,
                                   common_random_numbers=args.crn)
-            _emit(summaries, config)
+            emit_results(summaries, config.format, config.out)
         else:  # bounds
-            model = resolve_model(config)
-            report = bounds_mod.build_report(
-                n=config.groups,
-                m=config.users,
-                entropy_bits=entropy(model.prior),
-                mutual_info_bits=model.measures.mutual_info,
-                i_max_bits=model.measures.i_max,
-                epsilon=model.epsilon,
-                steps=model.steps,
-            )
-            print(json.dumps(report.to_json(), indent=2))
+            report = resolve_model(config).bound_report(config.groups)
+            print(json.dumps(report.to_json(), indent=2, allow_nan=False))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,24 @@
 """Correlated pairs of random bipartite membership graphs.
 
 A pair holds two m x n binary membership matrices: the true graph and the
-scanned (attacker-side) copy. Row i is user i's group signature. Rows are
-stored user-major as packed bit words (big-endian within a byte, so group 1
-is the most significant bit of the first byte), because the attack's hot
-loop reads one group column across all m candidates per query.
+scanned (attacker-side) copy. Row i is user i's group signature. Both graphs
+live in one (2, m, bytes) array of packed bit words, user-major within each
+graph (big-endian within a byte, so group 1 is the most significant bit of
+the first byte), because the attack's hot loop reads one group column across
+all m candidates per query.
 
 Generation draws the (true, scanned) bit pair of every position i.i.d. from
-an ``EdgeJointDistribution``. Each user row has its own child random stream
-derived from (seed, row), consumed in group order with two uniforms per
-position: one against the true-edge marginal, one against the conditional of
-the scanned bit given the realized true bit. Rows are therefore individually
-re-derivable, and columns can be materialized left to right on demand; an
-attack that touches only the first few hundred groups never pays for the
-rest of a wide graph. Materialized bits are identical whichever access
-pattern triggered them.
+an ``EdgeJointDistribution`` out of a single random stream per pair,
+``numpy.random.default_rng(seed)``, consumed column-major. Group column g
+takes uniforms [2m(g-1), 2mg) of that stream: the first m decide the true
+bits of users 1..m against the true-edge marginal, the next m decide their
+scanned bits against the conditional given the realized true bit. Columns are
+materialized left to right on demand, a block at a time, and the packed
+storage grows with them; an attack that touches only the first few dozen
+groups never pays for the rest of a wide graph. The block width is not part
+of the layout, and materialized bits are identical whichever access pattern
+triggered them. Rows are not individually re-derivable: row i's bits are
+spread over the whole stream.
 """
 
 from __future__ import annotations
@@ -24,13 +28,9 @@ import numpy as np
 from .stochastics import EdgeJointDistribution
 
 # Columns materialized per extension; a multiple of 8 keeps packing aligned.
-_BLOCK = 64
+_BLOCK = 32
 
 _SELECTORS = {"true": 0, "scanned": 1}
-
-
-def _row_rng(seed, row0: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(row0,)))
 
 
 class BigraphPair:
@@ -43,20 +43,15 @@ class BigraphPair:
     across threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "_packed0", "_packed1", "_ready", "_seed", "_rowgens", "_t0", "_t10", "_t11")
+    __slots__ = ("n", "m", "_packed", "_ready", "_gen", "_t0", "_t10", "_t11")
 
-    def __init__(self, n: int, m: int, packed0: np.ndarray, packed1: np.ndarray, ready: int, seed=None, thresholds=None):
+    def __init__(self, n: int, m: int, packed: np.ndarray, ready: int, gen=None, thresholds=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
-        self._packed0 = packed0
-        self._packed1 = packed1
+        self._packed = packed
         self._ready = ready
-        self._seed = seed
-        self._rowgens = None
-        if thresholds is None:
-            self._t0 = self._t10 = self._t11 = 0.0
-        else:
-            self._t0, self._t10, self._t11 = thresholds
+        self._gen = gen
+        self._t0, self._t10, self._t11 = thresholds
 
     @classmethod
     def from_matrices(cls, sig0, sig1) -> "BigraphPair":
@@ -71,9 +66,8 @@ class BigraphPair:
         for name, a in (("sig0", a0), ("sig1", a1)):
             if not np.isin(a, (0, 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
-        packed0 = np.packbits(a0.astype(np.uint8), axis=1)
-        packed1 = np.packbits(a1.astype(np.uint8), axis=1)
-        return cls(n, m, packed0, packed1, ready=n)
+        packed = np.packbits(np.stack((a0, a1)).astype(np.uint8), axis=2)
+        return cls(n, m, packed, ready=n)
 
     # -- generation ------------------------------------------------------
 
@@ -82,38 +76,40 @@ class BigraphPair:
         upto = min(upto, self.n)
         if upto <= self._ready:
             return
-        if self._rowgens is None:
-            self._rowgens = [_row_rng(self._seed, i) for i in range(self.m)]
-        while self._ready < upto:
-            width = min(_BLOCK, self.n - self._ready)
-            bits0 = np.empty((self.m, width), dtype=bool)
-            bits1 = np.empty((self.m, width), dtype=bool)
-            for i, gen in enumerate(self._rowgens):
-                u = gen.random(2 * width)
-                e0 = u[0::2] < self._t0
-                e1 = u[1::2] < np.where(e0, self._t11, self._t10)
-                bits0[i] = e0
-                bits1[i] = e1
+        stop = min(self._ready + -(-(upto - self._ready) // _BLOCK) * _BLOCK, self.n)
+        need = (stop + 7) // 8
+        have = self._packed.shape[2]
+        if need > have:
+            # Grow geometrically, so reading a wide graph left to right copies
+            # each byte a bounded number of times, but never past the full width.
+            size = min(max(need, 2 * have), (self.n + 7) // 8)
+            grown = np.zeros((2, self.m, size), dtype=np.uint8)
+            grown[:, :, :have] = self._packed
+            self._packed = grown
+        while self._ready < stop:
+            width = min(_BLOCK, stop - self._ready)
+            u = self._gen.random((width, 2, self.m))
+            true = u[:, 0] < self._t0
+            scanned = u[:, 1] < np.where(true, self._t11, self._t10)
+            chunk = np.packbits(np.stack((true, scanned)).transpose(0, 2, 1), axis=2)
             byte0 = self._ready // 8
-            chunk0 = np.packbits(bits0, axis=1)
-            chunk1 = np.packbits(bits1, axis=1)
-            self._packed0[:, byte0 : byte0 + chunk0.shape[1]] = chunk0
-            self._packed1[:, byte0 : byte0 + chunk1.shape[1]] = chunk1
+            self._packed[:, :, byte0 : byte0 + chunk.shape[2]] = chunk
             self._ready += width
 
     # -- raw access ------------------------------------------------------
 
-    def _packed(self, which: str) -> np.ndarray:
+    def _columns(self, which: str, upto: int) -> np.ndarray:
+        """Packed rows of the selected graph with columns [1, upto] materialized."""
         if which not in _SELECTORS:
             raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
-        return self._packed0 if which == "true" else self._packed1
+        self._ensure_columns(upto)
+        return self._packed[_SELECTORS[which]]
 
     def column_bits(self, which: str, group: int) -> np.ndarray:
         """The length-m 0/1 column of one group (1-based group index)."""
         if not 1 <= group <= self.n:
             raise IndexError(f"group index {group} outside [1, {self.n}]")
-        packed = self._packed(which)
-        self._ensure_columns(group)
+        packed = self._columns(which, group)
         g0 = group - 1
         return (packed[:, g0 >> 3] >> (7 - (g0 & 7))) & 1
 
@@ -122,8 +118,7 @@ class BigraphPair:
         if not 1 <= user <= self.m:
             raise IndexError(f"user index {user} outside [1, {self.m}]")
         count = self.n if upto is None else upto
-        packed = self._packed(which)
-        self._ensure_columns(count)
+        packed = self._columns(which, count)
         return np.unpackbits(packed[user - 1], count=count)
 
     def bit(self, which: str, user: int, group: int) -> int:
@@ -132,22 +127,19 @@ class BigraphPair:
             raise IndexError(f"user index {user} outside [1, {self.m}]")
         if not 1 <= group <= self.n:
             raise IndexError(f"group index {group} outside [1, {self.n}]")
-        packed = self._packed(which)
-        self._ensure_columns(group)
+        packed = self._columns(which, group)
         g0 = group - 1
         return int((packed[user - 1, g0 >> 3] >> (7 - (g0 & 7))) & 1)
 
     @property
     def sig0(self) -> np.ndarray:
         """True-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        self._ensure_columns(self.n)
-        return np.unpackbits(self._packed0, axis=1, count=self.n)
+        return np.unpackbits(self._columns("true", self.n), axis=1, count=self.n)
 
     @property
     def sig1(self) -> np.ndarray:
         """Scanned-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        self._ensure_columns(self.n)
-        return np.unpackbits(self._packed1, axis=1, count=self.n)
+        return np.unpackbits(self._columns("scanned", self.n), axis=1, count=self.n)
 
     # -- serialization ---------------------------------------------------
 
@@ -161,8 +153,8 @@ class BigraphPair:
         return {
             "n": self.n,
             "m": self.m,
-            "sig0": [bytes(row).hex() for row in self._packed0],
-            "sig1": [bytes(row).hex() for row in self._packed1],
+            "sig0": [bytes(row).hex() for row in self._packed[0]],
+            "sig1": [bytes(row).hex() for row in self._packed[1]],
         }
 
     @classmethod
@@ -173,20 +165,18 @@ class BigraphPair:
             raise ValueError("user and group counts must be positive")
         nbytes = (n + 7) // 8
         tail_mask = 0xFF if n % 8 == 0 else (0xFF << (8 - n % 8)) & 0xFF
-        packed = []
-        for key in ("sig0", "sig1"):
+        packed = np.empty((2, m, nbytes), dtype=np.uint8)
+        for arr, key in zip(packed, ("sig0", "sig1")):
             rows = obj[key]
             if len(rows) != m:
                 raise ValueError(f"{key} must have m={m} rows")
-            arr = np.empty((m, nbytes), dtype=np.uint8)
             for i, hexrow in enumerate(rows):
                 raw = bytes.fromhex(hexrow)
                 if len(raw) != nbytes:
                     raise ValueError(f"{key} row {i + 1} must encode {nbytes} bytes")
                 arr[i] = np.frombuffer(raw, dtype=np.uint8)
-            arr[:, -1] &= tail_mask
-            packed.append(arr)
-        return cls(n, m, packed[0], packed[1], ready=n)
+        packed[:, :, -1] &= tail_mask
+        return cls(n, m, packed, ready=n)
 
 
 def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> BigraphPair:
@@ -214,10 +204,10 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
     marg = t.sum(axis=1)
     t10 = t[0, 1] / marg[0] if marg[0] > 0.0 else 0.0
     t11 = t[1, 1] / marg[1] if marg[1] > 0.0 else 0.0
-    nbytes = (n + 7) // 8
-    packed0 = np.zeros((m, nbytes), dtype=np.uint8)
-    packed1 = np.zeros((m, nbytes), dtype=np.uint8)
-    return BigraphPair(n, m, packed0, packed1, ready=0, seed=seed, thresholds=(p0, t10, t11))
+    return BigraphPair(
+        n, m, np.zeros((2, m, 0), dtype=np.uint8), ready=0,
+        gen=np.random.default_rng(seed), thresholds=(p0, t10, t11),
+    )
 
 
 def group_signature(pair: BigraphPair, which: str, user: int) -> np.ndarray:

@@ -13,7 +13,9 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,14 @@ CSV_COLUMNS = [
     "mean_Q", "std_Q", "ci95_lo", "ci95_hi", "lower_bound",
     "upper_bound_stated", "upper_bound_certified", "cond_eq3", "cond_eq4",
 ]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -83,47 +93,41 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
 
-    _FIELDS = None  # populated below
-
     def validate(self):
-        if not isinstance(self.users, int) or self.users < 1:
-            raise ConfigError("users", "must be a positive integer")
-        if not isinstance(self.groups, int) or self.groups < 1:
-            raise ConfigError("groups", "must be a positive integer")
-        if not 0.0 < self.p0 < 1.0:
-            raise ConfigError("p0", "must lie strictly inside (0, 1)")
+        for name in ("users", "groups", "trials", "workers"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(name, "must be a positive integer")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigError("master_seed", "must be a nonnegative integer")
+        if not _is_real(self.p0) or not 0.0 < self.p0 < 1.0:
+            raise ConfigError("p0", "must be a number strictly inside (0, 1)")
         for name in ("edge_flip", "gm_flip"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(name, "must lie in [0, 1]")
+            if not _is_real(value) or not 0.0 <= value <= 1.0:
+                raise ConfigError(name, "must be a number in [0, 1]")
         if isinstance(self.prior, str):
             if self.prior != "uniform" and not self.prior.startswith("zipf:"):
                 raise ConfigError("prior", "must be 'uniform', 'zipf:S', or a vector")
         if self.epsilon != "auto" and not (
-            isinstance(self.epsilon, float) and 0.0 < self.epsilon < 1.0
+            _is_real(self.epsilon) and 0.0 < self.epsilon < 1.0
         ):
-            raise ConfigError("epsilon", "must be 'auto' or a float in (0, 1)")
-        if self.steps != "auto" and not (
-            isinstance(self.steps, int) and self.steps >= 1
-        ):
+            raise ConfigError("epsilon", "must be 'auto' or a number in (0, 1)")
+        if self.steps != "auto" and not (_is_int(self.steps) and self.steps >= 1):
             raise ConfigError("steps", "must be 'auto' or an integer >= 1")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError("trials", "must be a positive integer")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ConfigError("master_seed", "must be a nonnegative integer")
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}")
         if self.final_phase_order not in FINAL_PHASE_ORDERS:
             raise ConfigError(
                 "final_phase_order", f"must be one of {FINAL_PHASE_ORDERS}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError("workers", "must be a positive integer")
         if self.format not in OUTPUT_FORMATS:
             raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out", "must be a file path")
         try:
             self.make_prior_object()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError("prior", str(exc)) from exc
 
     def make_prior_object(self) -> VictimPrior:
@@ -134,6 +138,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config", "must be a JSON object of fields")
         known = {f.name for f in dataclasses.fields(cls)}
         for key in data:
             if key not in known:
@@ -154,6 +160,18 @@ class _ResolvedModel:
     measures: InfoMeasures
     epsilon: float
     steps: int
+
+    def bound_report(self, n: int) -> bounds_mod.BoundReport:
+        """The analytic bound report for this model over n groups."""
+        return bounds_mod.build_report(
+            n=n,
+            m=self.prior.m,
+            entropy_bits=entropy(self.prior),
+            mutual_info_bits=self.measures.mutual_info,
+            i_max_bits=self.measures.i_max,
+            epsilon=self.epsilon,
+            steps=self.steps,
+        )
 
     def its_config(self, final_phase_order: str) -> ITSConfig:
         return ITSConfig(
@@ -257,8 +275,8 @@ class ExperimentSummary:
         return [_format_cell(v) for v in values]
 
     def to_json(self) -> dict:
-        report = self.bound_report
-        cond = report.conditions_met
+        report = self.bound_report.to_json()
+        cond = report["conditions_met"]
         return {
             "m": self.config.users,
             "n": self.config.groups,
@@ -273,9 +291,9 @@ class ExperimentSummary:
             "std_Q": self.std_q,
             "ci95_lo": self.ci95_lo,
             "ci95_hi": self.ci95_hi,
-            "lower_bound": report.lower_converse,
-            "upper_bound_stated": report.upper_finite_stated,
-            "upper_bound_certified": report.upper_finite,
+            "lower_bound": report["lower_converse"],
+            "upper_bound_stated": report["upper_finite_stated"],
+            "upper_bound_certified": report["upper_finite"],
             "cond_eq3": cond["finite_groups"],
             "cond_eq4": cond["asymptotic_groups"],
             "strategy": self.config.strategy,
@@ -283,7 +301,7 @@ class ExperimentSummary:
             "success_rate": self.success_rate,
             "per_step_failure_rates": list(self.per_step_failure_rates),
             "q_histogram": [list(pair) for pair in self.q_histogram],
-            "bound_report": report.to_json(),
+            "bound_report": report,
         }
 
 
@@ -332,16 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         rates.append(failures / attempts if attempts else None)
     values, counts = np.unique(qs, return_counts=True)
     histogram = [[int(v), int(c)] for v, c in zip(values, counts)]
-    prior = model.prior
-    report = bounds_mod.build_report(
-        n=config.groups,
-        m=config.users,
-        entropy_bits=entropy(prior),
-        mutual_info_bits=model.measures.mutual_info,
-        i_max_bits=model.measures.i_max,
-        epsilon=model.epsilon,
-        steps=model.steps,
-    )
+    report = model.bound_report(config.groups)
     return ExperimentSummary(
         config=config,
         epsilon=model.epsilon,
@@ -393,19 +402,22 @@ def run_sweep(
     return summaries
 
 
-def emit_results(summaries, format: str, path: str):
-    """Write summaries as a CSV table or a JSON list with the same fields."""
+def emit_results(summaries, format: str, path: str | None = None):
+    """Write summaries as a CSV table or a JSON list with the same fields.
+
+    Writes to ``path``, or to standard output when it is None. JSON output is
+    strict: an unbounded value is written as null, never as Infinity.
+    """
     if not summaries:
         raise ValueError("no summaries to emit")
     if format not in OUTPUT_FORMATS:
         raise ValueError(f"format must be one of {OUTPUT_FORMATS}")
-    if format == "csv":
-        with open(path, "w", newline="") as handle:
+    with (open(path, "w", newline="") if path is not None else nullcontext(sys.stdout)) as handle:
+        if format == "csv":
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
             for summary in summaries:
                 writer.writerow(summary.csv_row())
-    else:
-        with open(path, "w") as handle:
-            json.dump([s.to_json() for s in summaries], handle, indent=2)
+        else:
+            json.dump([s.to_json() for s in summaries], handle, indent=2, allow_nan=False)
             handle.write("\n")

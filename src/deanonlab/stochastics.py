@@ -190,7 +190,8 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
 def entropy(prior: VictimPrior) -> float:
     """Shannon entropy of the victim index, in bits."""
     p = prior.probs
-    return float(-(p * np.log2(p)).sum())
+    # Adding 0.0 turns the -0.0 of a one-user prior into +0.0.
+    return float(-(p * np.log2(p)).sum()) + 0.0
 
 
 def sample_victim(prior: VictimPrior, seed) -> int:

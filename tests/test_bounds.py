@@ -95,6 +95,9 @@ class TestConverse:
         with pytest.raises(ValueError):
             converse_lower_bound(1.0, 0.0)
 
+    def test_zero_entropy_needs_no_information(self):
+        assert converse_lower_bound(0.0, 0.0) == 0.0
+
 
 class TestAsymptoticParams:
     def test_power_of_two_sixteen(self):
@@ -148,6 +151,27 @@ class TestBoundReport:
         assert set(report.conditions_met) == {"finite_groups", "asymptotic_groups", "coverage"}
         blob = report.to_json()
         assert blob["lower_converse"] == report.lower_converse
+
+    @pytest.mark.parametrize("mutual_info", [0.0, 0.5])
+    def test_single_user_converse_floor_is_zero(self, mutual_info):
+        h = entropy(make_prior("uniform", 1))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        report = build_report(
+            n=8, m=1, entropy_bits=h, mutual_info_bits=mutual_info,
+            i_max_bits=mutual_info, epsilon=0.25, steps=3,
+        )
+        assert report.lower_converse == 0.0
+        assert math.copysign(1.0, report.lower_converse) == 1.0
+
+    def test_unbounded_values_serialize_as_none(self):
+        report = build_report(
+            n=8, m=4, entropy_bits=2.0, mutual_info_bits=0.0,
+            i_max_bits=0.0, epsilon=0.25, steps=3,
+        )
+        assert math.isinf(report.lower_converse) and math.isinf(report.upper_finite)
+        blob = report.to_json()
+        assert blob["lower_converse"] is None and blob["upper_finite"] is None
+        assert blob["params_used"]["entropy_bits"] == 2.0
 
     def test_converse_never_exceeds_certified_upper_when_conditions_hold(self):
         rng = np.random.default_rng(123)

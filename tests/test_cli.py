@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -103,3 +104,56 @@ def test_missing_required_size_exits_nonzero(capsys):
     code = run_cli(["simulate", "--groups", "64", "--trials", "5"])
     assert code == 2
     assert "users" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p0", "x"),
+        ("edge_flip", "x"),
+        ("gm_flip", [0.1]),
+        ("epsilon", "x"),
+        ("p0", True),
+        ("users", True),
+        ("groups", True),
+        ("trials", True),
+        ("workers", True),
+        ("master_seed", True),
+        ("steps", True),
+    ],
+)
+def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
+    config = {"users": 4, "groups": 8, "trials": 2}
+    config[field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = run_cli(["simulate", "--config", str(config_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_non_numeric_epsilon_flag_exits_2(capsys):
+    code = run_cli(["bounds", "--users", "4", "--groups", "8", "--epsilon", "x"])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["simulate", "--trials", "3", "--format", "json"]])
+def test_json_output_is_strict_for_unbounded_models(tmp_path, capsys, command):
+    # m = 1 and a fully flipped scan: H = 0 and I = 0, so the upper bound is
+    # unbounded and must come out as null, and the converse floor as +0.0.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"users": 1, "groups": 8, "edge_flip": 0.5, "allow_degenerate": True}
+    ))
+    code = run_cli([command[0], "--config", str(config_path), *command[1:]])
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    report = parsed if command == ["bounds"] else parsed[0]["bound_report"]
+    assert report["upper_finite"] is None
+    assert report["lower_converse"] == 0.0
+    assert math.copysign(1.0, report["lower_converse"]) == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from deanonlab import graph
 from deanonlab.graph import (
     BigraphPair,
     generate_cprb,
@@ -85,20 +86,49 @@ def test_access_order_does_not_change_bits():
     assert np.array_equal(lazy.sig1, full1)
 
 
-def test_row_regeneration_oracle():
-    # Row 7 must be exactly the first draws of its own child stream: two
-    # uniforms per group, first against p0, second against the conditional
-    # of the scanned bit given the realized true bit.
-    edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.1)
-    seed = 31337
-    pair = generate_cprb(100, 100, edge, seed=seed)
-    gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-    u = gen.random(200)
+def test_column_stream_oracle():
+    # Group column g is exactly uniforms [2m(g-1), 2mg) of default_rng(seed):
+    # m against p0 for the true bits of users 1..m, then m against the
+    # conditional of the scanned bit given the realized true bit.
+    edge = EdgeJointDistribution.from_marginal_flip(0.3, 0.2)
+    seed, n, m = 31337, 100, 37
+    pair = generate_cprb(n, m, edge, seed=seed)
+    u = np.random.default_rng(seed).random(2 * m * n)
     cond = edge.table / edge.table.sum(axis=1)[:, None]
-    e0 = u[0::2] < edge.p0
-    e1 = u[1::2] < np.where(e0, cond[1, 1], cond[0, 1])
-    assert np.array_equal(group_signature(pair, "true", 7), e0.astype(np.uint8))
-    assert np.array_equal(group_signature(pair, "scanned", 7), e1.astype(np.uint8))
+    for g in range(1, n + 1):
+        draws = u[2 * m * (g - 1) : 2 * m * g]
+        e0 = draws[:m] < edge.p0
+        e1 = draws[m:] < np.where(e0, cond[1, 1], cond[0, 1])
+        assert np.array_equal(pair.column_bits("true", g), e0.astype(np.uint8))
+        assert np.array_equal(pair.column_bits("scanned", g), e1.astype(np.uint8))
+
+
+@pytest.mark.parametrize("block", [8, 64])
+def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
+    edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
+    reference = generate_cprb(203, 11, edge, seed=17)
+    full0, full1 = reference.sig0, reference.sig1
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    pair = generate_cprb(203, 11, edge, seed=17)
+    pair.column_bits("true", 9)
+    assert np.array_equal(pair.sig0, full0)
+    assert np.array_equal(pair.sig1, full1)
+
+
+def test_narrow_graph_is_a_prefix_of_a_wide_one():
+    edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.15)
+    narrow = generate_cprb(40, 9, edge, seed=4242)
+    wide = generate_cprb(300, 9, edge, seed=4242)
+    assert np.array_equal(wide.sig0[:, :40], narrow.sig0)
+    assert np.array_equal(wide.sig1[:, :40], narrow.sig1)
+
+
+def test_storage_grows_with_materialized_columns():
+    pair = generate_cprb(8192, 4, FAIR_CORRELATED, seed=6)
+    pair.column_bits("true", 1)
+    assert pair._packed.nbytes < 2 * 4 * 8192 // 8
+    assert pair.sig0.shape == (4, 8192)
+    assert pair._packed.shape == (2, 4, 8192 // 8)
 
 
 @pytest.fixture(scope="module")

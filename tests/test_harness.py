@@ -54,6 +54,13 @@ class TestConfigValidation:
             ("final_phase_order", "alphabetical"),
             ("workers", 0),
             ("format", "xml"),
+            ("users", True),
+            ("master_seed", False),
+            ("p0", "x"),
+            ("edge_flip", "x"),
+            ("gm_flip", None),
+            ("epsilon", "x"),
+            ("out", 3),
         ],
     )
     def test_each_invalid_field_is_named(self, field, value):
