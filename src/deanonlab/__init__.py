@@ -26,13 +26,7 @@ from .bounds import (
     group_sufficiency,
     query_upper_bound,
 )
-from .graph import (
-    BigraphPair,
-    generate_cprb,
-    group_signature,
-    members,
-    partial_signature,
-)
+from .graph import BigraphPair, generate_cprb, members
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -86,14 +80,12 @@ __all__ = [
     "expected_response_column",
     "generate_cprb",
     "gm_update",
-    "group_signature",
     "group_sufficiency",
     "info_density",
     "init_state",
     "make_prior",
     "members",
     "mutual_information",
-    "partial_signature",
     "query_upper_bound",
     "run_experiment",
     "run_its",

@@ -16,6 +16,18 @@ After ``steps_l - 1`` failed verifications (or if the graph runs out of
 groups), the attack falls back to exhaustive identity queries over the users
 not yet struck, so it always terminates with the victim found.
 
+The walk is computed a block of groups at a time rather than one query at a
+time: the scanned bits of the block, the received answers to all its
+queries, every candidate's running sum after each of them (a cumulative sum
+along the block), and the first query after which some score reaches the
+threshold. The queries past that crossing are dropped. This is exact, not an
+approximation: the running sum after query k is ((info + d_1) + d_2) + ... +
+d_k, the same floating-point adds in the same order as folding one answer at
+a time, and the stop test is the same subtraction and comparison, so the
+transcript is bit-identical to the one-query walk. Dropped answers cost
+nothing either: noise is indexed by query ordinal, so the next step reads
+the same answers again.
+
 A candidate whose expected bit makes the received response impossible
 (density -inf) drops out of the running step but is revived by the next
 reset; only failed identity checks eliminate permanently.
@@ -25,11 +37,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .graph import BigraphPair
-from .oracle import VictimInstance, expected_response_column
+from .graph import _BLOCK, BigraphPair
+# expected_response_column is the one-group form of the block read in
+# run_its; it stays importable here because the benchmark's tracer patches
+# the attack's call sites on this module.
+from .oracle import VictimInstance, expected_response_column  # noqa: F401
 from .stochastics import InfoMeasures, VictimPrior
 
 FINAL_PHASE_ORDERS = ("by_info_value_desc", "random", "by_prior_desc")
@@ -119,6 +135,7 @@ def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
 def gm_update(state: ITSState, column: np.ndarray, y: int, measures: InfoMeasures) -> ITSState:
     """Fold one group-membership response into every candidate's accumulator.
 
+    This is the one-query form of the block scan in :func:`run_its`.
     ``column`` holds each candidate's expected bit for the queried group.
     Candidates whose expected bit makes ``y`` impossible pick up the -inf
     sentinel and thereby leave the current step. Struck candidates already
@@ -170,14 +187,26 @@ def run_its(
 
     ``measures`` must be derived from the same model parameters that
     generated ``pair`` and drive ``inst``; the attack consumes the scanned
-    graph through per-group candidate columns and the victim only through
-    oracle responses.
+    graph through blocks of group columns and the victim only through oracle
+    responses.
+
+    Each threshold step scans from the group cursor to the end of the graph's
+    materialization block (``graph._BLOCK`` aligned columns, so the scan
+    never generates a column the one-query walk would not): one read of the
+    block's scanned bits, one vector of received answers, and
+    ``cumsum(density[bits, answers])`` seeded with the running sums. The
+    first column where a live candidate's score reaches the threshold ends the
+    step; struck candidates carry surprisal +inf, so their scores stay -inf.
+    The adds and comparisons are those of one update per query, in the same
+    order, so the transcript is identical to it bit for bit.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
     n = pair.n
+    density = measures.density
+    threshold = config.threshold_bits
     state = init_state(prior, config)
     queries: list[tuple[str, int, int]] = []
     tau_star_per_step: list[int] = []
@@ -187,17 +216,23 @@ def run_its(
         state.step = step
         state.info[:] = 0.0
         stop, _ = threshold_check(state, config.epsilon)  # the zero-query clause
+        surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)[:, None]
         gm_count = 0
         while not stop and state.group_cursor <= n:
-            group = state.group_cursor
-            column = expected_response_column(pair, group)
-            ordinal += 1
-            y = inst.noisy_gm_response(group, ordinal)
-            queries.append(("GM", group, y))
-            gm_update(state, column, y, measures)
-            state.group_cursor += 1
-            gm_count += 1
-            stop, _ = threshold_check(state, config.epsilon)
+            first = state.group_cursor
+            last = min((first - 1) // _BLOCK * _BLOCK + _BLOCK, n)
+            ys = inst.noisy_gm_responses(first, last - first + 1, ordinal + 1)
+            sums = density[pair.block_bits("scanned", first, last), ys]
+            sums[:, 0] += state.info
+            sums = np.cumsum(sums, axis=1)
+            crossed = ((sums - surprisal) >= threshold).any(axis=0)
+            stop = bool(crossed.any())
+            width = int(crossed.argmax()) + 1 if stop else crossed.size
+            state.info[:] = sums[:, width - 1]
+            queries.extend(zip(repeat("GM"), range(first, first + width), ys[:width].tolist()))
+            state.group_cursor += width
+            ordinal += width
+            gm_count += width
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
         tau_star_per_step.append(gm_count)

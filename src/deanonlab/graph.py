@@ -4,8 +4,8 @@ A pair holds two m x n binary membership matrices: the true graph and the
 scanned (attacker-side) copy. Row i is user i's group signature. Both graphs
 live in one (2, m, bytes) array of packed bit words, user-major within each
 graph (big-endian within a byte, so group 1 is the most significant bit of
-the first byte), because the attack's hot loop reads one group column across
-all m candidates per query.
+the first byte), because the attack's hot loop reads a block of consecutive
+group columns across all m candidates at a time.
 
 Generation draws the (true, scanned) bit pair of every position i.i.d. from
 an ``EdgeJointDistribution`` out of a single random stream per pair,
@@ -105,13 +105,21 @@ class BigraphPair:
         self._ensure_columns(upto)
         return self._packed[_SELECTORS[which]]
 
+    def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
+        """Groups first..last (1-based, inclusive) of every user, as an m x w 0/1 matrix."""
+        if not 1 <= first <= last <= self.n:
+            raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
+        packed = self._columns(which, last)
+        skip = (first - 1) & 7
+        window = packed[:, (first - 1) >> 3 : (last + 7) >> 3]
+        bits = np.unpackbits(window, axis=1, count=skip + last - first + 1)
+        return bits[:, skip:]
+
     def column_bits(self, which: str, group: int) -> np.ndarray:
         """The length-m 0/1 column of one group (1-based group index)."""
         if not 1 <= group <= self.n:
             raise IndexError(f"group index {group} outside [1, {self.n}]")
-        packed = self._columns(which, group)
-        g0 = group - 1
-        return (packed[:, g0 >> 3] >> (7 - (g0 & 7))) & 1
+        return self.block_bits(which, group, group)[:, 0]
 
     def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
         """The first ``upto`` signature bits of one user (defaults to all n)."""
@@ -134,12 +142,12 @@ class BigraphPair:
     @property
     def sig0(self) -> np.ndarray:
         """True-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        return np.unpackbits(self._columns("true", self.n), axis=1, count=self.n)
+        return self.block_bits("true", 1, self.n)
 
     @property
     def sig1(self) -> np.ndarray:
         """Scanned-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        return np.unpackbits(self._columns("scanned", self.n), axis=1, count=self.n)
+        return self.block_bits("scanned", 1, self.n)
 
     # -- serialization ---------------------------------------------------
 
@@ -208,18 +216,6 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         n, m, np.zeros((2, m, 0), dtype=np.uint8), ready=0,
         gen=np.random.default_rng(seed), thresholds=(p0, t10, t11),
     )
-
-
-def group_signature(pair: BigraphPair, which: str, user: int) -> np.ndarray:
-    """Full length-n signature row of one user in the selected graph."""
-    return pair.row_bits(which, user)
-
-
-def partial_signature(pair: BigraphPair, which: str, user: int, n1: int, n2: int) -> np.ndarray:
-    """Contiguous signature slice for groups n1..n2 inclusive (1-based)."""
-    if not 1 <= n1 <= n2 <= pair.n:
-        raise IndexError(f"need 1 <= n1 <= n2 <= {pair.n}, got ({n1}, {n2})")
-    return pair.row_bits(which, user, upto=n2)[n1 - 1 :]
 
 
 def members(pair: BigraphPair, which: str, group: int) -> set[int]:

@@ -123,6 +123,8 @@ class ExperimentConfig:
             )
         if self.format not in OUTPUT_FORMATS:
             raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
+        if not isinstance(self.allow_degenerate, bool):
+            raise ConfigError("allow_degenerate", "must be true or false")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", "must be a file path")
         try:
@@ -388,14 +390,19 @@ def run_sweep(
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}")
     if not points:
         raise ConfigError("points", "need at least one sweep point")
+    overrides = []
+    for point in points:
+        try:
+            if axis == "m":
+                overrides.append({"users": int(point)})
+            elif axis == "noise":
+                overrides.append({"gm_flip": float(point)})
+            else:
+                overrides.append({"prior": f"zipf:{float(point)}"})
+        except (TypeError, ValueError):
+            raise ConfigError("points", f"{point!r} is not a valid {axis} value") from None
     summaries = []
-    for index, point in enumerate(points):
-        if axis == "m":
-            override = {"users": int(point)}
-        elif axis == "noise":
-            override = {"gm_flip": float(point)}
-        else:
-            override = {"prior": f"zipf:{float(point)}"}
+    for index, override in enumerate(overrides):
         seed = base.master_seed if common_random_numbers else base.master_seed + index
         config = dataclasses.replace(base, master_seed=seed, **override)
         summaries.append(run_experiment(config))

@@ -10,7 +10,8 @@ answers the two query kinds the attacker may issue:
 
 Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
-ordinal reproduces the identical response bit.
+ordinal reproduces the identical response bit, so a block of consecutive
+queries can be answered in one call and its unused tail asked again later.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ class VictimInstance:
         self._gen = np.random.default_rng(noise_seed)
         self._uniforms = np.empty(0, dtype=np.float64)
 
-    def _uniform(self, ordinal: int) -> float:
-        """The ordinal-th uniform of the noise stream (1-based), cached."""
+    def _uniforms_through(self, ordinal: int) -> np.ndarray:
+        """The cached noise stream, drawn at least up to the ordinal-th uniform."""
         if ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
         if ordinal > self._uniforms.size:
             # Grow geometrically so long transcripts stay linear overall.
             count = max(256, self._uniforms.size, ordinal - self._uniforms.size)
             self._uniforms = np.concatenate([self._uniforms, self._gen.random(count)])
-        return float(self._uniforms[ordinal - 1])
+        return self._uniforms
 
     def true_gm_response(self, group: int) -> int:
         """Correct (pre-noise) answer: the victim's true-graph bit for the group."""
@@ -51,7 +52,22 @@ class VictimInstance:
     def noisy_gm_response(self, group: int, query_ordinal: int) -> int:
         """Received answer for the group-membership query with this ordinal."""
         z = self.true_gm_response(group)
-        return int(self._uniform(query_ordinal) < self.gm_channel.table[z, 1])
+        u = self._uniforms_through(query_ordinal)[query_ordinal - 1]
+        return int(u < self.gm_channel.table[z, 1])
+
+    def noisy_gm_responses(self, first_group: int, count: int, first_ordinal: int) -> np.ndarray:
+        """Received answers for ``count`` consecutive group queries, as a 0/1 vector.
+
+        Query k (from 0) asks group ``first_group + k`` with ordinal
+        ``first_ordinal + k``; entry k equals ``noisy_gm_response`` for that
+        pair, whatever order the two readers are called in.
+        """
+        if first_ordinal < 1:
+            raise ValueError("query ordinal must be at least 1")
+        z = self.pair.block_bits("true", first_group, first_group + count - 1)[self.victim - 1]
+        stream = self._uniforms_through(first_ordinal + count - 1)
+        u = stream[first_ordinal - 1 : first_ordinal - 1 + count]
+        return (u < self.gm_channel.table[z, 1]).astype(np.uint8)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

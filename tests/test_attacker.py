@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deanonlab.attacker import (
     AttackTranscript,
@@ -27,6 +29,8 @@ from deanonlab.stochastics import (
 
 NOISELESS_MODEL = (EdgeJointDistribution.from_marginal_flip(0.5, 0.0), QueryChannel.identity())
 NOISY_MODEL = (EdgeJointDistribution.from_marginal_flip(0.5, 0.1), QueryChannel.bsc(0.2))
+# About 0.07 bits per query: threshold steps run for dozens of groups.
+LOW_INFO_MODEL = (EdgeJointDistribution.from_marginal_flip(0.5, 0.2), QueryChannel.bsc(0.25))
 
 
 def measures_for(edge, gm):
@@ -108,6 +112,18 @@ def replay_its_by_hand(pair, victim, edge, gm, noise_seed, prior, epsilon, steps
         if response == 1:
             return queries
     raise AssertionError("replay failed to find the victim")
+
+
+def attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l):
+    """``run_its`` and its hand replay on one seeded graph pair and noise stream."""
+    edge, gm = model
+    pair = generate_cprb(n, prior.m, edge, seed=seed)
+    inst = VictimInstance(pair, victim, gm, noise_seed=seed)
+    transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(epsilon, steps_l))
+    expected = replay_its_by_hand(
+        pair, victim, edge, gm, seed, prior, epsilon=epsilon, steps_l=steps_l
+    )
+    return transcript, expected
 
 
 class TestInitState:
@@ -231,6 +247,71 @@ class TestRunIts:
             pair, victim, edge, gm, seed, prior, epsilon=0.2, steps_l=4
         )
         assert transcript.queries == expected
+
+    # Seeds 17 and 135 start their second step inside a block; 147 has three
+    # steps. Every case has steps whose groups run over columns 32 and 64.
+    @pytest.mark.parametrize("seed", [15, 17, 28, 135, 147])
+    def test_matches_hand_replay_across_block_edges(self, seed):
+        prior = make_prior("zipf:1.0", 6)
+        transcript, expected = attack_and_replay(
+            LOW_INFO_MODEL, 512, prior, 1 + seed % 6, seed, 0.3, 4
+        )
+        assert transcript.queries == expected
+        starts = np.cumsum([1] + transcript.tau_star_per_step)
+        spans = list(zip(starts[:-1], starts[1:] - 1))
+        for column in (32, 64):
+            assert any(first <= column < last for first, last in spans)
+
+    @pytest.mark.parametrize("seed", [16, 39, 135])
+    def test_matches_hand_replay_when_groups_run_out_mid_block(self, seed):
+        # n = 45 ends inside the second block; one step crosses, the next one
+        # runs out of groups and the exhaustive phase follows.
+        prior = make_prior("zipf:1.0", 6)
+        transcript, expected = attack_and_replay(
+            LOW_INFO_MODEL, 45, prior, 1 + seed % 6, seed, 0.3, 4
+        )
+        assert transcript.queries == expected
+        assert [t for kind, t, _ in transcript.queries if kind == "GM"] == list(range(1, 46))
+        assert len(transcript.tau_star_per_step) == 1
+        assert transcript.tau_star_per_step[0] < 45
+
+    @pytest.mark.parametrize("seed", [5, 61, 67, 78])
+    def test_matches_hand_replay_noiseless_after_elimination(self, seed):
+        # Noiseless densities are -inf for every mismatch, and the first
+        # verification fails, so the next step scans with a struck candidate.
+        # In seeds 61, 67 and 78 that candidate keeps matching and, having a
+        # larger prior than the victim, would cross first if it were live.
+        prior = make_prior("zipf:1.0", 8)
+        transcript, expected = attack_and_replay(
+            NOISELESS_MODEL, 64, prior, 1 + seed % 8, seed, 0.5, 4
+        )
+        assert transcript.queries == expected
+        assert transcript.step_uid_responses()[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 32),
+        n=st.integers(1, 200),
+        p0=st.floats(0.05, 0.95),
+        edge_flip=st.floats(0.0, 1.0),
+        gm_flip=st.floats(0.0, 1.0),
+        alpha=st.floats(0.3, 5.0),
+        epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
+        steps_l=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_hand_replay_on_random_models(
+        self, data, m, n, p0, edge_flip, gm_flip, alpha, epsilon, steps_l, seed
+    ):
+        model = (EdgeJointDistribution.from_marginal_flip(p0, edge_flip), QueryChannel.bsc(gm_flip))
+        probs = np.random.default_rng(seed).dirichlet(np.full(m, alpha))
+        prior = make_prior(np.maximum(probs, 1e-12).tolist())
+        victim = data.draw(st.integers(1, m), label="victim")
+        transcript, expected = attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l)
+        assert transcript.queries == expected
+        assert transcript.success and transcript.identified == victim
+        assert transcript.q_count <= n + m
 
     def test_single_user_crosses_after_threshold_bits(self):
         # One user with unit prior mass: the zero-query clause cannot fire for

@@ -120,6 +120,7 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("workers", True),
         ("master_seed", True),
         ("steps", True),
+        ("allow_degenerate", "false"),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -130,6 +131,16 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
     code = run_cli(["simulate", "--config", str(config_path)])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x")])
+def test_unparseable_sweep_point_exits_2(capsys, axis, points):
+    code = run_cli([
+        "sweep", "--users", "4", "--groups", "8", "--gm-flip", "0.1", "--trials", "2",
+        "--axis", axis, "--points", points,
+    ])
+    assert code == 2
+    assert "points" in capsys.readouterr().err
 
 
 def test_non_numeric_epsilon_flag_exits_2(capsys):

@@ -3,13 +3,7 @@ import pytest
 from scipy import stats
 
 from deanonlab import graph
-from deanonlab.graph import (
-    BigraphPair,
-    generate_cprb,
-    group_signature,
-    members,
-    partial_signature,
-)
+from deanonlab.graph import BigraphPair, generate_cprb, members
 from deanonlab.stochastics import EdgeJointDistribution
 
 ALL_ONES = EdgeJointDistribution.from_marginal_flip(1.0, 0.0)
@@ -143,27 +137,42 @@ class TestSignatureSlices:
 
     def test_full_range_equals_signature(self, pair):
         assert np.array_equal(
-            partial_signature(pair, "true", 2, 1, pair.n), group_signature(pair, "true", 2)
+            pair.block_bits("true", 1, pair.n)[1], pair.row_bits("true", 2)
         )
 
     def test_single_bit(self, pair):
-        sig = group_signature(pair, "scanned", 3)
+        sig = pair.row_bits("scanned", 3)
         for k in (1, 17, 40):
-            assert partial_signature(pair, "scanned", 3, k, k).tolist() == [sig[k - 1]]
+            assert pair.block_bits("scanned", k, k)[2].tolist() == [sig[k - 1]]
 
     def test_split_concatenation(self, pair):
-        sig = group_signature(pair, "true", 5)
-        left = partial_signature(pair, "true", 5, 1, 13)
-        right = partial_signature(pair, "true", 5, 14, pair.n)
+        sig = pair.row_bits("true", 5)
+        left = pair.block_bits("true", 1, 13)[4]
+        right = pair.block_bits("true", 14, pair.n)[4]
         assert np.array_equal(np.concatenate([left, right]), sig)
 
     def test_invalid_ranges(self, pair):
-        with pytest.raises(IndexError):
-            partial_signature(pair, "true", 1, 0, 5)
-        with pytest.raises(IndexError):
-            partial_signature(pair, "true", 1, 9, 5)
-        with pytest.raises(IndexError):
-            partial_signature(pair, "true", 1, 1, pair.n + 1)
+        for first, last in [(0, 5), (9, 5), (1, pair.n + 1), (0, 0), (pair.n + 1, pair.n + 1)]:
+            with pytest.raises(IndexError):
+                pair.block_bits("true", first, last)
+        with pytest.raises(ValueError):
+            pair.block_bits("guessed", 1, 5)
+
+
+@pytest.mark.parametrize(
+    "first, last", [(1, 45), (3, 3), (3, 11), (8, 9), (30, 37), (31, 45), (45, 45)]
+)
+def test_block_bits_equal_matrix_slices(first, last):
+    # n = 45 is not a multiple of 8, and most ranges start and end mid-byte.
+    edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
+    full = generate_cprb(45, 11, edge, seed=23)
+    full0, full1 = full.sig0, full.sig1
+    lazy = generate_cprb(45, 11, edge, seed=23)
+    block1 = lazy.block_bits("scanned", first, last)
+    block0 = lazy.block_bits("true", first, last)
+    assert block0.shape == (11, last - first + 1)
+    assert np.array_equal(block0, full0[:, first - 1 : last])
+    assert np.array_equal(block1, full1[:, first - 1 : last])
 
 
 class TestMembers:
@@ -189,20 +198,20 @@ class TestMembers:
                 member_set = members(pair, which, group)
                 for user in range(1, pair.m + 1):
                     assert (user in member_set) == (
-                        group_signature(pair, which, user)[group - 1] == 1
+                        pair.row_bits(which, user)[group - 1] == 1
                     )
 
 
 def test_index_errors():
     pair = generate_cprb(10, 5, FAIR_CORRELATED, seed=1)
     with pytest.raises(IndexError):
-        group_signature(pair, "true", 0)
+        pair.row_bits("true", 0)
     with pytest.raises(IndexError):
-        group_signature(pair, "true", 6)
+        pair.row_bits("true", 6)
     with pytest.raises(IndexError):
         members(pair, "true", 11)
     with pytest.raises(ValueError):
-        group_signature(pair, "guessed", 1)
+        pair.row_bits("guessed", 1)
 
 
 class TestJsonRoundTrip:

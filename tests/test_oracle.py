@@ -88,6 +88,49 @@ class TestNoisyResponse:
             inst.noisy_gm_response(1, 0)
 
 
+class TestBlockResponses:
+    RANGES = [(1, 32, 1), (5, 40, 9), (90, 11, 300), (100, 1, 2)]
+
+    def test_equals_single_reads_in_either_order(self):
+        pair = make_pair(n=100, m=8, seed=3)
+        channel = QueryChannel.bsc(0.3)
+        for first_group, count, first_ordinal in self.RANGES:
+            asks = [(first_group + k, first_ordinal + k) for k in range(count)]
+            block_first = VictimInstance(pair, 6, channel, 55)
+            block = block_first.noisy_gm_responses(first_group, count, first_ordinal).tolist()
+            assert [block_first.noisy_gm_response(g, t) for g, t in asks] == block
+            single_first = VictimInstance(pair, 6, channel, 55)
+            singles = [single_first.noisy_gm_response(g, t) for g, t in asks]
+            assert singles == block
+            again = single_first.noisy_gm_responses(first_group, count, first_ordinal)
+            assert again.tolist() == block
+
+    def test_later_single_reads_are_unchanged(self):
+        pair = make_pair(n=100, m=8, seed=3)
+        channel = QueryChannel.bsc(0.3)
+        asks = [(1 + t % 100, t) for t in range(1, 701)]
+        fresh = VictimInstance(pair, 2, channel, 77)
+        expected = [fresh.noisy_gm_response(g, t) for g, t in asks]
+        inst = VictimInstance(pair, 2, channel, 77)
+        for first_group, count, first_ordinal in reversed(self.RANGES):
+            inst.noisy_gm_responses(first_group, count, first_ordinal)
+        assert [inst.noisy_gm_response(g, t) for g, t in asks] == expected
+
+    def test_identity_channel_reads_the_true_row(self):
+        pair = make_pair(n=45)
+        inst = VictimInstance(pair, 3, NOISELESS, 5)
+        assert np.array_equal(inst.noisy_gm_responses(7, 39, 1), pair.sig0[2, 6:45])
+
+    def test_range_checked(self):
+        inst = VictimInstance(make_pair(n=10), 1, NOISELESS, 0)
+        with pytest.raises(ValueError):
+            inst.noisy_gm_responses(1, 3, 0)
+        with pytest.raises(IndexError):
+            inst.noisy_gm_responses(9, 3, 1)
+        with pytest.raises(IndexError):
+            inst.noisy_gm_responses(1, 0, 1)
+
+
 class TestUidResponse:
     def test_only_the_victim_answers_yes(self):
         pair = make_pair(m=6)
