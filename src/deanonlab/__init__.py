@@ -20,7 +20,6 @@ from .attacker import (
 )
 from .bounds import (
     BoundReport,
-    asymptotic_params,
     build_report,
     converse_lower_bound,
     group_sufficiency,
@@ -70,7 +69,6 @@ __all__ = [
     "UID_CHANNEL",
     "VictimInstance",
     "VictimPrior",
-    "asymptotic_params",
     "auto_epsilon_steps",
     "build_joint_uyz",
     "build_report",

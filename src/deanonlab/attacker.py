@@ -193,11 +193,12 @@ def run_its(
     Each threshold step scans from the group cursor to the end of the graph's
     materialization block (``graph._BLOCK`` aligned columns, so the scan
     never generates a column the one-query walk would not): one read of the
-    block's scanned bits, one vector of received answers, and
-    ``cumsum(density[bits, answers])`` seeded with the running sums. The
-    first column where a live candidate's score reaches the threshold ends the
-    step; struck candidates carry surprisal +inf, so their scores stay -inf.
-    The adds and comparisons are those of one update per query, in the same
+    block's scanned bits as a (w, m) grid of w groups by m candidates, one
+    vector of w received answers, and the densities of the grid summed down
+    its group axis, the first row seeded with the running sums. The first
+    row where a live candidate's score reaches the threshold ends the step;
+    struck candidates carry surprisal +inf, so their scores stay -inf. The
+    adds and comparisons are those of one update per query, in the same
     order, so the transcript is identical to it bit for bit.
     """
     if inst.pair is not pair:
@@ -205,7 +206,7 @@ def run_its(
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
     n = pair.n
-    density = measures.density
+    density = measures.density.ravel()  # entry 2u + y is i(u; y)
     threshold = config.threshold_bits
     state = init_state(prior, config)
     queries: list[tuple[str, int, int]] = []
@@ -216,19 +217,20 @@ def run_its(
         state.step = step
         state.info[:] = 0.0
         stop, _ = threshold_check(state, config.epsilon)  # the zero-query clause
-        surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)[:, None]
+        surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)
         gm_count = 0
         while not stop and state.group_cursor <= n:
             first = state.group_cursor
             last = min((first - 1) // _BLOCK * _BLOCK + _BLOCK, n)
             ys = inst.noisy_gm_responses(first, last - first + 1, ordinal + 1)
-            sums = density[pair.block_bits("scanned", first, last), ys]
-            sums[:, 0] += state.info
-            sums = np.cumsum(sums, axis=1)
-            crossed = ((sums - surprisal) >= threshold).any(axis=0)
+            bits = pair.block_bits("scanned", first, last).T  # (w, m), contiguous
+            sums = density.take(2 * bits + ys[:, None])
+            sums[0] += state.info
+            sums = np.cumsum(sums, axis=0)
+            crossed = ((sums - surprisal) >= threshold).any(axis=1)
             stop = bool(crossed.any())
             width = int(crossed.argmax()) + 1 if stop else crossed.size
-            state.info[:] = sums[:, width - 1]
+            state.info[:] = sums[width - 1]
             queries.extend(zip(repeat("GM"), range(first, first + width), ys[:width].tolist()))
             state.group_cursor += width
             ordinal += width

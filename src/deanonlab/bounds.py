@@ -55,7 +55,6 @@ class BoundReport:
 
     upper_finite: float  # certified variant (looser tail exponent)
     upper_finite_stated: float
-    upper_asymptotic_leading: float
     lower_converse: float
     groups_required_finite: float
     groups_required_asymptotic: float
@@ -67,7 +66,6 @@ class BoundReport:
         return {
             "upper_finite": _finite_or_none(self.upper_finite),
             "upper_finite_stated": _finite_or_none(self.upper_finite_stated),
-            "upper_asymptotic_leading": _finite_or_none(self.upper_asymptotic_leading),
             "lower_converse": _finite_or_none(self.lower_converse),
             "groups_required_finite": _finite_or_none(self.groups_required_finite),
             "groups_required_asymptotic": _finite_or_none(self.groups_required_asymptotic),
@@ -125,20 +123,6 @@ def converse_lower_bound(entropy_bits: float, mutual_info_bits: float) -> float:
     if mutual_info_bits <= 0.0:
         raise ValueError("converse requires strictly positive mutual information")
     return entropy_bits / mutual_info_bits
-
-
-def asymptotic_params(m: int) -> tuple[float, int]:
-    """Large-m schedule (epsilon, steps) = (log2 log2 m / log2 m, ceil(...)).
-
-    Defined for m >= 17, where the iterated logs are positive; below that,
-    use the clamped defaults from :func:`deanonlab.attacker.auto_epsilon_steps`.
-    """
-    if m < 17:
-        raise ValueError("asymptotic schedule needs m >= 17; use auto_epsilon_steps")
-    lm = math.log2(m)
-    llm = math.log2(lm)
-    lllm = math.log2(llm)
-    return llm / lm, math.ceil(lm / (llm - lllm))
 
 
 def group_sufficiency(
@@ -200,7 +184,6 @@ def build_report(
     return BoundReport(
         upper_finite=upper.certified,
         upper_finite_stated=upper.stated,
-        upper_asymptotic_leading=lower,
         lower_converse=lower,
         groups_required_finite=suff.finite_required,
         groups_required_asymptotic=suff.asymptotic_required,

@@ -2,10 +2,12 @@
 
 A pair holds two m x n binary membership matrices: the true graph and the
 scanned (attacker-side) copy. Row i is user i's group signature. Both graphs
-live in one (2, m, bytes) array of packed bit words, user-major within each
-graph (big-endian within a byte, so group 1 is the most significant bit of
-the first byte), because the attack's hot loop reads a block of consecutive
-group columns across all m candidates at a time.
+live in one (2, columns, ceil(m/8)) array of packed bit words, group-major
+within each graph: group g's row holds the bits of users 1..m, big-endian
+within a byte (user 1 is the most significant bit of the first byte). The
+attack adds one information density to every candidate's score per group
+query, so its hot loop reads a block of consecutive groups as a contiguous
+(groups, users) grid, and the victim's answers come from one byte column.
 
 Generation draws the (true, scanned) bit pair of every position i.i.d. from
 an ``EdgeJointDistribution`` out of a single random stream per pair,
@@ -14,11 +16,11 @@ takes uniforms [2m(g-1), 2mg) of that stream: the first m decide the true
 bits of users 1..m against the true-edge marginal, the next m decide their
 scanned bits against the conditional given the realized true bit. Columns are
 materialized left to right on demand, a block at a time, and the packed
-storage grows with them; an attack that touches only the first few dozen
-groups never pays for the rest of a wide graph. The block width is not part
-of the layout, and materialized bits are identical whichever access pattern
-triggered them. Rows are not individually re-derivable: row i's bits are
-spread over the whole stream.
+storage grows along the group axis with them; an attack that touches only
+the first few dozen groups never pays for the rest of a wide graph. The block
+width is not part of the layout, and materialized bits are identical
+whichever access pattern triggered them. Rows are not individually
+re-derivable: row i's bits are spread over the whole stream.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .stochastics import EdgeJointDistribution
 
-# Columns materialized per extension; a multiple of 8 keeps packing aligned.
+# Columns materialized per extension; any width gives the same bits.
 _BLOCK = 32
 
 _SELECTORS = {"true": 0, "scanned": 1}
@@ -66,7 +68,7 @@ class BigraphPair:
         for name, a in (("sig0", a0), ("sig1", a1)):
             if not np.isin(a, (0, 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
-        packed = np.packbits(np.stack((a0, a1)).astype(np.uint8), axis=2)
+        packed = np.packbits(np.stack((a0.T, a1.T)).astype(np.uint8), axis=2)
         return cls(n, m, packed, ready=n)
 
     # -- generation ------------------------------------------------------
@@ -77,43 +79,56 @@ class BigraphPair:
         if upto <= self._ready:
             return
         stop = min(self._ready + -(-(upto - self._ready) // _BLOCK) * _BLOCK, self.n)
-        need = (stop + 7) // 8
-        have = self._packed.shape[2]
-        if need > have:
+        have = self._packed.shape[1]
+        if stop > have:
             # Grow geometrically, so reading a wide graph left to right copies
-            # each byte a bounded number of times, but never past the full width.
-            size = min(max(need, 2 * have), (self.n + 7) // 8)
-            grown = np.zeros((2, self.m, size), dtype=np.uint8)
-            grown[:, :, :have] = self._packed
+            # each row a bounded number of times, but never past the full width.
+            size = min(max(stop, 2 * have), self.n)
+            grown = np.empty((2, size, self._packed.shape[2]), dtype=np.uint8)
+            grown[:, : self._ready] = self._packed[:, : self._ready]
             self._packed = grown
         while self._ready < stop:
             width = min(_BLOCK, stop - self._ready)
             u = self._gen.random((width, 2, self.m))
             true = u[:, 0] < self._t0
             scanned = u[:, 1] < np.where(true, self._t11, self._t10)
-            chunk = np.packbits(np.stack((true, scanned)).transpose(0, 2, 1), axis=2)
-            byte0 = self._ready // 8
-            self._packed[:, :, byte0 : byte0 + chunk.shape[2]] = chunk
+            rows = slice(self._ready, self._ready + width)
+            self._packed[0, rows] = np.packbits(true, axis=1)
+            self._packed[1, rows] = np.packbits(scanned, axis=1)
             self._ready += width
 
     # -- raw access ------------------------------------------------------
 
     def _columns(self, which: str, upto: int) -> np.ndarray:
-        """Packed rows of the selected graph with columns [1, upto] materialized."""
+        """Packed group rows of the selected graph with columns [1, upto] materialized."""
         if which not in _SELECTORS:
             raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
         self._ensure_columns(upto)
         return self._packed[_SELECTORS[which]]
 
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
-        """Groups first..last (1-based, inclusive) of every user, as an m x w 0/1 matrix."""
+        """Groups first..last (1-based, inclusive) of every user, as an m x w 0/1 matrix.
+
+        The matrix is the transposed view of a contiguous w x m unpack of the
+        groups' rows, so ``.T`` gives the (groups, users) grid without a copy.
+        """
         if not 1 <= first <= last <= self.n:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        packed = self._columns(which, last)
-        skip = (first - 1) & 7
-        window = packed[:, (first - 1) >> 3 : (last + 7) >> 3]
-        bits = np.unpackbits(window, axis=1, count=skip + last - first + 1)
-        return bits[:, skip:]
+        rows = self._columns(which, last)[first - 1 : last]
+        return np.unpackbits(rows, axis=1, count=self.m).T
+
+    def user_bits(self, which: str, user: int, first: int, last: int) -> np.ndarray:
+        """Groups first..last (1-based, inclusive) of one user, as a 0/1 vector.
+
+        Reads the user's byte of each group row; the other users stay packed.
+        """
+        if not 1 <= user <= self.m:
+            raise IndexError(f"user index {user} outside [1, {self.m}]")
+        if not 1 <= first <= last <= self.n:
+            raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
+        u0 = user - 1
+        column = self._columns(which, last)[first - 1 : last, u0 >> 3]
+        return (column >> (7 - (u0 & 7))) & 1
 
     def column_bits(self, which: str, group: int) -> np.ndarray:
         """The length-m 0/1 column of one group (1-based group index)."""
@@ -123,21 +138,14 @@ class BigraphPair:
 
     def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
         """The first ``upto`` signature bits of one user (defaults to all n)."""
-        if not 1 <= user <= self.m:
-            raise IndexError(f"user index {user} outside [1, {self.m}]")
         count = self.n if upto is None else upto
-        packed = self._columns(which, count)
-        return np.unpackbits(packed[user - 1], count=count)
+        if not 0 <= count <= self.n:
+            raise IndexError(f"upto {count} outside [0, {self.n}]")
+        return self.user_bits(which, user, 1, max(count, 1))[:count]
 
     def bit(self, which: str, user: int, group: int) -> int:
         """Single membership bit at (user, group), both 1-based."""
-        if not 1 <= user <= self.m:
-            raise IndexError(f"user index {user} outside [1, {self.m}]")
-        if not 1 <= group <= self.n:
-            raise IndexError(f"group index {group} outside [1, {self.n}]")
-        packed = self._columns(which, group)
-        g0 = group - 1
-        return int((packed[user - 1, g0 >> 3] >> (7 - (g0 & 7))) & 1)
+        return int(self.user_bits(which, user, group, group)[0])
 
     @property
     def sig0(self) -> np.ndarray:
@@ -152,39 +160,37 @@ class BigraphPair:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        """Plain dict {n, m, sig0, sig1} with hex-encoded packed rows.
+        """Plain dict {n, m, sig0, sig1} with one hex-encoded packed row per user.
 
         The most significant bit of the first hex byte is group 1; unused
         low bits of the final byte are zero.
         """
-        self._ensure_columns(self.n)
         return {
             "n": self.n,
             "m": self.m,
-            "sig0": [bytes(row).hex() for row in self._packed[0]],
-            "sig1": [bytes(row).hex() for row in self._packed[1]],
+            "sig0": [bytes(row).hex() for row in np.packbits(self.sig0, axis=1)],
+            "sig1": [bytes(row).hex() for row in np.packbits(self.sig1, axis=1)],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BigraphPair":
+        """Inverse of :meth:`to_json`; unused low bits of a row's final byte are ignored."""
         n = int(obj["n"])
         m = int(obj["m"])
         if n < 1 or m < 1:
             raise ValueError("user and group counts must be positive")
         nbytes = (n + 7) // 8
-        tail_mask = 0xFF if n % 8 == 0 else (0xFF << (8 - n % 8)) & 0xFF
-        packed = np.empty((2, m, nbytes), dtype=np.uint8)
-        for arr, key in zip(packed, ("sig0", "sig1")):
-            rows = obj[key]
-            if len(rows) != m:
+        rows = np.empty((2, m, nbytes), dtype=np.uint8)
+        for arr, key in zip(rows, ("sig0", "sig1")):
+            hexrows = obj[key]
+            if len(hexrows) != m:
                 raise ValueError(f"{key} must have m={m} rows")
-            for i, hexrow in enumerate(rows):
+            for i, hexrow in enumerate(hexrows):
                 raw = bytes.fromhex(hexrow)
                 if len(raw) != nbytes:
                     raise ValueError(f"{key} row {i + 1} must encode {nbytes} bytes")
                 arr[i] = np.frombuffer(raw, dtype=np.uint8)
-        packed[:, :, -1] &= tail_mask
-        return cls(n, m, packed, ready=n)
+        return cls.from_matrices(*np.unpackbits(rows, axis=2, count=n))
 
 
 def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> BigraphPair:
@@ -205,16 +211,9 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         raise ValueError("user count m must be at least 1")
     if not isinstance(edge_joint, EdgeJointDistribution):
         raise TypeError("edge_joint must be an EdgeJointDistribution")
-    t = edge_joint.table
-    p0 = edge_joint.p0
-    # Conditional P(scanned=1 | true bit); a zero-mass true value never
-    # realizes, so its branch threshold is arbitrary.
-    marg = t.sum(axis=1)
-    t10 = t[0, 1] / marg[0] if marg[0] > 0.0 else 0.0
-    t11 = t[1, 1] / marg[1] if marg[1] > 0.0 else 0.0
     return BigraphPair(
-        n, m, np.zeros((2, m, 0), dtype=np.uint8), ready=0,
-        gen=np.random.default_rng(seed), thresholds=(p0, t10, t11),
+        n, m, np.zeros((2, 0, (m + 7) // 8), dtype=np.uint8), ready=0,
+        gen=np.random.default_rng(seed), thresholds=edge_joint.generation_thresholds,
     )
 
 

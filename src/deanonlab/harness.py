@@ -213,16 +213,13 @@ def trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _run_one_trial(config: ExperimentConfig, model: _ResolvedModel, k: int):
+def _run_one_trial(config: ExperimentConfig, model: _ResolvedModel, its: ITSConfig, k: int):
     graph_seed, victim_seed, noise_seed = trial_seeds(config.master_seed, k)
     pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_seed)
     victim = sample_victim(model.prior, victim_seed)
     inst = VictimInstance(pair, victim, model.gm, noise_seed)
     if config.strategy == "its":
-        transcript = run_its(
-            pair, inst, model.prior, model.measures,
-            model.its_config(config.final_phase_order),
-        )
+        transcript = run_its(pair, inst, model.prior, model.measures, its)
     else:
         transcript = run_uid_scan(inst, order="random", seed=noise_seed)
     return transcript
@@ -231,13 +228,14 @@ def _run_one_trial(config: ExperimentConfig, model: _ResolvedModel, k: int):
 def _trial_block(config: ExperimentConfig, start: int, count: int):
     """Run trials [start, start + count) and return compact per-trial arrays."""
     model = resolve_model(config)
+    its = model.its_config(config.final_phase_order)
     verify_slots = max(model.steps - 1, 0)
     qs = np.empty(count, dtype=np.int64)
     steps_used = np.empty(count, dtype=np.int32)
     successes = np.empty(count, dtype=bool)
     verify = np.full((count, verify_slots), -1, dtype=np.int8)
     for i in range(count):
-        transcript = _run_one_trial(config, model, start + i)
+        transcript = _run_one_trial(config, model, its, start + i)
         qs[i] = transcript.q_count
         steps_used[i] = transcript.steps_used
         successes[i] = transcript.success

@@ -64,7 +64,7 @@ class VictimInstance:
         """
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
-        z = self.pair.block_bits("true", first_group, first_group + count - 1)[self.victim - 1]
+        z = self.pair.user_bits("true", self.victim, first_group, first_group + count - 1)
         stream = self._uniforms_through(first_ordinal + count - 1)
         u = stream[first_ordinal - 1 : first_ordinal - 1 + count]
         return (u < self.gm_channel.table[z, 1]).astype(np.uint8)

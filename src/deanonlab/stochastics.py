@@ -20,6 +20,7 @@ information and decision thresholds all share the same unit (bits).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,20 @@ class EdgeJointDistribution:
                 "conditional undefined: true-edge marginal has a zero-mass value"
             )
         return self.table / marg[:, None]
+
+    @cached_property
+    def generation_thresholds(self) -> tuple[float, float, float]:
+        """(p0, P(scanned=1 | true=0), P(scanned=1 | true=1)), the cut-offs for
+        drawing a (true, scanned) bit pair from two uniforms.
+
+        Computed once per law. A zero-mass true value never realizes, so its
+        branch threshold is arbitrary (0).
+        """
+        t = self.table
+        marg = t.sum(axis=1)
+        t10 = t[0, 1] / marg[0] if marg[0] > 0.0 else 0.0
+        t11 = t[1, 1] / marg[1] if marg[1] > 0.0 else 0.0
+        return self.p0, t10, t11
 
     @classmethod
     def from_marginal_flip(cls, p0: float, flip: float) -> "EdgeJointDistribution":

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from deanonlab.attacker import auto_epsilon_steps
 from deanonlab.bounds import (
-    asymptotic_params,
     build_report,
     converse_lower_bound,
     group_sufficiency,
@@ -101,23 +101,26 @@ class TestConverse:
 
 class TestAsymptoticParams:
     def test_power_of_two_sixteen(self):
-        eps, steps = asymptotic_params(2**16)
+        eps, steps = auto_epsilon_steps(2**16)
         assert eps == pytest.approx(0.25, abs=1e-15)
         assert steps == 8
 
     def test_huge_power(self):
-        eps, steps = asymptotic_params(2**256)
+        eps, steps = auto_epsilon_steps(2**256)
         assert eps == pytest.approx(0.03125, abs=1e-15)
         assert steps == math.ceil(256.0 / (8.0 - 3.0))
 
     def test_million_users(self):
-        eps, steps = asymptotic_params(10**6)
+        eps, steps = auto_epsilon_steps(10**6)
         assert eps == pytest.approx(0.21659024634020064, abs=1e-12)
         assert steps == 10
 
-    def test_small_m_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotic_params(16)
+    def test_schedule_takes_over_at_m_17(self):
+        # Below 17 users the iterated logs are not meaningful: clamped defaults.
+        assert auto_epsilon_steps(16) == (0.25, 3)
+        lm = math.log2(17)
+        llm = math.log2(lm)
+        assert auto_epsilon_steps(17) == (llm / lm, math.ceil(lm / (llm - math.log2(llm))))
 
 
 class TestGroupSufficiency:
@@ -146,11 +149,11 @@ class TestBoundReport:
         )
         assert report.upper_finite >= report.upper_finite_stated
         assert report.lower_converse == pytest.approx(16.0, abs=1e-12)
-        assert report.upper_asymptotic_leading == report.lower_converse
         assert report.params_used["m"] == 256 and report.params_used["n"] == 8192
         assert set(report.conditions_met) == {"finite_groups", "asymptotic_groups", "coverage"}
         blob = report.to_json()
         assert blob["lower_converse"] == report.lower_converse
+        assert "upper_asymptotic_leading" not in blob
 
     @pytest.mark.parametrize("mutual_info", [0.0, 0.5])
     def test_single_user_converse_floor_is_zero(self, mutual_info):

@@ -97,7 +97,8 @@ def test_column_stream_oracle():
         assert np.array_equal(pair.column_bits("scanned", g), e1.astype(np.uint8))
 
 
-@pytest.mark.parametrize("block", [8, 64])
+# Widths 5 and 12 are not multiples of 8: a block need not fill whole bytes.
+@pytest.mark.parametrize("block", [5, 8, 12, 64])
 def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
     reference = generate_cprb(203, 11, edge, seed=17)
@@ -118,11 +119,15 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
 
 
 def test_storage_grows_with_materialized_columns():
-    pair = generate_cprb(8192, 4, FAIR_CORRELATED, seed=6)
+    # m and n are multiples of 8, so a full pair packs into exactly 2mn/8
+    # bytes whichever way the bits are laid out.
+    n, m = 8192, 16
+    full_bytes = 2 * m * n // 8
+    pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
     pair.column_bits("true", 1)
-    assert pair._packed.nbytes < 2 * 4 * 8192 // 8
-    assert pair.sig0.shape == (4, 8192)
-    assert pair._packed.shape == (2, 4, 8192 // 8)
+    assert pair._packed.nbytes <= full_bytes // 64
+    assert pair.sig0.shape == (m, n)
+    assert pair._packed.nbytes == full_bytes
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +178,13 @@ def test_block_bits_equal_matrix_slices(first, last):
     assert block0.shape == (11, last - first + 1)
     assert np.array_equal(block0, full0[:, first - 1 : last])
     assert np.array_equal(block1, full1[:, first - 1 : last])
+    # m = 11: the last byte of each group row holds users 9-11 and 5 pad bits.
+    for user in (1, 8, 9, 11):
+        row0 = lazy.user_bits("true", user, first, last)
+        row1 = lazy.user_bits("scanned", user, first, last)
+        assert np.array_equal(row0, full0[user - 1, first - 1 : last])
+        assert np.array_equal(row1, full1[user - 1, first - 1 : last])
+        assert lazy.bit("true", user, last) == full0[user - 1, last - 1]
 
 
 class TestMembers:
@@ -210,6 +222,15 @@ def test_index_errors():
         pair.row_bits("true", 6)
     with pytest.raises(IndexError):
         members(pair, "true", 11)
+    # upto must lie in [0, n]: no phantom groups past n, no negative counts.
+    with pytest.raises(IndexError):
+        pair.row_bits("true", 1, upto=15)
+    with pytest.raises(IndexError):
+        pair.row_bits("true", 1, upto=-3)
+    assert pair.row_bits("true", 1, upto=0).size == 0
+    for user, first, last in [(0, 1, 2), (6, 1, 2), (1, 0, 2), (1, 3, 2), (1, 1, 11)]:
+        with pytest.raises(IndexError):
+            pair.user_bits("true", user, first, last)
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
 
