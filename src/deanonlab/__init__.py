@@ -25,7 +25,7 @@ from .bounds import (
     group_sufficiency,
     query_upper_bound,
 )
-from .graph import BigraphPair, generate_cprb, members
+from .graph import BigraphPair, generate_cprb
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -41,13 +41,10 @@ from .stochastics import (
     InfoMeasures,
     JointUYZ,
     QueryChannel,
-    UID_CHANNEL,
     VictimPrior,
     build_joint_uyz,
     entropy,
-    info_density,
     make_prior,
-    mutual_information,
     sample_victim,
 )
 
@@ -66,7 +63,6 @@ __all__ = [
     "InfoMeasures",
     "JointUYZ",
     "QueryChannel",
-    "UID_CHANNEL",
     "VictimInstance",
     "VictimPrior",
     "auto_epsilon_steps",
@@ -79,11 +75,8 @@ __all__ = [
     "generate_cprb",
     "gm_update",
     "group_sufficiency",
-    "info_density",
     "init_state",
     "make_prior",
-    "members",
-    "mutual_information",
     "query_upper_bound",
     "run_experiment",
     "run_its",

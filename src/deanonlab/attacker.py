@@ -110,7 +110,6 @@ class ITSState:
     info: np.ndarray
     prior_surprisal: np.ndarray
     group_cursor: int
-    step: int
     eliminated: np.ndarray
 
     def scores(self) -> np.ndarray:
@@ -127,7 +126,6 @@ def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
         info=np.zeros(m),
         prior_surprisal=-np.log2(prior.probs),
         group_cursor=1,
-        step=1,
         eliminated=np.zeros(m, dtype=bool),
     )
 
@@ -214,7 +212,6 @@ def run_its(
     ordinal = 0
 
     for step in range(1, config.steps_l):
-        state.step = step
         state.info[:] = 0.0
         stop, _ = threshold_check(state, config.epsilon)  # the zero-query clause
         surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)
@@ -265,25 +262,9 @@ def run_its(
     raise AssertionError("unreachable: exhaustive identity phase covers the victim")
 
 
-def run_uid_scan(inst: VictimInstance, order="random", seed=None) -> "AttackTranscript":
-    """Baseline attack: identity queries only, in the given order.
-
-    ``order`` is ``"random"`` (seeded shuffle), ``"sequential"`` (1..m), or
-    an explicit permutation of 1-based user indices.
-    """
-    m = inst.pair.m
-    if isinstance(order, str):
-        if order == "sequential":
-            sequence = range(1, m + 1)
-        elif order == "random":
-            rng = np.random.default_rng(seed)
-            sequence = (rng.permutation(m) + 1).tolist()
-        else:
-            raise ValueError(f"unknown scan order {order!r}")
-    else:
-        sequence = [int(j) for j in order]
-        if sorted(sequence) != list(range(1, m + 1)):
-            raise ValueError("explicit order must be a permutation of 1..m")
+def run_uid_scan(inst: VictimInstance, seed) -> "AttackTranscript":
+    """Baseline attack: identity queries only, in a seeded random order."""
+    sequence = (np.random.default_rng(seed).permutation(inst.pair.m) + 1).tolist()
     queries: list[tuple[str, int, int]] = []
     for candidate in sequence:
         response = inst.uid_response(candidate)
@@ -318,9 +299,6 @@ class AttackTranscript:
     @property
     def q_count(self) -> int:
         return len(self.queries)
-
-    def gm_count(self) -> int:
-        return sum(1 for kind, _, _ in self.queries if kind == "GM")
 
     def uid_count(self) -> int:
         return sum(1 for kind, _, _ in self.queries if kind == "UID")

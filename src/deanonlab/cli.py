@@ -17,7 +17,11 @@ import argparse
 import json
 import sys
 
+from .attacker import FINAL_PHASE_ORDERS
 from .harness import (
+    OUTPUT_FORMATS,
+    STRATEGIES,
+    SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
     emit_results,
@@ -44,13 +48,13 @@ def _add_model_flags(parser: argparse.ArgumentParser):
 def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--trials", type=int, help="number of Monte Carlo trials")
     parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-    parser.add_argument("--strategy", choices=["its", "uid-scan", "uid_scan"],
+    parser.add_argument("--strategy", choices=(*STRATEGIES, "uid-scan"),
                         help="attack strategy")
     parser.add_argument("--workers", type=int, help="parallel worker processes")
     parser.add_argument("--final-phase-order", dest="final_phase_order",
-                        choices=["by_info_value_desc", "random", "by_prior_desc"])
+                        choices=FINAL_PHASE_ORDERS)
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a campaign per axis point")
     _add_model_flags(p_sweep)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=["m", "noise", "zipf"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--points", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--crn", action="store_true",
@@ -83,7 +87,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ConfigError("config", f"not valid JSON: {exc}") from None
     for key in ("users", "groups", "p0", "edge_flip", "gm_flip", "prior",
                 "trials", "master_seed", "workers", "final_phase_order",
                 "out", "format"):

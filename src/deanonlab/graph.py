@@ -157,41 +157,6 @@ class BigraphPair:
         """Scanned-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
         return self.block_bits("scanned", 1, self.n)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Plain dict {n, m, sig0, sig1} with one hex-encoded packed row per user.
-
-        The most significant bit of the first hex byte is group 1; unused
-        low bits of the final byte are zero.
-        """
-        return {
-            "n": self.n,
-            "m": self.m,
-            "sig0": [bytes(row).hex() for row in np.packbits(self.sig0, axis=1)],
-            "sig1": [bytes(row).hex() for row in np.packbits(self.sig1, axis=1)],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BigraphPair":
-        """Inverse of :meth:`to_json`; unused low bits of a row's final byte are ignored."""
-        n = int(obj["n"])
-        m = int(obj["m"])
-        if n < 1 or m < 1:
-            raise ValueError("user and group counts must be positive")
-        nbytes = (n + 7) // 8
-        rows = np.empty((2, m, nbytes), dtype=np.uint8)
-        for arr, key in zip(rows, ("sig0", "sig1")):
-            hexrows = obj[key]
-            if len(hexrows) != m:
-                raise ValueError(f"{key} must have m={m} rows")
-            for i, hexrow in enumerate(hexrows):
-                raw = bytes.fromhex(hexrow)
-                if len(raw) != nbytes:
-                    raise ValueError(f"{key} row {i + 1} must encode {nbytes} bytes")
-                arr[i] = np.frombuffer(raw, dtype=np.uint8)
-        return cls.from_matrices(*np.unpackbits(rows, axis=2, count=n))
-
 
 def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> BigraphPair:
     """Draw a correlated pair of random bigraphs, deterministic given ``seed``.
@@ -215,9 +180,3 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         n, m, np.zeros((2, 0, (m + 7) // 8), dtype=np.uint8), ready=0,
         gen=np.random.default_rng(seed), thresholds=edge_joint.generation_thresholds,
     )
-
-
-def members(pair: BigraphPair, which: str, group: int) -> set[int]:
-    """Set of 1-based user indices belonging to the group."""
-    col = pair.column_bits(which, group)
-    return set((np.flatnonzero(col) + 1).tolist())

@@ -13,14 +13,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from .bounds import _finite_or_none
 from .attacker import (
     FINAL_PHASE_ORDERS,
     ITSConfig,
@@ -43,12 +45,6 @@ from .stochastics import (
 
 STRATEGIES = ("its", "uid_scan")
 OUTPUT_FORMATS = ("csv", "json")
-
-CSV_COLUMNS = [
-    "m", "n", "p0", "edge_flip", "gm_flip", "prior", "epsilon", "l", "trials",
-    "mean_Q", "std_Q", "ci95_lo", "ci95_hi", "lower_bound",
-    "upper_bound_stated", "upper_bound_certified", "cond_eq3", "cond_eq4",
-]
 
 
 def _is_int(value) -> bool:
@@ -128,15 +124,9 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", "must be a file path")
         try:
-            self.make_prior_object()
+            make_prior(self.prior, self.users)
         except (TypeError, ValueError) as exc:
             raise ConfigError("prior", str(exc)) from exc
-
-    def make_prior_object(self) -> VictimPrior:
-        return make_prior(self.prior, self.users)
-
-    def prior_label(self) -> str:
-        return self.prior if isinstance(self.prior, str) else "explicit"
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -175,18 +165,11 @@ class _ResolvedModel:
             steps=self.steps,
         )
 
-    def its_config(self, final_phase_order: str) -> ITSConfig:
-        return ITSConfig(
-            epsilon=self.epsilon,
-            steps_l=self.steps,
-            final_phase_order=final_phase_order,
-        )
-
 
 def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
     edge_joint = EdgeJointDistribution.from_marginal_flip(config.p0, config.edge_flip)
     gm = QueryChannel.bsc(config.gm_flip)
-    prior = config.make_prior_object()
+    prior = make_prior(config.prior, config.users)
     joint = build_joint_uyz(edge_joint, gm)
     measures = InfoMeasures.from_joint(joint)
     if config.epsilon == "auto" or config.steps == "auto":
@@ -219,29 +202,50 @@ def _run_one_trial(config: ExperimentConfig, model: _ResolvedModel, its: ITSConf
     victim = sample_victim(model.prior, victim_seed)
     inst = VictimInstance(pair, victim, model.gm, noise_seed)
     if config.strategy == "its":
-        transcript = run_its(pair, inst, model.prior, model.measures, its)
-    else:
-        transcript = run_uid_scan(inst, order="random", seed=noise_seed)
-    return transcript
+        return run_its(pair, inst, model.prior, model.measures, its)
+    return run_uid_scan(inst, noise_seed)
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int):
     """Run trials [start, start + count) and return compact per-trial arrays."""
     model = resolve_model(config)
-    its = model.its_config(config.final_phase_order)
+    its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
     verify_slots = max(model.steps - 1, 0)
     qs = np.empty(count, dtype=np.int64)
-    steps_used = np.empty(count, dtype=np.int32)
     successes = np.empty(count, dtype=bool)
     verify = np.full((count, verify_slots), -1, dtype=np.int8)
     for i in range(count):
         transcript = _run_one_trial(config, model, its, start + i)
         qs[i] = transcript.q_count
-        steps_used[i] = transcript.steps_used
         successes[i] = transcript.success
         for s, response in enumerate(transcript.step_uid_responses()):
             verify[i, s] = response
-    return qs, steps_used, successes, verify
+    return qs, successes, verify
+
+
+# The output fields, in column order: (name, raw value of a summary). CSV
+# writes exactly these; JSON writes them first.
+_FIELDS = (
+    ("m", lambda s: s.config.users),
+    ("n", lambda s: s.config.groups),
+    ("p0", lambda s: s.config.p0),
+    ("edge_flip", lambda s: s.config.edge_flip),
+    ("gm_flip", lambda s: s.config.gm_flip),
+    ("prior", lambda s: s.config.prior if isinstance(s.config.prior, str) else "explicit"),
+    ("epsilon", lambda s: s.epsilon),
+    ("l", lambda s: s.steps),
+    ("trials", lambda s: s.trials),
+    ("mean_Q", lambda s: s.mean_q),
+    ("std_Q", lambda s: s.std_q),
+    ("ci95_lo", lambda s: s.ci95_lo),
+    ("ci95_hi", lambda s: s.ci95_hi),
+    ("lower_bound", lambda s: s.bound_report.lower_converse),
+    ("upper_bound_stated", lambda s: s.bound_report.upper_finite_stated),
+    ("upper_bound_certified", lambda s: s.bound_report.upper_finite),
+    ("cond_eq3", lambda s: s.bound_report.conditions_met["finite_groups"]),
+    ("cond_eq4", lambda s: s.bound_report.conditions_met["asymptotic_groups"]),
+)
+CSV_COLUMNS = [name for name, _ in _FIELDS]
 
 
 @dataclass
@@ -262,47 +266,20 @@ class ExperimentSummary:
     bound_report: bounds_mod.BoundReport
 
     def csv_row(self) -> list[str]:
-        report = self.bound_report
-        cond = report.conditions_met
-        values = [
-            self.config.users, self.config.groups, self.config.p0,
-            self.config.edge_flip, self.config.gm_flip,
-            self.config.prior_label(), self.epsilon, self.steps, self.trials,
-            self.mean_q, self.std_q, self.ci95_lo, self.ci95_hi,
-            report.lower_converse, report.upper_finite_stated,
-            report.upper_finite, cond["finite_groups"], cond["asymptotic_groups"],
-        ]
-        return [_format_cell(v) for v in values]
+        return [_format_cell(value(self)) for _, value in _FIELDS]
 
     def to_json(self) -> dict:
-        report = self.bound_report.to_json()
-        cond = report["conditions_met"]
-        return {
-            "m": self.config.users,
-            "n": self.config.groups,
-            "p0": self.config.p0,
-            "edge_flip": self.config.edge_flip,
-            "gm_flip": self.config.gm_flip,
-            "prior": self.config.prior_label(),
-            "epsilon": self.epsilon,
-            "l": self.steps,
-            "trials": self.trials,
-            "mean_Q": self.mean_q,
-            "std_Q": self.std_q,
-            "ci95_lo": self.ci95_lo,
-            "ci95_hi": self.ci95_hi,
-            "lower_bound": report["lower_converse"],
-            "upper_bound_stated": report["upper_finite_stated"],
-            "upper_bound_certified": report["upper_finite"],
-            "cond_eq3": cond["finite_groups"],
-            "cond_eq4": cond["asymptotic_groups"],
-            "strategy": self.config.strategy,
-            "master_seed": self.config.master_seed,
-            "success_rate": self.success_rate,
-            "per_step_failure_rates": list(self.per_step_failure_rates),
-            "q_histogram": [list(pair) for pair in self.q_histogram],
-            "bound_report": report,
-        }
+        """The output fields, then the fields only JSON carries; null where unbounded."""
+        fields = {name: _finite_or_none(value(self)) for name, value in _FIELDS}
+        return dict(
+            fields,
+            strategy=self.config.strategy,
+            master_seed=self.config.master_seed,
+            success_rate=self.success_rate,
+            per_step_failure_rates=list(self.per_step_failure_rates),
+            q_histogram=[list(pair) for pair in self.q_histogram],
+            bound_report=self.bound_report.to_json(),
+        )
 
 
 def _format_cell(value) -> str:
@@ -322,12 +299,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     config.validate()
     model = resolve_model(config)
     trials = config.trials
-    if config.workers == 1 or trials == 1:
+    # More processes than trials or cores would only add start-up cost.
+    workers = min(config.workers, trials, os.cpu_count() or 1)
+    if workers == 1:
         blocks = [_trial_block(config, 0, trials)]
     else:
-        chunk = max(1, math.ceil(trials / (config.workers * 4)))
+        chunk = max(1, math.ceil(trials / (workers * 4)))
         starts = list(range(0, trials, chunk))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(
                 pool.map(
                     _trial_block,
@@ -337,8 +316,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 )
             )
     qs = np.concatenate([b[0] for b in blocks])
-    successes = np.concatenate([b[2] for b in blocks])
-    verify = np.vstack([b[3] for b in blocks])
+    successes = np.concatenate([b[1] for b in blocks])
+    verify = np.vstack([b[2] for b in blocks])
 
     mean_q = float(qs.mean())
     std_q = float(qs.std(ddof=1)) if trials > 1 else 0.0

@@ -37,7 +37,7 @@ def _as_table(values, shape, name: str) -> np.ndarray:
     table = np.array(values, dtype=np.float64)
     if table.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-    if np.any(table < 0.0) or np.any(table > 1.0):
+    if not np.all((table >= 0.0) & (table <= 1.0)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     table.setflags(write=False)
     return table
@@ -108,13 +108,6 @@ class EdgeJointDistribution:
         )
         return cls(table)
 
-    @classmethod
-    def product(cls, p0: float, p1: float) -> "EdgeJointDistribution":
-        """Independent true and scanned bits (zero coupling)."""
-        e0 = np.array([1.0 - p0, p0])
-        e1 = np.array([1.0 - p1, p1])
-        return cls(np.outer(e0, e1))
-
 
 @dataclass(frozen=True)
 class QueryChannel:
@@ -139,15 +132,6 @@ class QueryChannel:
     def identity(cls) -> "QueryChannel":
         return cls(np.eye(2))
 
-    def compose(self, other: "QueryChannel") -> "QueryChannel":
-        """Channel obtained by feeding this channel's output through ``other``."""
-        return QueryChannel(self.table @ other.table)
-
-
-# User-identity queries are answered noiselessly. This is a fixed property of
-# the model, not a configuration knob, so it lives here as a constant.
-UID_CHANNEL = QueryChannel.identity()
-
 
 @dataclass(frozen=True)
 class VictimPrior:
@@ -163,9 +147,9 @@ class VictimPrior:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("prior must be a nonempty 1-D vector")
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):
             raise ValueError("prior entries must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > SUM_TOL:
+        if not abs(float(probs.sum()) - 1.0) <= SUM_TOL:
             raise ValueError("prior must sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -189,15 +173,15 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
             return VictimPrior(np.full(m, 1.0 / m))
         if kind.startswith("zipf:"):
             s = float(kind.split(":", 1)[1])
-            if s < 0.0:
-                raise ValueError("zipf exponent must be nonnegative")
+            if not s >= 0.0:
+                raise ValueError("zipf exponent must be a nonnegative number")
             weights = np.arange(1, m + 1, dtype=np.float64) ** (-s)
             return VictimPrior(weights / weights.sum())
         raise ValueError(f"unknown prior kind {kind!r}")
     probs = np.asarray(kind, dtype=np.float64)
     if m is not None and probs.size != m:
         raise ValueError("explicit prior length disagrees with m")
-    if np.any(probs <= 0.0):
+    if not np.all(probs > 0.0):
         raise ValueError("prior entries must be strictly positive")
     return VictimPrior(probs / probs.sum())
 
@@ -241,15 +225,6 @@ class JointUYZ:
 
     def p_uy(self) -> np.ndarray:
         return self.table.sum(axis=2)
-
-    def p_u(self) -> np.ndarray:
-        return self.table.sum(axis=(1, 2))
-
-    def p_y(self) -> np.ndarray:
-        return self.table.sum(axis=(0, 2))
-
-    def p_z(self) -> np.ndarray:
-        return self.table.sum(axis=(0, 1))
 
 
 def build_joint_uyz(edge_joint: EdgeJointDistribution, gm: QueryChannel) -> JointUYZ:
@@ -297,28 +272,3 @@ class InfoMeasures:
         mutual = max(mutual, 0.0)
         density.setflags(write=False)
         return cls(density=density, mutual_info=mutual, i_max=float(density[mask].max()))
-
-
-def info_density(joint: JointUYZ, u: int, y: int) -> float:
-    """Information density i(u; y) = log2 P(y|u) / P(y), in bits.
-
-    Returns the -inf sentinel when the received value y is impossible given
-    the expected value u. Requires P(y) > 0 and P(u) > 0; conditioning on a
-    zero-mass symbol has no meaning in this model.
-    """
-    p_uy = joint.p_uy()
-    p_u = p_uy.sum(axis=1)
-    p_y = p_uy.sum(axis=0)
-    if p_y[y] <= 0.0:
-        raise ValueError("received symbol has zero probability")
-    if p_u[u] <= 0.0:
-        raise ValueError("expected symbol has zero probability")
-    cond = p_uy[u, y] / p_u[u]
-    if cond == 0.0:
-        return NEG_INF
-    return float(np.log2(cond) - np.log2(p_y[y]))
-
-
-def mutual_information(joint: JointUYZ) -> float:
-    """I(U; Y) in bits, the average per-query evidence for the true candidate."""
-    return InfoMeasures.from_joint(joint).mutual_info

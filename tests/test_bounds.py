@@ -12,11 +12,11 @@ from deanonlab.bounds import (
 )
 from deanonlab.stochastics import (
     EdgeJointDistribution,
+    InfoMeasures,
     QueryChannel,
     build_joint_uyz,
     entropy,
     make_prior,
-    mutual_information,
 )
 
 
@@ -81,7 +81,7 @@ class TestConverse:
         edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.1)
         joint = build_joint_uyz(edge, QueryChannel.bsc(0.2))
         h = entropy(prior)
-        i = mutual_information(joint)
+        i = InfoMeasures.from_joint(joint).mutual_info
         assert converse_lower_bound(h, i) == pytest.approx(h / i, abs=1e-12)
 
     def test_doubling_users_adds_inverse_information(self):

@@ -121,6 +121,8 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("master_seed", True),
         ("steps", True),
         ("allow_degenerate", "false"),
+        ("prior", "zipf:nan"),
+        ("prior", [float("nan"), 1, 1, 1]),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -131,6 +133,14 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
     code = run_cli(["simulate", "--config", str(config_path)])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"users": 4,')
+    code = run_cli(["simulate", "--config", str(config_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config: not valid JSON")
 
 
 @pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x")])

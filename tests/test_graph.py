@@ -3,12 +3,17 @@ import pytest
 from scipy import stats
 
 from deanonlab import graph
-from deanonlab.graph import BigraphPair, generate_cprb, members
+from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.stochastics import EdgeJointDistribution
 
 ALL_ONES = EdgeJointDistribution.from_marginal_flip(1.0, 0.0)
 ALL_ZEROS = EdgeJointDistribution.from_marginal_flip(0.0, 0.0)
 FAIR_CORRELATED = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
+
+
+def members(pair, which, group):
+    """1-based users in the group, read from its column."""
+    return set((np.flatnonzero(pair.column_bits(which, group)) + 1).tolist())
 
 
 def test_degenerate_all_ones():
@@ -221,7 +226,7 @@ def test_index_errors():
     with pytest.raises(IndexError):
         pair.row_bits("true", 6)
     with pytest.raises(IndexError):
-        members(pair, "true", 11)
+        pair.column_bits("true", 11)
     # upto must lie in [0, n]: no phantom groups past n, no negative counts.
     with pytest.raises(IndexError):
         pair.row_bits("true", 1, upto=15)
@@ -233,27 +238,6 @@ def test_index_errors():
             pair.user_bits("true", user, first, last)
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
-
-
-class TestJsonRoundTrip:
-    def test_hex_convention_most_significant_bit_is_group_one(self):
-        sig0 = np.array([[1, 0, 1, 1, 0]])
-        sig1 = np.array([[0, 1, 1, 0, 1]])
-        blob = BigraphPair.from_matrices(sig0, sig1).to_json()
-        # 10110 padded to 10110000 = 0xb0; 01101 padded to 01101000 = 0x68.
-        assert blob == {"n": 5, "m": 1, "sig0": ["b0"], "sig1": ["68"]}
-
-    def test_round_trip_preserves_bits(self):
-        pair = generate_cprb(21, 7, EdgeJointDistribution.from_marginal_flip(0.5, 0.25), seed=12)
-        restored = BigraphPair.from_json(pair.to_json())
-        assert restored.n == pair.n and restored.m == pair.m
-        assert np.array_equal(restored.sig0, pair.sig0)
-        assert np.array_equal(restored.sig1, pair.sig1)
-
-    def test_from_json_validates_row_width(self):
-        blob = {"n": 5, "m": 1, "sig0": ["b0b0"], "sig1": ["68"]}
-        with pytest.raises(ValueError):
-            BigraphPair.from_json(blob)
 
 
 def test_from_matrices_validation():

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from deanonlab import harness
 from deanonlab.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -124,6 +126,27 @@ class TestRunExperiment:
         parallel = run_experiment(small_config(trials=60, workers=3))
         assert serial.to_json() == parallel.to_json()
 
+    def test_worker_count_is_capped_by_trials_and_cores(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        capped = run_experiment(small_config(trials=3, workers=10**6))
+        assert all(count <= min(3, os.cpu_count() or 1) for count in requested)
+        assert capped.to_json() == run_experiment(small_config(trials=3)).to_json()
+
     def test_noiseless_model_sandwiched_by_bounds(self):
         config = ExperimentConfig(
             users=256, groups=4096, p0=0.5, edge_flip=0.0, gm_flip=0.0,
@@ -192,6 +215,16 @@ class TestEmitResults:
         emit_results(summaries, "json", path)
         parsed = json.loads(path.read_text())
         assert parsed == [s.to_json() for s in summaries]
+
+    def test_unbounded_values_are_inf_in_csv_and_null_in_json(self):
+        summary = run_experiment(ExperimentConfig(
+            users=1, groups=8, edge_flip=0.5, allow_degenerate=True, trials=3,
+        ))
+        row = dict(zip(CSV_COLUMNS, summary.csv_row()))
+        assert row["upper_bound_stated"] == row["upper_bound_certified"] == "inf"
+        blob = summary.to_json()
+        assert list(blob)[: len(CSV_COLUMNS)] == CSV_COLUMNS
+        assert blob["upper_bound_stated"] is None and blob["upper_bound_certified"] is None
 
     def test_unknown_format_rejected(self, tmp_path):
         summary = run_experiment(small_config(trials=2))

@@ -157,12 +157,11 @@ class TestExpectedResponseColumn:
         assert np.array_equal(expected_response_column(pair, 3), np.ones(7, dtype=np.uint8))
 
     def test_indicator_of_members(self):
-        from deanonlab.graph import members
-
         pair = make_pair(n=12, m=9, seed=6)
         for group in (1, 7, 12):
             column = expected_response_column(pair, group)
-            assert set((np.flatnonzero(column) + 1).tolist()) == members(pair, "scanned", group)
+            members = {j for j in range(1, pair.m + 1) if pair.row_bits("scanned", j)[group - 1]}
+            assert set((np.flatnonzero(column) + 1).tolist()) == members
 
     def test_matches_column_scan(self):
         pair = make_pair(n=12, m=9, seed=6)

@@ -6,7 +6,6 @@ from scipy import stats
 
 from deanonlab.stochastics import (
     NEG_INF,
-    UID_CHANNEL,
     EdgeJointDistribution,
     InfoMeasures,
     JointUYZ,
@@ -14,9 +13,7 @@ from deanonlab.stochastics import (
     VictimPrior,
     build_joint_uyz,
     entropy,
-    info_density,
     make_prior,
-    mutual_information,
     sample_victim,
 )
 
@@ -26,6 +23,15 @@ def bsc_style_model():
     edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.1)
     gm = QueryChannel.bsc(0.2)
     return edge, gm
+
+
+def independent_edges(p0, p1):
+    """Edge law with independent true and scanned bits (zero coupling)."""
+    return EdgeJointDistribution(np.outer([1.0 - p0, p0], [1.0 - p1, p1]))
+
+
+def measures_of(edge, gm):
+    return InfoMeasures.from_joint(build_joint_uyz(edge, gm))
 
 
 def oracle_joint_table(p0, edge_flip, gm_flip):
@@ -48,7 +54,7 @@ class TestEdgeJoint:
         assert edge.p1 == pytest.approx(0.3 * 0.9 + 0.7 * 0.1, abs=1e-15)
 
     def test_product_law(self):
-        edge = EdgeJointDistribution.product(0.3, 0.6)
+        edge = independent_edges(0.3, 0.6)
         assert edge.table[1, 1] == pytest.approx(0.18, abs=1e-15)
         assert edge.p0 == pytest.approx(0.3)
         assert edge.p1 == pytest.approx(0.6)
@@ -58,6 +64,10 @@ class TestEdgeJoint:
             EdgeJointDistribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             EdgeJointDistribution(np.array([[1.2, -0.2], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EdgeJointDistribution(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            QueryChannel(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
     def test_table_is_read_only(self):
         edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
@@ -69,9 +79,6 @@ class TestQueryChannel:
     def test_bsc_rows(self):
         ch = QueryChannel.bsc(0.2)
         assert np.allclose(ch.table, [[0.8, 0.2], [0.2, 0.8]])
-
-    def test_uid_channel_is_identity(self):
-        assert np.array_equal(UID_CHANNEL.table, np.eye(2))
 
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValueError):
@@ -88,9 +95,9 @@ class TestJointUYZ:
         assert np.allclose(joint.table, expected, atol=1e-15)
 
     def test_independent_edges_factorize(self):
-        edge = EdgeJointDistribution.product(0.5, 0.3)
+        edge = independent_edges(0.5, 0.3)
         joint = build_joint_uyz(edge, QueryChannel.bsc(0.2))
-        p_u = joint.p_u()
+        p_u = joint.table.sum(axis=(1, 2))
         p_yz = joint.table.sum(axis=0)
         assert np.allclose(joint.table, p_u[:, None, None] * p_yz[None, :, :], atol=1e-14)
 
@@ -112,17 +119,14 @@ class TestJointUYZ:
 
 class TestInfoDensity:
     def test_independent_is_zero(self):
-        edge = EdgeJointDistribution.product(0.4, 0.7)
-        joint = build_joint_uyz(edge, QueryChannel.bsc(0.1))
-        for u in range(2):
-            for y in range(2):
-                assert info_density(joint, u, y) == pytest.approx(0.0, abs=1e-12)
+        density = measures_of(independent_edges(0.4, 0.7), QueryChannel.bsc(0.1)).density
+        assert np.allclose(density, 0.0, rtol=0.0, atol=1e-12)
 
     def test_noiseless_correlated(self):
         edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
-        joint = build_joint_uyz(edge, QueryChannel.identity())
-        assert info_density(joint, 1, 1) == pytest.approx(1.0, abs=1e-12)
-        assert info_density(joint, 0, 1) == NEG_INF
+        density = measures_of(edge, QueryChannel.identity()).density
+        assert density[1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert density[0, 1] == NEG_INF
 
     def test_matches_conditional_oracle(self):
         edge, gm = bsc_style_model()
@@ -132,31 +136,21 @@ class TestInfoDensity:
         p_u = p_uy.sum(axis=1)
         p_y = p_uy.sum(axis=0)
         expected = math.log2((p_uy[1, 1] / p_u[1]) / p_y[1])
-        assert info_density(joint, 1, 1) == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_probability_symbol_rejected(self):
-        # Channel that always answers 1 makes y=0 a zero-mass observation.
-        edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.1)
-        always_one = QueryChannel(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        joint = build_joint_uyz(edge, always_one)
-        with pytest.raises(ValueError):
-            info_density(joint, 1, 0)
+        density = InfoMeasures.from_joint(joint).density
+        assert density[1, 1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestMutualInformation:
     def test_independent_is_zero(self):
-        edge = EdgeJointDistribution.product(0.5, 0.5)
-        joint = build_joint_uyz(edge, QueryChannel.bsc(0.2))
-        assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
+        measures = measures_of(independent_edges(0.5, 0.5), QueryChannel.bsc(0.2))
+        assert measures.mutual_info == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_correlated_is_one_bit(self):
         edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
-        joint = build_joint_uyz(edge, QueryChannel.identity())
-        assert mutual_information(joint) == pytest.approx(1.0, abs=1e-12)
+        measures = measures_of(edge, QueryChannel.identity())
+        assert measures.mutual_info == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_exhaustive_sum(self):
-        edge, gm = bsc_style_model()
-        joint = build_joint_uyz(edge, gm)
         p_uy = oracle_joint_table(0.5, 0.1, 0.2).sum(axis=2)
         p_u = p_uy.sum(axis=1)
         p_y = p_uy.sum(axis=0)
@@ -165,12 +159,12 @@ class TestMutualInformation:
             for u in range(2)
             for y in range(2)
         )
-        assert mutual_information(joint) == pytest.approx(expected, abs=1e-12)
+        assert measures_of(*bsc_style_model()).mutual_info == pytest.approx(expected, abs=1e-12)
 
 
 class TestInfoMeasures:
     def test_i_max_cases(self):
-        independent = build_joint_uyz(EdgeJointDistribution.product(0.5, 0.5), QueryChannel.bsc(0.1))
+        independent = build_joint_uyz(independent_edges(0.5, 0.5), QueryChannel.bsc(0.1))
         assert InfoMeasures.from_joint(independent).i_max == pytest.approx(0.0, abs=1e-12)
         noiseless = build_joint_uyz(
             EdgeJointDistribution.from_marginal_flip(0.5, 0.0), QueryChannel.identity()
@@ -178,14 +172,15 @@ class TestInfoMeasures:
         assert InfoMeasures.from_joint(noiseless).i_max == pytest.approx(1.0, abs=1e-12)
 
     def test_i_max_matches_density_table(self):
-        edge, gm = bsc_style_model()
-        joint = build_joint_uyz(edge, gm)
-        measures = InfoMeasures.from_joint(joint)
+        measures = measures_of(*bsc_style_model())
+        p_uy = oracle_joint_table(0.5, 0.1, 0.2).sum(axis=2)
+        p_u = p_uy.sum(axis=1)
+        p_y = p_uy.sum(axis=0)
         expected = max(
-            info_density(joint, u, y)
+            math.log2(p_uy[u, y] / (p_u[u] * p_y[y]))
             for u in range(2)
             for y in range(2)
-            if info_density(joint, u, y) > NEG_INF
+            if p_uy[u, y] > 0.0
         )
         assert measures.i_max == pytest.approx(expected, abs=1e-12)
 
@@ -232,8 +227,8 @@ class TestInfoMeasures:
             )
             gm = QueryChannel.bsc(rng.uniform(0.0, 0.4))
             extra = QueryChannel.bsc(rng.uniform(0.05, 0.45))
-            base = mutual_information(build_joint_uyz(edge, gm))
-            degraded = mutual_information(build_joint_uyz(edge, gm.compose(extra)))
+            base = measures_of(edge, gm).mutual_info
+            degraded = measures_of(edge, QueryChannel(gm.table @ extra.table)).mutual_info
             assert degraded <= base + 1e-12
 
 
@@ -259,6 +254,14 @@ class TestPriors:
             make_prior([0.5, 0.5, 0.0])
         with pytest.raises(ValueError):
             VictimPrior(np.array([1.0, 0.0]) / 1.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_prior("zipf:nan", 4)
+        with pytest.raises(ValueError, match="positive"):
+            make_prior([float("nan"), 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            VictimPrior(np.array([np.nan, 0.5, 0.5]))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
