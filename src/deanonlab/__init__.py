@@ -30,6 +30,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentSummary,
+    TrialStreams,
     emit_results,
     run_experiment,
     run_sweep,
@@ -63,6 +64,7 @@ __all__ = [
     "InfoMeasures",
     "JointUYZ",
     "QueryChannel",
+    "TrialStreams",
     "VictimInstance",
     "VictimPrior",
     "auto_epsilon_steps",

@@ -105,6 +105,7 @@ class ITSState:
     ``info`` accumulates the density sums; a -inf entry means the candidate
     is out of the current step. ``eliminated`` marks candidates struck by a
     failed identity check; they stay struck across resets.
+    ``prior_surprisal`` is the prior's own read-only ``VictimPrior.surprisal``.
     """
 
     info: np.ndarray
@@ -124,7 +125,7 @@ def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
     m = prior.m
     return ITSState(
         info=np.zeros(m),
-        prior_surprisal=-np.log2(prior.probs),
+        prior_surprisal=prior.surprisal,
         group_cursor=1,
         eliminated=np.zeros(m, dtype=bool),
     )
@@ -158,7 +159,7 @@ def select_candidate(state: ITSState) -> int:
     return int(np.argmax(state.scores())) + 1
 
 
-def _final_phase_order(state: ITSState, prior: VictimPrior, config: ITSConfig, inst: VictimInstance) -> np.ndarray:
+def _final_phase_order(state: ITSState, prior: VictimPrior, config: ITSConfig, order_seed) -> np.ndarray:
     """Order of fallback identity queries over the not-yet-struck users."""
     remaining = np.flatnonzero(~state.eliminated)
     if config.final_phase_order == "by_info_value_desc":
@@ -166,9 +167,7 @@ def _final_phase_order(state: ITSState, prior: VictimPrior, config: ITSConfig, i
     elif config.final_phase_order == "by_prior_desc":
         keys = prior.probs[remaining]
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=inst.noise_seed, spawn_key=(0xF1A1,))
-        )
+        rng = np.random.default_rng(order_seed)
         return remaining[rng.permutation(remaining.size)] + 1
     # Stable sort on the negated key: descending value, ascending index on ties.
     return remaining[np.argsort(-keys, kind="stable")] + 1
@@ -180,13 +179,16 @@ def run_its(
     prior: VictimPrior,
     measures: InfoMeasures,
     config: ITSConfig,
+    order_seed=None,
 ) -> "AttackTranscript":
     """Run the full threshold attack until the victim is identified.
 
     ``measures`` must be derived from the same model parameters that
     generated ``pair`` and drive ``inst``; the attack consumes the scanned
     graph through blocks of group columns and the victim only through oracle
-    responses.
+    responses. ``order_seed`` (an int seed or a ``numpy.random.Generator``)
+    drives the "random" fallback order, which requires it; the other orders
+    ignore it.
 
     Each threshold step scans from the group cursor to the end of the graph's
     materialization block (``graph._BLOCK`` aligned columns, so the scan
@@ -203,6 +205,8 @@ def run_its(
         raise ValueError("oracle instance is bound to a different graph pair")
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
+    if config.final_phase_order == "random" and order_seed is None:
+        raise ValueError("the random fallback order needs an order_seed")
     n = pair.n
     density = measures.density.ravel()  # entry 2u + y is i(u; y)
     threshold = config.threshold_bits
@@ -248,7 +252,7 @@ def run_its(
             )
         state.eliminated[guess - 1] = True
 
-    for candidate in _final_phase_order(state, prior, config, inst):
+    for candidate in _final_phase_order(state, prior, config, order_seed):
         response = inst.uid_response(int(candidate))
         queries.append(("UID", int(candidate), response))
         if response == 1:
@@ -263,7 +267,10 @@ def run_its(
 
 
 def run_uid_scan(inst: VictimInstance, seed) -> "AttackTranscript":
-    """Baseline attack: identity queries only, in a seeded random order."""
+    """Baseline attack: identity queries only, in a seeded random order.
+
+    ``seed`` is an int seed of the order or a ``numpy.random.Generator``.
+    """
     sequence = (np.random.default_rng(seed).permutation(inst.pair.m) + 1).tolist()
     queries: list[tuple[str, int, int]] = []
     for candidate in sequence:

@@ -86,11 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config", f"not valid JSON: {exc}") from None
+        try:
+            with open(args.config) as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read the file: {exc}") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"not valid JSON: {exc}") from None
     for key in ("users", "groups", "p0", "edge_flip", "gm_flip", "prior",
                 "trials", "master_seed", "workers", "final_phase_order",
                 "out", "format"):

@@ -11,16 +11,18 @@ query, so its hot loop reads a block of consecutive groups as a contiguous
 
 Generation draws the (true, scanned) bit pair of every position i.i.d. from
 an ``EdgeJointDistribution`` out of a single random stream per pair,
-``numpy.random.default_rng(seed)``, consumed column-major. Group column g
-takes uniforms [2m(g-1), 2mg) of that stream: the first m decide the true
-bits of users 1..m against the true-edge marginal, the next m decide their
-scanned bits against the conditional given the realized true bit. Columns are
-materialized left to right on demand, a block at a time, and the packed
-storage grows along the group axis with them; an attack that touches only
-the first few dozen groups never pays for the rest of a wide graph. The block
-width is not part of the layout, and materialized bits are identical
-whichever access pattern triggered them. Rows are not individually
-re-derivable: row i's bits are spread over the whole stream.
+``numpy.random.default_rng(seed)``, consumed column-major, one uniform per
+position. Group column g takes uniforms [m(g-1), mg) of that stream, one per
+user 1..m; a uniform u gives the pair by inverse CDF over the four outcomes
+laid out in the order (0,0), (0,1), (1,1), (1,0), so that the true bit is
+``u >= c2`` and the scanned bit ``c1 <= u < c3`` for the law's cut points
+(``EdgeJointDistribution.generation_cuts``). Columns are materialized left to
+right on demand, a block at a time, and the packed storage grows along the
+group axis with them; an attack that touches only the first few dozen groups
+never pays for the rest of a wide graph. The block width is not part of the
+layout, and materialized bits are identical whichever access pattern
+triggered them. Rows are not individually re-derivable: row i's bits are
+spread over the whole stream.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ class BigraphPair:
     across threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "_packed", "_ready", "_gen", "_t0", "_t10", "_t11")
+    __slots__ = ("n", "m", "_packed", "_ready", "_gen", "_c1", "_c2", "_c3")
 
-    def __init__(self, n: int, m: int, packed: np.ndarray, ready: int, gen=None, thresholds=(0.0, 0.0, 0.0)):
+    def __init__(self, n: int, m: int, packed: np.ndarray, ready: int, gen=None, cuts=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
         self._packed = packed
         self._ready = ready
         self._gen = gen
-        self._t0, self._t10, self._t11 = thresholds
+        self._c1, self._c2, self._c3 = cuts
 
     @classmethod
     def from_matrices(cls, sig0, sig1) -> "BigraphPair":
@@ -89,9 +91,9 @@ class BigraphPair:
             self._packed = grown
         while self._ready < stop:
             width = min(_BLOCK, stop - self._ready)
-            u = self._gen.random((width, 2, self.m))
-            true = u[:, 0] < self._t0
-            scanned = u[:, 1] < np.where(true, self._t11, self._t10)
+            u = self._gen.random((width, self.m))
+            true = u >= self._c2
+            scanned = (u >= self._c1) & (u < self._c3)
             rows = slice(self._ready, self._ready + width)
             self._packed[0, rows] = np.packbits(true, axis=1)
             self._packed[1, rows] = np.packbits(scanned, axis=1)
@@ -167,8 +169,9 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         Group and user counts, both at least 1.
     edge_joint : EdgeJointDistribution
         Joint law of the (true, scanned) bit at every position.
-    seed : int
-        64-bit seed for the generation stream.
+    seed : int or numpy.random.Generator
+        Seed of the generation stream, or the stream itself, which the pair
+        then draws from as its columns materialize.
     """
     if n < 1:
         raise ValueError("group count n must be at least 1")
@@ -178,5 +181,5 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         raise TypeError("edge_joint must be an EdgeJointDistribution")
     return BigraphPair(
         n, m, np.zeros((2, 0, (m + 7) // 8), dtype=np.uint8), ready=0,
-        gen=np.random.default_rng(seed), thresholds=edge_joint.generation_thresholds,
+        gen=np.random.default_rng(seed), cuts=edge_joint.generation_cuts,
     )

@@ -1,10 +1,14 @@
 """Reproducible Monte Carlo campaigns: config, trial driver, statistics, output.
 
-Each trial gets its own (graph, victim, noise) seeds derived from
-(master_seed, trial_index) through a splittable seed sequence, so results do
-not depend on execution order or on how trials are distributed over worker
-processes. Aggregation is a single pass over the per-trial arrays in trial
-order, which keeps repeated runs byte-identical.
+Trial k draws from four substreams of one PCG64 stream seeded by master_seed:
+stream s (0 graph, 1 victim, 2 noise, 3 fallback or scan order) is
+``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not depend on
+execution order or on how trials are distributed over worker processes. A
+block of trials builds four generators once and, for each trial, rewinds them
+to the master state and advances each to its jump offset, which costs a few
+microseconds where building a generator from a seed costs a seed hash.
+Aggregation is a single pass over the per-trial arrays in trial order, which
+keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -189,33 +193,61 @@ def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
     return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps)
 
 
-def trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
-    """(graph, victim, noise) seeds for one trial, independent across trials."""
-    ss = np.random.SeedSequence([master_seed, trial_index])
-    state = ss.generate_state(3, np.uint64)
-    return int(state[0]), int(state[1]), int(state[2])
+# PCG64.jumped(j) advances the state by j times this step, mod 2**128.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# Substreams per trial: graph, victim, noise, fallback or scan order.
+_STREAMS = 4
 
 
-def _run_one_trial(config: ExperimentConfig, model: _ResolvedModel, its: ITSConfig, k: int):
-    graph_seed, victim_seed, noise_seed = trial_seeds(config.master_seed, k)
-    pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_seed)
-    victim = sample_victim(model.prior, victim_seed)
-    inst = VictimInstance(pair, victim, model.gm, noise_seed)
+class TrialStreams:
+    """One set of reusable generators for the trial substreams of a campaign."""
+
+    __slots__ = ("generators", "master_state")
+
+    def __init__(self, master_seed: int):
+        self.generators = tuple(
+            np.random.Generator(np.random.PCG64(master_seed)) for _ in range(_STREAMS)
+        )
+        self.master_state = self.generators[0].bit_generator.state
+
+
+def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Generator, ...]:
+    """The (graph, victim, noise, order) generators of one trial.
+
+    Stream s of trial k is ``Generator(PCG64(master_seed).jumped(4k + s))``.
+    The generators of ``streams`` are repositioned in place and returned, so
+    they hold trial k's streams only until the next call on ``streams``.
+    """
+    for s, gen in enumerate(streams.generators):
+        bit_gen = gen.bit_generator
+        bit_gen.state = streams.master_state
+        bit_gen.advance((_STREAMS * trial_index + s) * _JUMP % (1 << 128))
+    return streams.generators
+
+
+def _run_one_trial(
+    config: ExperimentConfig, model: _ResolvedModel, its: ITSConfig, streams: TrialStreams, k: int
+):
+    graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, k)
+    pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
+    victim = sample_victim(model.prior, victim_rng)
+    inst = VictimInstance(pair, victim, model.gm, noise_rng)
     if config.strategy == "its":
-        return run_its(pair, inst, model.prior, model.measures, its)
-    return run_uid_scan(inst, noise_seed)
+        return run_its(pair, inst, model.prior, model.measures, its, order_rng)
+    return run_uid_scan(inst, order_rng)
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int):
     """Run trials [start, start + count) and return compact per-trial arrays."""
     model = resolve_model(config)
     its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
+    streams = TrialStreams(config.master_seed)
     verify_slots = max(model.steps - 1, 0)
     qs = np.empty(count, dtype=np.int64)
     successes = np.empty(count, dtype=bool)
     verify = np.full((count, verify_slots), -1, dtype=np.int8)
     for i in range(count):
-        transcript = _run_one_trial(config, model, its, start + i)
+        transcript = _run_one_trial(config, model, its, streams, start + i)
         qs[i] = transcript.q_count
         successes[i] = transcript.success
         for s, response in enumerate(transcript.step_uid_responses()):

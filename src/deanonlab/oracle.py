@@ -23,7 +23,11 @@ from .stochastics import QueryChannel
 
 
 class VictimInstance:
-    """One victim realization plus its response noise stream."""
+    """One victim realization plus its response noise stream.
+
+    ``noise_seed`` is an int seed of the noise stream or a
+    ``numpy.random.Generator``, which the instance then draws from.
+    """
 
     def __init__(self, pair: BigraphPair, victim: int, gm_channel: QueryChannel, noise_seed):
         if not 1 <= victim <= pair.m:
@@ -31,7 +35,6 @@ class VictimInstance:
         self.pair = pair
         self.victim = victim
         self.gm_channel = gm_channel
-        self.noise_seed = noise_seed
         self._gen = np.random.default_rng(noise_seed)
         self._uniforms = np.empty(0, dtype=np.float64)
 

@@ -80,18 +80,19 @@ class EdgeJointDistribution:
         return self.table / marg[:, None]
 
     @cached_property
-    def generation_thresholds(self) -> tuple[float, float, float]:
-        """(p0, P(scanned=1 | true=0), P(scanned=1 | true=1)), the cut-offs for
-        drawing a (true, scanned) bit pair from two uniforms.
+    def generation_cuts(self) -> tuple[float, float, float]:
+        """Cut points (c1, c2, c3) that turn one uniform u in [0, 1) into a
+        (true, scanned) bit pair: true = u >= c2, scanned = c1 <= u < c3.
 
-        Computed once per law. A zero-mass true value never realizes, so its
-        branch threshold is arbitrary (0).
+        The four outcomes are laid end to end in the order (0,0), (0,1),
+        (1,1), (1,0), so each bit is one interval of u. The cumulative masses
+        are divided by their total, so a zero-mass tail ends exactly at 1 and
+        p0 in {0, 1} gives constant true bits. Computed once per law.
         """
         t = self.table
-        marg = t.sum(axis=1)
-        t10 = t[0, 1] / marg[0] if marg[0] > 0.0 else 0.0
-        t11 = t[1, 1] / marg[1] if marg[1] > 0.0 else 0.0
-        return self.p0, t10, t11
+        cdf = np.cumsum([t[0, 0], t[0, 1], t[1, 1], t[1, 0]])
+        c1, c2, c3 = (cdf[:3] / cdf[3]).tolist()
+        return c1, c2, c3
 
     @classmethod
     def from_marginal_flip(cls, p0: float, flip: float) -> "EdgeJointDistribution":
@@ -158,6 +159,20 @@ class VictimPrior:
     def m(self) -> int:
         return int(self.probs.size)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities, the inverse-CDF table of ``sample_victim``."""
+        cdf = np.cumsum(self.probs)
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def surprisal(self) -> np.ndarray:
+        """Prior surprisal log2(1 / P(j)) of each user, in bits."""
+        surprisal = -np.log2(self.probs)
+        surprisal.setflags(write=False)
+        return surprisal
+
 
 def make_prior(kind, m: int | None = None) -> VictimPrior:
     """Build a victim prior.
@@ -196,13 +211,13 @@ def entropy(prior: VictimPrior) -> float:
 def sample_victim(prior: VictimPrior, seed) -> int:
     """Draw a 1-based victim index, deterministic given ``seed``.
 
-    Inverse-CDF sampling on a single uniform, so runs that share a seed but
-    vary the prior produce positively coupled draws (useful for
+    ``seed`` is an int seed or a ``numpy.random.Generator``, which is drawn
+    from. Inverse-CDF sampling on a single uniform, so runs that share a seed
+    but vary the prior produce positively coupled draws (useful for
     common-random-number sweeps).
     """
     u = np.random.default_rng(seed).random()
-    cdf = np.cumsum(prior.probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(np.searchsorted(prior.cdf, u, side="right"))
     return min(idx, prior.m - 1) + 1
 
 

@@ -248,9 +248,10 @@ class TestRunIts:
         )
         assert transcript.queries == expected
 
-    # Seeds 17 and 135 start their second step inside a block; 147 has three
-    # steps. Every case has steps whose groups run over columns 32 and 64.
-    @pytest.mark.parametrize("seed", [15, 17, 28, 135, 147])
+    # Seed 17 starts its second step inside a block; 73 has three steps, the
+    # second and third starting inside blocks. Every case has steps whose
+    # groups run over columns 32 and 64.
+    @pytest.mark.parametrize("seed", [17, 28, 73, 135, 147])
     def test_matches_hand_replay_across_block_edges(self, seed):
         prior = make_prior("zipf:1.0", 6)
         transcript, expected = attack_and_replay(
@@ -262,7 +263,7 @@ class TestRunIts:
         for column in (32, 64):
             assert any(first <= column < last for first, last in spans)
 
-    @pytest.mark.parametrize("seed", [16, 39, 135])
+    @pytest.mark.parametrize("seed", [17, 20, 29])
     def test_matches_hand_replay_when_groups_run_out_mid_block(self, seed):
         # n = 45 ends inside the second block; one step crosses, the next one
         # runs out of groups and the exhaustive phase follows.
@@ -275,11 +276,11 @@ class TestRunIts:
         assert len(transcript.tau_star_per_step) == 1
         assert transcript.tau_star_per_step[0] < 45
 
-    @pytest.mark.parametrize("seed", [5, 61, 67, 78])
+    @pytest.mark.parametrize("seed", [6, 67, 78, 115])
     def test_matches_hand_replay_noiseless_after_elimination(self, seed):
         # Noiseless densities are -inf for every mismatch, and the first
         # verification fails, so the next step scans with a struck candidate.
-        # In seeds 61, 67 and 78 that candidate keeps matching and, having a
+        # In seeds 78 and 115 that candidate keeps matching and, having a
         # larger prior than the victim, would cross first if it were live.
         prior = make_prior("zipf:1.0", 8)
         transcript, expected = attack_and_replay(
@@ -499,11 +500,24 @@ class TestFinalPhaseOrders:
             pair_r = generate_cprb(2, 6, edge, seed=50)
             inst = VictimInstance(pair_r, 6, gm, noise_seed=1)
             runs.append(
-                run_its(pair_r, inst, prior, measures_for(edge, gm), self.exhaust_config("random"))
+                run_its(
+                    pair_r, inst, prior, measures_for(edge, gm), self.exhaust_config("random"),
+                    order_seed=7,
+                )
             )
         targets = [t for kind, t, _ in runs[0].queries if kind == "UID"]
         assert sorted(targets) == sorted(set(targets))
         assert runs[0].queries == runs[1].queries
+        # No step crossed, so the fallback walks the order seed's permutation
+        # of all users up to the victim; the noise seed plays no part.
+        order = (np.random.default_rng(7).permutation(6) + 1).tolist()
+        assert targets == order[: order.index(6) + 1]
+
+    def test_random_order_needs_an_order_seed(self):
+        edge, gm, pair, prior = self.base()
+        inst = VictimInstance(pair, 6, gm, noise_seed=1)
+        with pytest.raises(ValueError, match="order_seed"):
+            run_its(pair, inst, prior, measures_for(edge, gm), self.exhaust_config("random"))
 
 
 class TestConfigAndDefaults:

@@ -143,6 +143,13 @@ def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: not valid JSON")
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, name):
+    code = run_cli(["simulate", "--config", str(tmp_path / name)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config: cannot read the file")
+
+
 @pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x")])
 def test_unparseable_sweep_point_exits_2(capsys, axis, points):
     code = run_cli([

@@ -86,20 +86,37 @@ def test_access_order_does_not_change_bits():
 
 
 def test_column_stream_oracle():
-    # Group column g is exactly uniforms [2m(g-1), 2mg) of default_rng(seed):
-    # m against p0 for the true bits of users 1..m, then m against the
-    # conditional of the scanned bit given the realized true bit.
+    # Group column g is exactly uniforms [m(g-1), mg) of default_rng(seed),
+    # one per user. On [0, 1) the outcomes run (0,0), (0,1), (1,1), (1,0), so
+    # the true bit is u >= P00 + P01 and the scanned bit P00 <= u < P00 +
+    # P01 + P11. The law is asymmetric, so any other order of the intervals
+    # changes bits.
     edge = EdgeJointDistribution.from_marginal_flip(0.3, 0.2)
     seed, n, m = 31337, 100, 37
     pair = generate_cprb(n, m, edge, seed=seed)
-    u = np.random.default_rng(seed).random(2 * m * n)
-    cond = edge.table / edge.table.sum(axis=1)[:, None]
+    u = np.random.default_rng(seed).random(m * n)
+    (p00, p01), (p10, p11) = edge.table.tolist()
+    cut1 = p00
+    cut2 = cut1 + p01
+    cut3 = cut2 + p11
+    assert cut3 + p10 == 1.0
     for g in range(1, n + 1):
-        draws = u[2 * m * (g - 1) : 2 * m * g]
-        e0 = draws[:m] < edge.p0
-        e1 = draws[m:] < np.where(e0, cond[1, 1], cond[0, 1])
+        draws = u[m * (g - 1) : m * g]
+        e0 = draws >= cut2
+        e1 = (draws >= cut1) & (draws < cut3)
         assert np.array_equal(pair.column_bits("true", g), e0.astype(np.uint8))
         assert np.array_equal(pair.column_bits("scanned", g), e1.astype(np.uint8))
+
+
+@pytest.mark.parametrize("p0", [0.0, 1.0])
+@pytest.mark.parametrize("flip", [0.3, 1.0])
+def test_degenerate_true_graph_under_a_noisy_scan(p0, flip):
+    pair = generate_cprb(200, 33, EdgeJointDistribution.from_marginal_flip(p0, flip), seed=8)
+    assert np.all(pair.sig0 == p0)
+    if flip == 1.0:
+        assert np.all(pair.sig1 == 1 - p0)
+    else:
+        assert 0 < pair.sig1.sum() < pair.sig1.size
 
 
 # Widths 5 and 12 are not multiples of 8: a block need not fill whole bytes.

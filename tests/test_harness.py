@@ -4,17 +4,24 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deanonlab import harness
+from deanonlab.attacker import ITSConfig, run_its, run_uid_scan
+from deanonlab.graph import generate_cprb
 from deanonlab.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    TrialStreams,
     emit_results,
     run_experiment,
     run_sweep,
     trial_seeds,
 )
+from deanonlab.oracle import VictimInstance
+from deanonlab.stochastics import sample_victim
 
 SMALL_ITS = dict(
     users=16, groups=192, p0=0.5, edge_flip=0.05, gm_flip=0.1,
@@ -28,14 +35,97 @@ def small_config(**overrides):
     return ExperimentConfig(**params)
 
 
+def jumped(master_seed, j):
+    """Substream j of the master stream, built the slow way."""
+    return np.random.Generator(np.random.PCG64(master_seed).jumped(j))
+
+
 class TestTrialSeeds:
     def test_deterministic(self):
-        assert trial_seeds(9, 3) == trial_seeds(9, 3)
+        # Repositioning is all the state there is: trial 3 read again after
+        # another trial has drawn, or from a fresh set of streams, is the same.
+        streams = TrialStreams(9)
+        first = [gen.random(4).tolist() for gen in trial_seeds(streams, 3)]
+        for gen in trial_seeds(streams, 5):
+            gen.random(100)
+        again = [gen.random(4).tolist() for gen in trial_seeds(streams, 3)]
+        fresh = [gen.random(4).tolist() for gen in trial_seeds(TrialStreams(9), 3)]
+        assert first == again == fresh
 
     def test_distinct_across_trials_and_masters(self):
-        seen = {trial_seeds(1, k) for k in range(200)}
-        seen |= {trial_seeds(2, k) for k in range(200)}
-        assert len(seen) == 400
+        seen = set()
+        for master_seed in (1, 2):
+            streams = TrialStreams(master_seed)
+            for k in range(200):
+                seen.update(float(gen.random()) for gen in trial_seeds(streams, k))
+        assert len(seen) == 1600
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 1000, 2**40 + 3])
+    def test_stream_s_of_trial_k_is_jump_4k_plus_s(self, k):
+        master_seed = 12345
+        generators = trial_seeds(TrialStreams(master_seed), k)
+        assert len(generators) == 4
+        for s, gen in enumerate(generators):
+            reference = jumped(master_seed, 4 * k + s)
+            assert gen.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(gen.random(8), reference.random(8))
+
+    @pytest.mark.parametrize("strategy", ["its", "uid_scan"])
+    def test_trial_draws_graph_victim_noise_and_order_from_streams_0_to_3(self, strategy):
+        # 12 groups are too few to cross log2(1/0.01) bits, so each its
+        # trial ends in the random fallback order.
+        config = small_config(
+            users=9, groups=12, prior="zipf:1.0", epsilon=0.01, steps=2,
+            final_phase_order="random", strategy=strategy, master_seed=77,
+        )
+        model = harness.resolve_model(config)
+        its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
+        streams = TrialStreams(config.master_seed)
+        for k in (0, 3, 11):
+            pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
+            victim = sample_victim(model.prior, jumped(77, 4 * k + 1))
+            inst = VictimInstance(pair, victim, model.gm, jumped(77, 4 * k + 2))
+            if strategy == "its":
+                expected = run_its(
+                    pair, inst, model.prior, model.measures, its, jumped(77, 4 * k + 3)
+                )
+            else:
+                expected = run_uid_scan(inst, jumped(77, 4 * k + 3))
+            transcript = harness._run_one_trial(config, model, its, streams, k)
+            assert transcript.queries == expected.queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.integers(1, 12),
+    groups=st.integers(1, 80),
+    p0=st.floats(0.05, 0.95),
+    edge_flip=st.floats(0.0, 1.0),
+    gm_flip=st.floats(0.0, 1.0),
+    prior=st.sampled_from(["uniform", "zipf:1.5"]),
+    epsilon=st.floats(0.05, 0.6),
+    steps=st.integers(1, 4),
+    strategy=st.sampled_from(["its", "uid_scan"]),
+    order=st.sampled_from(["by_info_value_desc", "random", "by_prior_desc"]),
+    master_seed=st.integers(0, 2**63),
+    start=st.integers(0, 10**6),
+    count=st.integers(1, 6),
+)
+def test_trial_block_is_the_concatenation_of_one_trial_blocks(
+    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy, order,
+    master_seed, start, count,
+):
+    # A block reuses one set of generators for all its trials; no draw of one
+    # trial may leak into the next.
+    config = ExperimentConfig(
+        users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
+        prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
+        final_phase_order=order, master_seed=master_seed, allow_degenerate=True,
+    )
+    block = harness._trial_block(config, start, count)
+    singles = [harness._trial_block(config, start + i, 1) for i in range(count)]
+    for part, joined in zip(block, zip(*singles)):
+        assert np.array_equal(part, np.concatenate(joined))
 
 
 class TestConfigValidation:

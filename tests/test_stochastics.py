@@ -271,6 +271,16 @@ class TestPriors:
         with pytest.raises(ValueError):
             VictimPrior(np.array([0.5, 0.6]))
 
+    def test_cached_cdf_and_surprisal_are_the_direct_formulas(self):
+        prior = make_prior("zipf:1.3", 37)
+        assert np.array_equal(prior.cdf, np.cumsum(prior.probs))
+        assert np.array_equal(prior.surprisal, -np.log2(prior.probs))
+        # Computed once per prior and shared by every trial, so read-only.
+        assert prior.cdf is prior.cdf and prior.surprisal is prior.surprisal
+        for table in (prior.cdf, prior.surprisal):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
     def test_entropy_uniform(self):
         assert entropy(make_prior("uniform", 8)) == pytest.approx(3.0, abs=1e-12)
 
