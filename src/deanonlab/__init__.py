@@ -18,13 +18,7 @@ from .attacker import (
     select_candidate,
     threshold_check,
 )
-from .bounds import (
-    BoundReport,
-    build_report,
-    converse_lower_bound,
-    group_sufficiency,
-    query_upper_bound,
-)
+from .bounds import BoundReport, build_report
 from .graph import BigraphPair, generate_cprb
 from .harness import (
     ConfigError,
@@ -70,16 +64,13 @@ __all__ = [
     "auto_epsilon_steps",
     "build_joint_uyz",
     "build_report",
-    "converse_lower_bound",
     "emit_results",
     "entropy",
     "expected_response_column",
     "generate_cprb",
     "gm_update",
-    "group_sufficiency",
     "init_state",
     "make_prior",
-    "query_upper_bound",
     "run_experiment",
     "run_its",
     "run_sweep",

@@ -217,7 +217,7 @@ def run_its(
 
     for step in range(1, config.steps_l):
         state.info[:] = 0.0
-        stop, _ = threshold_check(state, config.epsilon)  # the zero-query clause
+        stop = False
         surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)
         gm_count = 0
         while not stop and state.group_cursor <= n:

@@ -25,33 +25,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-
-class UpperBound(NamedTuple):
-    stated: float
-    certified: float
-
-
-class GroupSufficiency(NamedTuple):
-    """Group-count requirements, each paired with whether n satisfies it.
-
-    ``finite``: groups the retry chain could consume within the tail budget.
-    ``asymptotic``: H / I * log2 log2 m, the large-m schedule requirement.
-    ``coverage``: the finite upper bound itself (queries never exceed groups).
-    """
-
-    finite_required: float
-    finite_ok: bool
-    asymptotic_required: float
-    asymptotic_ok: bool
-    coverage_required: float
-    coverage_ok: bool
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound values and validity conditions for one model configuration."""
+    """Bound values and validity conditions for one model configuration.
+
+    ``conditions_met`` pairs each group-count requirement with a strict
+    "required < n" comparison; the required values are reported so callers
+    can see the margins:
+
+    * ``finite_groups``: ``groups_required_finite``, the groups the retry
+      chain could consume within the tail budget;
+    * ``asymptotic_groups``: ``groups_required_asymptotic``,
+      H / I * log2 log2 m, the large-m schedule requirement;
+    * ``coverage``: ``upper_finite_stated``, the finite upper bound itself
+      (queries never exceed groups).
+    """
 
     upper_finite: float  # certified variant (looser tail exponent)
     upper_finite_stated: float
@@ -78,93 +68,6 @@ def _finite_or_none(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _check_core_params(mutual_info_bits: float, epsilon: float, steps: int):
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if mutual_info_bits < 0.0:
-        raise ValueError("mutual information cannot be negative")
-
-
-def query_upper_bound(
-    entropy_bits: float,
-    mutual_info_bits: float,
-    i_max_bits: float,
-    epsilon: float,
-    steps: int,
-    m: int,
-) -> UpperBound:
-    """Finite-size upper bound on the expected query count, both tail variants.
-
-    Returns +inf in both slots when the mutual information is zero: group
-    queries carry no evidence and the threshold phase never ends on its own.
-    """
-    _check_core_params(mutual_info_bits, epsilon, steps)
-    if mutual_info_bits == 0.0:
-        return UpperBound(math.inf, math.inf)
-    core = (1.0 / (1.0 - epsilon)) * (
-        (entropy_bits + math.log2(1.0 / epsilon) + i_max_bits) / mutual_info_bits + 1.0
-    )
-    tail = 0.5 * m
-    return UpperBound(
-        stated=core + tail * epsilon**steps,
-        certified=core + tail * epsilon ** (steps - 1),
-    )
-
-
-def converse_lower_bound(entropy_bits: float, mutual_info_bits: float) -> float:
-    """Leading-order lower bound H / I on any strategy's expected queries.
-
-    Zero when H = 0, whatever I: a known victim needs no queries at all.
-    """
-    if entropy_bits == 0.0:
-        return 0.0
-    if mutual_info_bits <= 0.0:
-        raise ValueError("converse requires strictly positive mutual information")
-    return entropy_bits / mutual_info_bits
-
-
-def group_sufficiency(
-    n: int,
-    entropy_bits: float,
-    mutual_info_bits: float,
-    i_max_bits: float,
-    epsilon: float,
-    steps: int,
-    m: int,
-) -> GroupSufficiency:
-    """Check the group-count conditions under which the upper bound applies.
-
-    All three are strict "required < n" comparisons; the required values are
-    reported so callers can see the margins.
-    """
-    _check_core_params(mutual_info_bits, epsilon, steps)
-    if mutual_info_bits == 0.0:
-        finite = coverage = math.inf
-        asymptotic = math.inf if entropy_bits > 0.0 else 0.0
-    else:
-        inner = (
-            entropy_bits + math.log2(1.0 / epsilon) + i_max_bits
-        ) / mutual_info_bits + 1.0
-        finite = inner / ((1.0 - epsilon) * epsilon**steps)
-        if m >= 4:
-            asymptotic = (entropy_bits / mutual_info_bits) * math.log2(math.log2(m))
-        else:
-            asymptotic = 0.0
-        coverage = query_upper_bound(
-            entropy_bits, mutual_info_bits, i_max_bits, epsilon, steps, m
-        ).stated
-    return GroupSufficiency(
-        finite_required=finite,
-        finite_ok=finite < n,
-        asymptotic_required=asymptotic,
-        asymptotic_ok=asymptotic < n,
-        coverage_required=coverage,
-        coverage_ok=coverage < n,
-    )
-
-
 def build_report(
     n: int,
     m: int,
@@ -174,19 +77,42 @@ def build_report(
     epsilon: float,
     steps: int,
 ) -> BoundReport:
-    """Assemble the full bound report for one model configuration."""
-    upper = query_upper_bound(entropy_bits, mutual_info_bits, i_max_bits, epsilon, steps, m)
-    if mutual_info_bits > 0.0 or entropy_bits == 0.0:
-        lower = converse_lower_bound(entropy_bits, mutual_info_bits)
+    """Assemble the full bound report for one model configuration.
+
+    With zero mutual information group queries carry no evidence and the
+    threshold phase never ends on its own: both upper bounds and the finite
+    group requirement are +inf. The converse floor and the asymptotic group
+    requirement are then 0 for a known victim (H = 0) and +inf otherwise.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly inside (0, 1)")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if mutual_info_bits < 0.0:
+        raise ValueError("mutual information cannot be negative")
+    if mutual_info_bits == 0.0:
+        stated = certified = finite = math.inf
+        lower = asymptotic = 0.0 if entropy_bits == 0.0 else math.inf
     else:
-        lower = math.inf
-    suff = group_sufficiency(n, entropy_bits, mutual_info_bits, i_max_bits, epsilon, steps, m)
+        inner = (entropy_bits + math.log2(1.0 / epsilon) + i_max_bits) / mutual_info_bits + 1.0
+        core = (1.0 / (1.0 - epsilon)) * inner
+        tail = 0.5 * m
+        stated = core + tail * epsilon**steps
+        certified = core + tail * epsilon ** (steps - 1)
+        budget = (1.0 - epsilon) * epsilon**steps  # underflows to 0 for long chains
+        finite = inner / budget if budget > 0.0 else math.inf
+        # A known victim needs no queries; the test also keeps H = -0.0 at +0.0.
+        lower = 0.0 if entropy_bits == 0.0 else entropy_bits / mutual_info_bits
+        if m >= 4:
+            asymptotic = (entropy_bits / mutual_info_bits) * math.log2(math.log2(m))
+        else:
+            asymptotic = 0.0
     return BoundReport(
-        upper_finite=upper.certified,
-        upper_finite_stated=upper.stated,
+        upper_finite=certified,
+        upper_finite_stated=stated,
         lower_converse=lower,
-        groups_required_finite=suff.finite_required,
-        groups_required_asymptotic=suff.asymptotic_required,
+        groups_required_finite=finite,
+        groups_required_asymptotic=asymptotic,
         params_used={
             "epsilon": epsilon,
             "l": steps,
@@ -197,8 +123,8 @@ def build_report(
             "n": n,
         },
         conditions_met={
-            "finite_groups": suff.finite_ok,
-            "asymptotic_groups": suff.asymptotic_ok,
-            "coverage": suff.coverage_ok,
+            "finite_groups": finite < n,
+            "asymptotic_groups": asymptotic < n,
+            "coverage": stated < n,
         },
     )

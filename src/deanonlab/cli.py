@@ -127,8 +127,6 @@ def main(argv=None) -> int:
             emit_results([summary], config.format, config.out)
         elif args.command == "sweep":
             points = [p for p in args.points.split(",") if p]
-            if not points:
-                raise ConfigError("points", "need at least one sweep point")
             summaries = run_sweep(config, args.axis, points,
                                   common_random_numbers=args.crn)
             emit_results(summaries, config.format, config.out)

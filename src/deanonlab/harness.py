@@ -428,7 +428,11 @@ def emit_results(summaries, format: str, path: str | None = None):
         raise ValueError("no summaries to emit")
     if format not in OUTPUT_FORMATS:
         raise ValueError(f"format must be one of {OUTPUT_FORMATS}")
-    with (open(path, "w", newline="") if path is not None else nullcontext(sys.stdout)) as handle:
+    try:
+        target = open(path, "w", newline="") if path is not None else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write the file: {exc}") from None
+    with target as handle:
         if format == "csv":
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deanonlab.attacker import auto_epsilon_steps
-from deanonlab.bounds import (
-    build_report,
-    converse_lower_bound,
-    group_sufficiency,
-    query_upper_bound,
-)
+from deanonlab.bounds import build_report
 from deanonlab.stochastics import (
     EdgeJointDistribution,
     InfoMeasures,
@@ -20,31 +17,38 @@ from deanonlab.stochastics import (
 )
 
 
+def _report(h, i, imax=1.0, eps=0.25, steps=3, m=4, n=1):
+    return build_report(
+        n=n, m=m, entropy_bits=h, mutual_info_bits=i,
+        i_max_bits=imax, epsilon=eps, steps=steps,
+    )
+
+
 class TestUpperBound:
     def test_frozen_reference_point(self):
         # H=8, I=0.5, i_max=2, eps=0.1, steps=4, m=256, evaluated by hand:
         # core = (1/0.9)((8 + log2(10) + 2)/0.5 + 1); tails 128*eps^4, 128*eps^3.
-        bound = query_upper_bound(8.0, 0.5, 2.0, 0.1, 4, 256)
-        assert bound.stated == pytest.approx(30.728195766416, abs=1e-9)
-        assert bound.certified == pytest.approx(30.843395766416, abs=1e-9)
+        bound = _report(8.0, 0.5, 2.0, 0.1, 4, 256)
+        assert bound.upper_finite_stated == pytest.approx(30.728195766416, abs=1e-9)
+        assert bound.upper_finite == pytest.approx(30.843395766416, abs=1e-9)
 
     def test_tail_vanishes_for_large_step_budget(self):
-        bound = query_upper_bound(0.0, 1.0, 1.0, 0.5, 60, 2)
-        assert bound.stated == pytest.approx(6.0, abs=1e-12)
-        assert bound.certified == pytest.approx(6.0, abs=1e-12)
+        bound = _report(0.0, 1.0, 1.0, 0.5, 60, 2)
+        assert bound.upper_finite_stated == pytest.approx(6.0, abs=1e-12)
+        assert bound.upper_finite == pytest.approx(6.0, abs=1e-12)
 
     def test_more_information_means_fewer_queries(self):
-        low = query_upper_bound(8.0, 0.5, 2.0, 0.1, 4, 256)
-        high = query_upper_bound(8.0, 1.0, 2.0, 0.1, 4, 256)
-        assert high.certified < low.certified
+        low = _report(8.0, 0.5, 2.0, 0.1, 4, 256)
+        high = _report(8.0, 1.0, 2.0, 0.1, 4, 256)
+        assert high.upper_finite < low.upper_finite
 
     def test_zero_information_is_unbounded(self):
-        bound = query_upper_bound(8.0, 0.0, 1.0, 0.1, 4, 256)
-        assert math.isinf(bound.stated) and math.isinf(bound.certified)
+        bound = _report(8.0, 0.0, 1.0, 0.1, 4, 256)
+        assert math.isinf(bound.upper_finite_stated) and math.isinf(bound.upper_finite)
 
     def test_certified_variant_is_the_looser_one(self):
-        bound = query_upper_bound(5.0, 0.7, 1.5, 0.2, 3, 64)
-        assert bound.certified >= bound.stated
+        bound = _report(5.0, 0.7, 1.5, 0.2, 3, 64)
+        assert bound.upper_finite >= bound.upper_finite_stated
 
     def test_monotonicity_grid(self):
         rng = np.random.default_rng(7)
@@ -55,26 +59,26 @@ class TestUpperBound:
             eps = rng.uniform(0.01, 0.9)
             steps = int(rng.integers(1, 8))
             m = int(rng.integers(2, 4096))
-            base = query_upper_bound(h, i, imax, eps, steps, m).certified
-            assert query_upper_bound(h + 0.5, i, imax, eps, steps, m).certified >= base
-            assert query_upper_bound(h, i + 0.05, imax, eps, steps, m).certified <= base
-            assert query_upper_bound(h, i, imax + 0.5, eps, steps, m).certified >= base
-            assert query_upper_bound(h, i, imax, eps, steps + 1, m).certified <= base
-            assert query_upper_bound(h, i, imax, eps, steps, 2 * m).certified >= base
+            base = _report(h, i, imax, eps, steps, m).upper_finite
+            assert _report(h + 0.5, i, imax, eps, steps, m).upper_finite >= base
+            assert _report(h, i + 0.05, imax, eps, steps, m).upper_finite <= base
+            assert _report(h, i, imax + 0.5, eps, steps, m).upper_finite >= base
+            assert _report(h, i, imax, eps, steps + 1, m).upper_finite <= base
+            assert _report(h, i, imax, eps, steps, 2 * m).upper_finite >= base
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            query_upper_bound(1.0, 0.5, 1.0, 0.0, 2, 4)
+            _report(1.0, 0.5, 1.0, 0.0, 2, 4)
         with pytest.raises(ValueError):
-            query_upper_bound(1.0, 0.5, 1.0, 0.5, 0, 4)
+            _report(1.0, 0.5, 1.0, 0.5, 0, 4)
 
 
 class TestConverse:
     def test_zero_entropy(self):
-        assert converse_lower_bound(0.0, 1.0) == 0.0
+        assert _report(0.0, 1.0).lower_converse == 0.0
 
     def test_simple_ratio(self):
-        assert converse_lower_bound(3.0, 1.0) == pytest.approx(3.0, abs=1e-15)
+        assert _report(3.0, 1.0).lower_converse == pytest.approx(3.0, abs=1e-15)
 
     def test_composed_from_model_measures(self):
         prior = make_prior("zipf:1", 16)
@@ -82,21 +86,21 @@ class TestConverse:
         joint = build_joint_uyz(edge, QueryChannel.bsc(0.2))
         h = entropy(prior)
         i = InfoMeasures.from_joint(joint).mutual_info
-        assert converse_lower_bound(h, i) == pytest.approx(h / i, abs=1e-12)
+        assert _report(h, i).lower_converse == pytest.approx(h / i, abs=1e-12)
 
     def test_doubling_users_adds_inverse_information(self):
         i = 0.37
         for m in (4, 16, 128):
-            low = converse_lower_bound(math.log2(m), i)
-            high = converse_lower_bound(math.log2(2 * m), i)
+            low = _report(math.log2(m), i).lower_converse
+            high = _report(math.log2(2 * m), i).lower_converse
             assert high - low == pytest.approx(1.0 / i, abs=1e-12)
 
     def test_requires_positive_information(self):
-        with pytest.raises(ValueError):
-            converse_lower_bound(1.0, 0.0)
+        # Without information no strategy can pin down an uncertain victim.
+        assert _report(1.0, 0.0).lower_converse == math.inf
 
     def test_zero_entropy_needs_no_information(self):
-        assert converse_lower_bound(0.0, 0.0) == 0.0
+        assert _report(0.0, 0.0).lower_converse == 0.0
 
 
 class TestAsymptoticParams:
@@ -125,20 +129,35 @@ class TestAsymptoticParams:
 
 class TestGroupSufficiency:
     def test_huge_group_count_satisfies_everything(self):
-        suff = group_sufficiency(10**9, 8.0, 0.5, 2.0, 0.1, 4, 256)
-        assert suff.finite_ok and suff.asymptotic_ok and suff.coverage_ok
+        met = _report(8.0, 0.5, 2.0, 0.1, 4, 256, n=10**9).conditions_met
+        assert met["finite_groups"] and met["asymptotic_groups"] and met["coverage"]
 
     def test_zero_groups_satisfies_nothing(self):
-        suff = group_sufficiency(0, 8.0, 0.5, 2.0, 0.1, 4, 256)
-        assert not (suff.finite_ok or suff.asymptotic_ok or suff.coverage_ok)
+        met = _report(8.0, 0.5, 2.0, 0.1, 4, 256, n=0).conditions_met
+        assert not (met["finite_groups"] or met["asymptotic_groups"] or met["coverage"])
 
     def test_asymptotic_boundary_flips_at_the_exact_requirement(self):
         # H/I * log2 log2 m = 16 * 3 = 48 for H=8, I=0.5, m=256.
-        below = group_sufficiency(48, 8.0, 0.5, 2.0, 0.1, 4, 256)
-        above = group_sufficiency(49, 8.0, 0.5, 2.0, 0.1, 4, 256)
-        assert below.asymptotic_required == pytest.approx(48.0, abs=1e-12)
-        assert not below.asymptotic_ok
-        assert above.asymptotic_ok
+        below = _report(8.0, 0.5, 2.0, 0.1, 4, 256, n=48)
+        above = _report(8.0, 0.5, 2.0, 0.1, 4, 256, n=49)
+        assert below.groups_required_asymptotic == pytest.approx(48.0, abs=1e-12)
+        assert not below.conditions_met["asymptotic_groups"]
+        assert above.conditions_met["asymptotic_groups"]
+
+    def test_coverage_flips_at_the_stated_bound(self):
+        # core = 2 * ((8 + 1 + 2)/0.5 + 1) = 46; tails 128*0.5 and 128*1.
+        below = _report(8.0, 0.5, 2.0, 0.5, 1, 256, n=110)
+        above = _report(8.0, 0.5, 2.0, 0.5, 1, 256, n=111)
+        assert below.upper_finite_stated == 110.0 and above.upper_finite == 174.0
+        assert not below.conditions_met["coverage"]
+        assert above.conditions_met["coverage"]
+
+    def test_finite_requirement_is_unbounded_when_the_tail_budget_underflows(self):
+        # eps**steps = 1e-400 is below the smallest float.
+        bound = _report(2.0, 0.5, 1.0, 0.01, 200, 4, n=8)
+        assert bound.groups_required_finite == math.inf
+        assert not bound.conditions_met["finite_groups"]
+        assert bound.to_json()["groups_required_finite"] is None
 
 
 class TestBoundReport:
@@ -187,10 +206,36 @@ class TestBoundReport:
             steps = int(rng.integers(2, 8))
             m = int(rng.integers(2, 4096))
             n = int(rng.integers(1, 10**7))
-            suff = group_sufficiency(n, h, i, imax, eps, steps, m)
-            if not (suff.finite_ok and suff.asymptotic_ok and suff.coverage_ok):
+            bound = _report(h, i, imax, eps, steps, m, n)
+            if not all(bound.conditions_met.values()):
                 continue
             checked += 1
-            upper = query_upper_bound(h, i, imax, eps, steps, m)
-            assert converse_lower_bound(h, i) <= upper.certified
+            assert bound.lower_converse <= bound.upper_finite
         assert checked > 20
+
+
+_ENTROPY = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+_INFO = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=_ENTROPY,
+    i=_INFO,
+    imax=st.floats(0.0, 20.0),
+    eps=st.floats(1e-6, 1.0, exclude_max=True),
+    steps=st.integers(1, 400),
+    m=st.integers(1, 2**20),
+    n=st.integers(0, 10**9),
+)
+def test_report_orders_its_bounds_and_states_each_condition(h, i, imax, eps, steps, m, n):
+    bound = _report(h, i, imax, eps, steps, m, n)
+    if i > 0.0:
+        assert bound.lower_converse <= bound.upper_finite_stated <= bound.upper_finite
+    else:
+        assert bound.upper_finite_stated == bound.upper_finite == math.inf
+    assert bound.conditions_met == {
+        "finite_groups": bound.groups_required_finite < n,
+        "asymptotic_groups": bound.groups_required_asymptotic < n,
+        "coverage": bound.upper_finite_stated < n,
+    }

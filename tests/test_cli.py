@@ -150,7 +150,16 @@ def test_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error: config: cannot read the file")
 
 
-@pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x")])
+@pytest.mark.parametrize("name", [".", "missing/run.csv"])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, name):
+    code = run_cli([
+        "simulate", "--users", "4", "--groups", "8", "--trials", "2", "--out", str(tmp_path / name),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out: cannot write the file")
+
+
+@pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x"), ("zipf", ",")])
 def test_unparseable_sweep_point_exits_2(capsys, axis, points):
     code = run_cli([
         "sweep", "--users", "4", "--groups", "8", "--gm-flip", "0.1", "--trials", "2",
