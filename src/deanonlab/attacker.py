@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .graph import _BLOCK, BigraphPair
+from .graph import BigraphPair
 # expected_response_column is the one-group form of the block read in
 # run_its; it stays importable here because the benchmark's tracer patches
 # the attack's call sites on this module.
@@ -191,12 +191,13 @@ def run_its(
     ignore it.
 
     Each threshold step scans from the group cursor to the end of the graph's
-    materialization block (``graph._BLOCK`` aligned columns, so the scan
+    materialization block (``pair.block_width`` aligned columns, so the scan
     never generates a column the one-query walk would not): one read of the
     block's scanned bits as a (w, m) grid of w groups by m candidates, one
     vector of w received answers, and the densities of the grid summed down
     its group axis, the first row seeded with the running sums. The first
-    row where a live candidate's score reaches the threshold ends the step;
+    row where a live candidate's score reaches the threshold ends the step
+    (the first crossing of the flattened grid, divided by m);
     struck candidates carry surprisal +inf, so their scores stay -inf. The
     adds and comparisons are those of one update per query, in the same
     order, so the transcript is identical to it bit for bit.
@@ -207,7 +208,7 @@ def run_its(
         raise ValueError("prior length disagrees with the pair's user count")
     if config.final_phase_order == "random" and order_seed is None:
         raise ValueError("the random fallback order needs an order_seed")
-    n = pair.n
+    n, m, block = pair.n, pair.m, pair.block_width
     density = measures.density.ravel()  # entry 2u + y is i(u; y)
     threshold = config.threshold_bits
     state = init_state(prior, config)
@@ -222,15 +223,16 @@ def run_its(
         gm_count = 0
         while not stop and state.group_cursor <= n:
             first = state.group_cursor
-            last = min((first - 1) // _BLOCK * _BLOCK + _BLOCK, n)
+            last = min((first - 1) // block * block + block, n)
             ys = inst.noisy_gm_responses(first, last - first + 1, ordinal + 1)
             bits = pair.block_bits("scanned", first, last).T  # (w, m), contiguous
             sums = density.take(2 * bits + ys[:, None])
             sums[0] += state.info
             sums = np.cumsum(sums, axis=0)
-            crossed = ((sums - surprisal) >= threshold).any(axis=1)
-            stop = bool(crossed.any())
-            width = int(crossed.argmax()) + 1 if stop else crossed.size
+            crossed = ((sums - surprisal) >= threshold).ravel()
+            hit = int(crossed.argmax())
+            stop = bool(crossed[hit])
+            width = hit // m + 1 if stop else last - first + 1
             state.info[:] = sums[width - 1]
             queries.extend(zip(repeat("GM"), range(first, first + width), ys[:width].tolist()))
             state.group_cursor += width
@@ -315,10 +317,11 @@ class AttackTranscript:
 
         The first ``len(tau_star_per_step)`` identity queries are the
         threshold-step verifications; later ones belong to the exhaustive
-        fallback.
+        fallback. Step k's verification directly follows its group queries,
+        so it sits at index ``sum(tau_star_per_step[:k+1]) + k``.
         """
-        uid_responses = [r for kind, _, r in self.queries if kind == "UID"]
-        return uid_responses[: len(self.tau_star_per_step)]
+        ends = accumulate(tau + 1 for tau in self.tau_star_per_step)
+        return [self.queries[end - 1][2] for end in ends]
 
     def to_json(self) -> dict:
         return {

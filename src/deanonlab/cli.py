@@ -24,10 +24,11 @@ from .harness import (
     SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
-    emit_results,
+    open_output,
     resolve_model,
     run_experiment,
     run_sweep,
+    write_results,
 )
 
 
@@ -122,14 +123,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        if args.command == "simulate":
-            summary = run_experiment(config)
-            emit_results([summary], config.format, config.out)
-        elif args.command == "sweep":
-            points = [p for p in args.points.split(",") if p]
-            summaries = run_sweep(config, args.axis, points,
-                                  common_random_numbers=args.crn)
-            emit_results(summaries, config.format, config.out)
+        if args.command in ("simulate", "sweep"):
+            # Open the output first, so a path that cannot be written fails
+            # before the campaign runs rather than after.
+            with open_output(config.out) as handle:
+                if args.command == "simulate":
+                    summaries = [run_experiment(config)]
+                else:
+                    points = [p for p in args.points.split(",") if p]
+                    summaries = run_sweep(config, args.axis, points,
+                                          common_random_numbers=args.crn)
+                write_results(summaries, config.format, handle)
         else:  # bounds
             report = resolve_model(config).bound_report(config.groups)
             print(json.dumps(report.to_json(), indent=2, allow_nan=False))

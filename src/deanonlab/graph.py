@@ -17,12 +17,15 @@ user 1..m; a uniform u gives the pair by inverse CDF over the four outcomes
 laid out in the order (0,0), (0,1), (1,1), (1,0), so that the true bit is
 ``u >= c2`` and the scanned bit ``c1 <= u < c3`` for the law's cut points
 (``EdgeJointDistribution.generation_cuts``). Columns are materialized left to
-right on demand, a block at a time, and the packed storage grows along the
-group axis with them; an attack that touches only the first few dozen groups
-never pays for the rest of a wide graph. The block width is not part of the
-layout, and materialized bits are identical whichever access pattern
-triggered them. Rows are not individually re-derivable: row i's bits are
-spread over the whole stream.
+right on demand, one block of ``block_width`` columns at a time, and the
+packed storage grows along the group axis with them. A block is
+``max(32, 2048 // m)`` columns wide: about 2048 positions at small m (128
+columns at m=16), so an attack that asks dozens of cheap queries reads one
+block instead of several, and 32 columns from m=64 up, so an attack that
+touches only the first few dozen groups of a wide graph never pays for the
+rest of it. The block width is not part of the layout, and materialized bits
+are identical whichever access pattern triggered them. Rows are not
+individually re-derivable: row i's bits are spread over the whole stream.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ import numpy as np
 
 from .stochastics import EdgeJointDistribution
 
-# Columns materialized per extension; any width gives the same bits.
+# A block of columns materialized per extension holds at least _BLOCK
+# columns and about _BLOCK_POSITIONS positions; any width gives the same bits.
 _BLOCK = 32
+_BLOCK_POSITIONS = 2048
 
 _SELECTORS = {"true": 0, "scanned": 1}
 
@@ -47,11 +52,13 @@ class BigraphPair:
     across threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "_packed", "_ready", "_gen", "_c1", "_c2", "_c3")
+    __slots__ = ("n", "m", "block_width", "_packed", "_ready", "_gen", "_c1", "_c2", "_c3")
 
     def __init__(self, n: int, m: int, packed: np.ndarray, ready: int, gen=None, cuts=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
+        # Columns per materialization block; readers align their scans to it.
+        self.block_width = max(_BLOCK, _BLOCK_POSITIONS // m)
         self._packed = packed
         self._ready = ready
         self._gen = gen
@@ -80,7 +87,8 @@ class BigraphPair:
         upto = min(upto, self.n)
         if upto <= self._ready:
             return
-        stop = min(self._ready + -(-(upto - self._ready) // _BLOCK) * _BLOCK, self.n)
+        block = self.block_width
+        stop = min(self._ready + -(-(upto - self._ready) // block) * block, self.n)
         have = self._packed.shape[1]
         if stop > have:
             # Grow geometrically, so reading a wide graph left to right copies
@@ -89,14 +97,18 @@ class BigraphPair:
             grown = np.empty((2, size, self._packed.shape[2]), dtype=np.uint8)
             grown[:, : self._ready] = self._packed[:, : self._ready]
             self._packed = grown
+        m, nbytes = self.m, self._packed.shape[2]
         while self._ready < stop:
-            width = min(_BLOCK, stop - self._ready)
-            u = self._gen.random((width, self.m))
-            true = u >= self._c2
-            scanned = (u >= self._c1) & (u < self._c3)
+            width = min(block, stop - self._ready)
+            u = self._gen.random((width, m))
+            # Both graphs' bits, each row padded to whole bytes with False, so
+            # one flat pack writes the bytes a row-wise pack would.
+            bits = np.zeros((2, width, 8 * nbytes), dtype=bool)
+            np.greater_equal(u, self._c2, out=bits[0, :, :m])
+            np.greater_equal(u, self._c1, out=bits[1, :, :m])
+            bits[1, :, :m] &= u < self._c3
             rows = slice(self._ready, self._ready + width)
-            self._packed[0, rows] = np.packbits(true, axis=1)
-            self._packed[1, rows] = np.packbits(scanned, axis=1)
+            self._packed[:, rows] = np.packbits(bits).reshape(2, width, nbytes)
             self._ready += width
 
     # -- raw access ------------------------------------------------------

@@ -418,26 +418,40 @@ def run_sweep(
     return summaries
 
 
-def emit_results(summaries, format: str, path: str | None = None):
-    """Write summaries as a CSV table or a JSON list with the same fields.
+def open_output(path: str | None):
+    """The output target opened for writing: the file at ``path``, or standard output when None.
 
-    Writes to ``path``, or to standard output when it is None. JSON output is
-    strict: an unbounded value is written as null, never as Infinity.
+    A path that cannot be opened raises a ``ConfigError`` naming ``out``.
+    """
+    if path is None:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write the file: {exc}") from None
+
+
+def write_results(summaries, format: str, handle):
+    """Write summaries to an open text stream as a CSV table or a JSON list with the same fields.
+
+    JSON output is strict: an unbounded value is written as null, never as
+    Infinity.
     """
     if not summaries:
         raise ValueError("no summaries to emit")
     if format not in OUTPUT_FORMATS:
         raise ValueError(f"format must be one of {OUTPUT_FORMATS}")
-    try:
-        target = open(path, "w", newline="") if path is not None else nullcontext(sys.stdout)
-    except OSError as exc:
-        raise ConfigError("out", f"cannot write the file: {exc}") from None
-    with target as handle:
-        if format == "csv":
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            for summary in summaries:
-                writer.writerow(summary.csv_row())
-        else:
-            json.dump([s.to_json() for s in summaries], handle, indent=2, allow_nan=False)
-            handle.write("\n")
+    if format == "csv":
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for summary in summaries:
+            writer.writerow(summary.csv_row())
+    else:
+        json.dump([s.to_json() for s in summaries], handle, indent=2, allow_nan=False)
+        handle.write("\n")
+
+
+def emit_results(summaries, format: str, path: str | None = None):
+    """Write summaries to the file at ``path``, or to standard output when it is None."""
+    with open_output(path) as handle:
+        write_results(summaries, format, handle)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deanonlab.attacker import (
+    FINAL_PHASE_ORDERS,
     AttackTranscript,
     ITSConfig,
     auto_epsilon_steps,
@@ -114,10 +115,16 @@ def replay_its_by_hand(pair, victim, edge, gm, noise_seed, prior, epsilon, steps
     raise AssertionError("replay failed to find the victim")
 
 
-def attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l):
-    """``run_its`` and its hand replay on one seeded graph pair and noise stream."""
+def attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l, block_width=None):
+    """``run_its`` and its hand replay on one seeded graph pair and noise stream.
+
+    ``block_width`` overrides the pair's materialization block, which the
+    attack's scan aligns to; None keeps the default for the user count.
+    """
     edge, gm = model
     pair = generate_cprb(n, prior.m, edge, seed=seed)
+    if block_width is not None:
+        pair.block_width = block_width
     inst = VictimInstance(pair, victim, gm, noise_seed=seed)
     transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(epsilon, steps_l))
     expected = replay_its_by_hand(
@@ -248,14 +255,15 @@ class TestRunIts:
         )
         assert transcript.queries == expected
 
-    # Seed 17 starts its second step inside a block; 73 has three steps, the
-    # second and third starting inside blocks. Every case has steps whose
-    # groups run over columns 32 and 64.
+    # With 32-column blocks (m=6 alone would get 341), seed 17 starts its
+    # second step inside a block; 73 has three steps, the second and third
+    # starting inside blocks. Every case has steps whose groups run over
+    # columns 32 and 64.
     @pytest.mark.parametrize("seed", [17, 28, 73, 135, 147])
     def test_matches_hand_replay_across_block_edges(self, seed):
         prior = make_prior("zipf:1.0", 6)
         transcript, expected = attack_and_replay(
-            LOW_INFO_MODEL, 512, prior, 1 + seed % 6, seed, 0.3, 4
+            LOW_INFO_MODEL, 512, prior, 1 + seed % 6, seed, 0.3, 4, block_width=32
         )
         assert transcript.queries == expected
         starts = np.cumsum([1] + transcript.tau_star_per_step)
@@ -265,11 +273,11 @@ class TestRunIts:
 
     @pytest.mark.parametrize("seed", [17, 20, 29])
     def test_matches_hand_replay_when_groups_run_out_mid_block(self, seed):
-        # n = 45 ends inside the second block; one step crosses, the next one
-        # runs out of groups and the exhaustive phase follows.
+        # n = 45 ends inside the second 32-column block; one step crosses,
+        # the next one runs out of groups and the exhaustive phase follows.
         prior = make_prior("zipf:1.0", 6)
         transcript, expected = attack_and_replay(
-            LOW_INFO_MODEL, 45, prior, 1 + seed % 6, seed, 0.3, 4
+            LOW_INFO_MODEL, 45, prior, 1 + seed % 6, seed, 0.3, 4, block_width=32
         )
         assert transcript.queries == expected
         assert [t for kind, t, _ in transcript.queries if kind == "GM"] == list(range(1, 46))
@@ -401,6 +409,79 @@ class TestRunIts:
         inst = VictimInstance(pair_b, 1, gm, noise_seed=0)
         with pytest.raises(ValueError):
             run_its(pair_a, inst, make_prior("uniform", 4), measures_for(edge, gm), ITSConfig(0.5, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 40),
+        n=st.integers(1, 300),
+        p0=st.floats(0.05, 0.95),
+        edge_flip=st.floats(0.0, 1.0),
+        gm_flip=st.floats(0.0, 1.0),
+        alpha=st.floats(0.3, 5.0),
+        epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
+        steps_l=st.integers(1, 4),
+        order=st.sampled_from(FINAL_PHASE_ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transcript_does_not_depend_on_the_block_width(
+        self, data, m, n, p0, edge_flip, gm_flip, alpha, epsilon, steps_l, order, seed
+    ):
+        # The width decides both which columns one generation call draws and
+        # where each scan of run_its stops; neither may show in the transcript.
+        edge, gm = EdgeJointDistribution.from_marginal_flip(p0, edge_flip), QueryChannel.bsc(gm_flip)
+        probs = np.random.default_rng(seed).dirichlet(np.full(m, alpha))
+        prior = make_prior(np.maximum(probs, 1e-12).tolist())
+        victim = data.draw(st.integers(1, m), label="victim")
+        width = data.draw(st.sampled_from([1, 3, 8, 32, 128, n]), label="width")
+        measures = measures_for(edge, gm)
+        config = ITSConfig(epsilon, steps_l, final_phase_order=order)
+
+        def attack(block_width):
+            pair = generate_cprb(n, m, edge, seed=seed)
+            if block_width is not None:
+                pair.block_width = block_width
+            inst = VictimInstance(pair, victim, gm, noise_seed=seed + 1)
+            return run_its(pair, inst, prior, measures, config, order_seed=seed + 2)
+
+        default, narrowed = attack(None), attack(width)
+        assert narrowed.queries == default.queries
+        assert narrowed.tau_star_per_step == default.tau_star_per_step
+        assert (narrowed.steps_used, narrowed.identified) == (default.steps_used, default.identified)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_small_m_trial_materializes_one_block_past_its_last_query(self, seed):
+        # The benchmark's noisy_small model: m=16, a wide graph, about 80 queries.
+        edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.15)
+        gm = QueryChannel.bsc(0.25)
+        prior = make_prior("zipf:1.0", 16)
+        pair = generate_cprb(65536, 16, edge, seed=seed)
+        inst = VictimInstance(pair, 1 + seed % 16, gm, noise_seed=seed)
+        transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(0.1, 4))
+        last = max(t for kind, t, _ in transcript.queries if kind == "GM")
+        assert pair.block_width == 128
+        assert last <= pair._ready <= -(-last // 128) * 128
+
+    # Seeds 17, 20 and 29 run out of groups after one step (n=45), so their
+    # fallback follows the unfinished step's group queries; in seeds 20, 77
+    # and 99 of the noisy model the only verification fails and two or more
+    # fallback queries follow it.
+    @pytest.mark.parametrize("model, n, epsilon, steps_l, seed", [
+        (LOW_INFO_MODEL, 45, 0.3, 4, 17), (LOW_INFO_MODEL, 45, 0.3, 4, 20),
+        (LOW_INFO_MODEL, 45, 0.3, 4, 29), (NOISY_MODEL, 256, 0.2, 2, 20),
+        (NOISY_MODEL, 256, 0.2, 2, 77), (NOISY_MODEL, 256, 0.2, 2, 99),
+    ])
+    def test_step_uid_responses_are_the_first_identity_answers(self, model, n, epsilon, steps_l, seed):
+        edge, gm = model
+        pair = generate_cprb(n, 6, edge, seed=seed)
+        inst = VictimInstance(pair, 1 + seed % 6, gm, noise_seed=seed)
+        transcript = run_its(
+            pair, inst, make_prior("zipf:1.0", 6), measures_for(edge, gm), ITSConfig(epsilon, steps_l)
+        )
+        uid_responses = [r for kind, _, r in transcript.queries if kind == "UID"]
+        steps = len(transcript.tau_star_per_step)
+        assert len(uid_responses) > steps  # some identity queries are fallback ones
+        assert transcript.step_uid_responses() == uid_responses[:steps]
 
 
 class TestPosteriorEquivalence:

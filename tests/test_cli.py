@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from deanonlab import cli
 from deanonlab.cli import main
 from deanonlab.harness import CSV_COLUMNS
 
@@ -150,10 +151,29 @@ def test_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error: config: cannot read the file")
 
 
+def refuse_campaigns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran before its output was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+
+
 @pytest.mark.parametrize("name", [".", "missing/run.csv"])
-def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, name):
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, name):
+    refuse_campaigns(monkeypatch)
     code = run_cli([
         "simulate", "--users", "4", "--groups", "8", "--trials", "2", "--out", str(tmp_path / name),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out: cannot write the file")
+
+
+def test_sweep_output_that_cannot_be_written_exits_2_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    refuse_campaigns(monkeypatch)
+    code = run_cli([
+        "sweep", "--users", "4", "--groups", "8", "--trials", "2", "--axis", "m", "--points", "4,8",
+        "--out", str(tmp_path / "missing" / "sweep.csv"),
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: out: cannot write the file")

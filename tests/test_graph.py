@@ -125,9 +125,13 @@ def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
     reference = generate_cprb(203, 11, edge, seed=17)
     full0, full1 = reference.sig0, reference.sig1
+    # The position budget alone would give m=11 blocks of 186 columns.
     monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(graph, "_BLOCK_POSITIONS", 0)
     pair = generate_cprb(203, 11, edge, seed=17)
+    assert pair.block_width == block
     pair.column_bits("true", 9)
+    assert pair._ready == -(-9 // block) * block
     assert np.array_equal(pair.sig0, full0)
     assert np.array_equal(pair.sig1, full1)
 
