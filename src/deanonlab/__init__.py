@@ -14,7 +14,6 @@ from .attacker import (
     gm_update,
     init_state,
     run_its,
-    run_uid_scan,
     select_candidate,
     threshold_check,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "run_experiment",
     "run_its",
     "run_sweep",
-    "run_uid_scan",
     "sample_victim",
     "select_candidate",
     "threshold_check",

@@ -1,4 +1,4 @@
-"""The information threshold attack and a naive identity-scan baseline.
+"""The information threshold attack, and with no threshold steps its identity scan.
 
 The threshold attack keeps one running score per candidate user j:
 
@@ -14,7 +14,9 @@ single noiseless identity query. On failure the candidate is struck from all
 later consideration, scores reset, and the walk resumes on the next groups.
 After ``steps_l - 1`` failed verifications (or if the graph runs out of
 groups), the attack falls back to exhaustive identity queries over the users
-not yet struck, so it always terminates with the victim found.
+not yet struck, so it always terminates with the victim found. With
+``steps_l = 1`` there is no threshold step and the attack is that fallback
+alone: in the "random" order it is the naive identity-scan baseline.
 
 The walk is computed a block of groups at a time rather than one query at a
 time: the scanned bits of the block, the received answers to all its
@@ -25,8 +27,9 @@ approximation: the running sum after query k is ((info + d_1) + d_2) + ... +
 d_k, the same floating-point adds in the same order as folding one answer at
 a time, and the stop test is the same subtraction and comparison, so the
 transcript is bit-identical to the one-query walk. Dropped answers cost
-nothing either: noise is indexed by query ordinal, so the next step reads
-the same answers again.
+nothing either: noise is indexed by query ordinal, and every group query
+asks the next unused group, so a query's ordinal is its group index and the
+next step reads the same answers again.
 
 A candidate whose expected bit makes the received response impossible
 (density -inf) drops out of the running step but is revived by the next
@@ -188,7 +191,8 @@ def run_its(
     graph through blocks of group columns and the victim only through oracle
     responses. ``order_seed`` (an int seed or a ``numpy.random.Generator``)
     drives the "random" fallback order, which requires it; the other orders
-    ignore it.
+    ignore it. ``steps_l = 1`` runs no threshold step: the attack is the
+    identity scan over all users in the fallback order.
 
     Each threshold step scans from the group cursor to the end of the graph's
     materialization block (``pair.block_width`` aligned columns, so the scan
@@ -214,17 +218,17 @@ def run_its(
     state = init_state(prior, config)
     queries: list[tuple[str, int, int]] = []
     tau_star_per_step: list[int] = []
-    ordinal = 0
 
     for step in range(1, config.steps_l):
         state.info[:] = 0.0
         stop = False
         surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)
-        gm_count = 0
+        step_first = state.group_cursor
         while not stop and state.group_cursor <= n:
             first = state.group_cursor
             last = min((first - 1) // block * block + block, n)
-            ys = inst.noisy_gm_responses(first, last - first + 1, ordinal + 1)
+            # Query k asks group k, so the block's first ordinal is its first group.
+            ys = inst.noisy_gm_responses(first, last - first + 1, first)
             bits = pair.block_bits("scanned", first, last).T  # (w, m), contiguous
             sums = density.take(2 * bits + ys[:, None])
             sums[0] += state.info
@@ -236,11 +240,9 @@ def run_its(
             state.info[:] = sums[width - 1]
             queries.extend(zip(repeat("GM"), range(first, first + width), ys[:width].tolist()))
             state.group_cursor += width
-            ordinal += width
-            gm_count += width
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
-        tau_star_per_step.append(gm_count)
+        tau_star_per_step.append(state.group_cursor - step_first)
         guess = select_candidate(state)
         response = inst.uid_response(guess)
         queries.append(("UID", guess, response))
@@ -254,28 +256,7 @@ def run_its(
             )
         state.eliminated[guess - 1] = True
 
-    for candidate in _final_phase_order(state, prior, config, order_seed):
-        response = inst.uid_response(int(candidate))
-        queries.append(("UID", int(candidate), response))
-        if response == 1:
-            return AttackTranscript(
-                queries=queries,
-                success=True,
-                identified=int(candidate),
-                steps_used=len(tau_star_per_step) + 1,
-                tau_star_per_step=tau_star_per_step,
-            )
-    raise AssertionError("unreachable: exhaustive identity phase covers the victim")
-
-
-def run_uid_scan(inst: VictimInstance, seed) -> "AttackTranscript":
-    """Baseline attack: identity queries only, in a seeded random order.
-
-    ``seed`` is an int seed of the order or a ``numpy.random.Generator``.
-    """
-    sequence = (np.random.default_rng(seed).permutation(inst.pair.m) + 1).tolist()
-    queries: list[tuple[str, int, int]] = []
-    for candidate in sequence:
+    for candidate in _final_phase_order(state, prior, config, order_seed).tolist():
         response = inst.uid_response(candidate)
         queries.append(("UID", candidate, response))
         if response == 1:
@@ -283,10 +264,10 @@ def run_uid_scan(inst: VictimInstance, seed) -> "AttackTranscript":
                 queries=queries,
                 success=True,
                 identified=candidate,
-                steps_used=1,
-                tau_star_per_step=[],
+                steps_used=len(tau_star_per_step) + 1,
+                tau_star_per_step=tau_star_per_step,
             )
-    raise AssertionError("unreachable: a full permutation covers the victim")
+    raise AssertionError("unreachable: exhaustive identity phase covers the victim")
 
 
 @dataclass
@@ -322,15 +303,3 @@ class AttackTranscript:
         """
         ends = accumulate(tau + 1 for tau in self.tau_star_per_step)
         return [self.queries[end - 1][2] for end in ends]
-
-    def to_json(self) -> dict:
-        return {
-            "victim": self.identified,
-            "queries": [
-                {"kind": kind, "target": target, "response": response}
-                for kind, target, response in self.queries
-            ],
-            "q_count": self.q_count,
-            "success": self.success,
-            "steps_used": self.steps_used,
-        }

@@ -144,12 +144,6 @@ class BigraphPair:
         column = self._columns(which, last)[first - 1 : last, u0 >> 3]
         return (column >> (7 - (u0 & 7))) & 1
 
-    def column_bits(self, which: str, group: int) -> np.ndarray:
-        """The length-m 0/1 column of one group (1-based group index)."""
-        if not 1 <= group <= self.n:
-            raise IndexError(f"group index {group} outside [1, {self.n}]")
-        return self.block_bits(which, group, group)[:, 0]
-
     def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
         """The first ``upto`` signature bits of one user (defaults to all n)."""
         count = self.n if upto is None else upto

@@ -32,7 +32,6 @@ from .attacker import (
     ITSConfig,
     auto_epsilon_steps,
     run_its,
-    run_uid_scan,
 )
 from .graph import generate_cprb
 from .oracle import VictimInstance
@@ -180,16 +179,6 @@ def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
         auto_eps, auto_steps = auto_epsilon_steps(config.users)
     eps = auto_eps if config.epsilon == "auto" else float(config.epsilon)
     steps = auto_steps if config.steps == "auto" else int(config.steps)
-    if (
-        config.strategy == "its"
-        and measures.mutual_info <= 0.0
-        and not config.allow_degenerate
-    ):
-        raise ConfigError(
-            "strategy",
-            "its needs a model with positive mutual information; "
-            "set allow_degenerate to run it anyway",
-        )
     return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps)
 
 
@@ -232,15 +221,16 @@ def _run_one_trial(
     pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
     victim = sample_victim(model.prior, victim_rng)
     inst = VictimInstance(pair, victim, model.gm, noise_rng)
-    if config.strategy == "its":
-        return run_its(pair, inst, model.prior, model.measures, its, order_rng)
-    return run_uid_scan(inst, order_rng)
+    return run_its(pair, inst, model.prior, model.measures, its, order_rng)
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int):
     """Run trials [start, start + count) and return compact per-trial arrays."""
     model = resolve_model(config)
-    its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
+    if config.strategy == "its":
+        its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
+    else:  # the identity scan: no threshold step, users in a random order
+        its = ITSConfig(model.epsilon, 1, "random")
     streams = TrialStreams(config.master_seed)
     verify_slots = max(model.steps - 1, 0)
     qs = np.empty(count, dtype=np.int64)
@@ -330,6 +320,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """
     config.validate()
     model = resolve_model(config)
+    if (
+        config.strategy == "its"
+        and model.measures.mutual_info <= 0.0
+        and not config.allow_degenerate
+    ):
+        raise ConfigError(
+            "strategy",
+            "its needs a model with positive mutual information; "
+            "set allow_degenerate to run it anyway",
+        )
     trials = config.trials
     # More processes than trials or cores would only add start-up cost.
     workers = min(config.workers, trials, os.cpu_count() or 1)

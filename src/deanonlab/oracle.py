@@ -12,6 +12,8 @@ Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
 ordinal reproduces the identical response bit, so a block of consecutive
 queries can be answered in one call and its unused tail asked again later.
+The block reader is the one place the channel is applied; a single answer is
+a block of one query.
 """
 
 from __future__ import annotations
@@ -48,22 +50,17 @@ class VictimInstance:
             self._uniforms = np.concatenate([self._uniforms, self._gen.random(count)])
         return self._uniforms
 
-    def true_gm_response(self, group: int) -> int:
-        """Correct (pre-noise) answer: the victim's true-graph bit for the group."""
-        return self.pair.bit("true", self.victim, group)
-
     def noisy_gm_response(self, group: int, query_ordinal: int) -> int:
         """Received answer for the group-membership query with this ordinal."""
-        z = self.true_gm_response(group)
-        u = self._uniforms_through(query_ordinal)[query_ordinal - 1]
-        return int(u < self.gm_channel.table[z, 1])
+        return int(self.noisy_gm_responses(group, 1, query_ordinal)[0])
 
     def noisy_gm_responses(self, first_group: int, count: int, first_ordinal: int) -> np.ndarray:
         """Received answers for ``count`` consecutive group queries, as a 0/1 vector.
 
         Query k (from 0) asks group ``first_group + k`` with ordinal
-        ``first_ordinal + k``; entry k equals ``noisy_gm_response`` for that
-        pair, whatever order the two readers are called in.
+        ``first_ordinal + k``. The correct answer is the victim's true-graph
+        bit for the group, passed through the channel; replaying a query
+        ordinal reproduces its answer, whatever blocks it was read in.
         """
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
@@ -85,4 +82,4 @@ def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
     Entry j-1 is the response the attacker would expect if candidate j were
     the victim, i.e. candidate j's scanned-graph membership bit.
     """
-    return pair.column_bits("scanned", group)
+    return pair.block_bits("scanned", group, group)[:, 0]

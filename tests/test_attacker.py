@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from deanonlab.attacker import (
     FINAL_PHASE_ORDERS,
-    AttackTranscript,
     ITSConfig,
     auto_epsilon_steps,
     gm_update,
     init_state,
     run_its,
-    run_uid_scan,
     select_candidate,
     threshold_check,
 )
@@ -514,6 +512,55 @@ class TestPosteriorEquivalence:
                 np.argsort(-scores, kind="stable"), np.argsort(-log_post, kind="stable")
             )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 24),
+        n=st.integers(1, 40),
+        p0=st.floats(0.05, 0.95),
+        edge_flip=st.one_of(st.just(0.0), st.floats(0.0, 0.45, allow_subnormal=False)),
+        gm_flip=st.one_of(st.just(0.0), st.floats(0.0, 0.45, allow_subnormal=False)),
+        alpha=st.floats(0.5, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_track_the_bayes_posterior_on_random_models(
+        self, m, n, p0, edge_flip, gm_flip, alpha, seed
+    ):
+        # Noiseless flips make responses impossible for some candidates, so
+        # densities and log-posteriors of -inf occur; struck candidates have
+        # posterior 0. Exact ties occur too, so the leader is checked up to
+        # ties rather than as an exact ordering.
+        rng = np.random.default_rng(seed)
+        edge = EdgeJointDistribution.from_marginal_flip(p0, edge_flip)
+        gm = QueryChannel.bsc(gm_flip)
+        measures = measures_for(edge, gm)
+        p_uy = build_joint_uyz(edge, gm).p_uy()
+        with np.errstate(divide="ignore"):
+            log_y_given_u = np.log2(p_uy) - np.log2(p_uy.sum(axis=1))[:, None]
+        probs = rng.dirichlet(np.full(m, alpha))
+        prior = VictimPrior(probs / probs.sum())
+        pair = generate_cprb(n, m, edge, seed=int(rng.integers(2**63)))
+        victim = int(rng.integers(1, m + 1))
+        inst = VictimInstance(pair, victim, gm, noise_seed=int(rng.integers(2**63)))
+        # A failed verification never strikes the victim.
+        struck = rng.random(m) < rng.random()
+        struck[victim - 1] = False
+        state = init_state(prior, ITSConfig(0.5, 2))
+        state.eliminated[:] = struck
+        log_post = np.where(struck, -np.inf, np.log2(prior.probs))
+        sig1 = pair.sig1
+        for t in range(1, n + 1):
+            column = sig1[:, t - 1]
+            y = inst.noisy_gm_response(t, t)
+            gm_update(state, column, y, measures)
+            log_post = log_post + log_y_given_u[column, y]
+            scores = state.scores()
+            live = np.isfinite(log_post)
+            assert live[victim - 1]
+            assert np.array_equal(np.isneginf(scores), ~live)
+            assert np.ptp(scores[live] - log_post[live]) <= 1e-9
+            leader = select_candidate(state)
+            assert log_post[leader - 1] >= log_post[live].max() - 1e-9
+
 
 class TestDrift:
     def test_true_candidate_gains_mutual_information_per_query(self):
@@ -533,26 +580,41 @@ class TestDrift:
 
 
 class TestUidScan:
-    # The scan asks users in the order default_rng(seed).permutation(m) + 1.
+    # With no threshold step (steps_l = 1) the attack is the identity scan:
+    # in the "random" order it asks users default_rng(seed).permutation(m) + 1.
     ORDER = (np.random.default_rng(404).permutation(7) + 1).tolist()
 
-    def make_instance(self, victim, m=7):
-        pair = generate_cprb(4, m, EdgeJointDistribution.from_marginal_flip(0.5, 0.0), 1)
-        return VictimInstance(pair, victim, QueryChannel.identity(), 0)
+    def scan(self, victim, m=7, seed=404):
+        edge, gm = NOISELESS_MODEL
+        pair = generate_cprb(4, m, edge, 1)
+        inst = VictimInstance(pair, victim, gm, 0)
+        config = ITSConfig(0.5, 1, "random")
+        return run_its(pair, inst, make_prior("uniform", m), measures_for(edge, gm), config, seed)
 
     def test_victim_first(self):
-        transcript = run_uid_scan(self.make_instance(self.ORDER[0]), 404)
+        transcript = self.scan(self.ORDER[0])
         assert transcript.queries == [("UID", self.ORDER[0], 1)]
+        assert transcript.steps_used == 1 and transcript.tau_star_per_step == []
 
     def test_victim_last(self):
-        transcript = run_uid_scan(self.make_instance(self.ORDER[-1]), 404)
+        transcript = self.scan(self.ORDER[-1])
         assert transcript.q_count == 7
         assert [target for _, target, _ in transcript.queries] == self.ORDER
 
     def test_random_order_deterministic_given_seed(self):
-        a = run_uid_scan(self.make_instance(5), 404)
-        b = run_uid_scan(self.make_instance(5), 404)
+        a = self.scan(5)
+        b = self.scan(5)
         assert a.queries == b.queries
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 300])
+    def test_asks_the_seeded_permutation_up_to_the_victim(self, m):
+        for seed in range(20):
+            victim = seed % m + 1
+            order = (np.random.default_rng(seed).permutation(m) + 1).tolist()
+            expected = order[: order.index(victim) + 1]
+            transcript = self.scan(victim, m, seed)
+            assert transcript.queries == [("UID", j, int(j == victim)) for j in expected]
+            assert transcript.identified == victim and transcript.success
 
 
 class TestFinalPhaseOrders:
@@ -628,17 +690,3 @@ class TestConfigAndDefaults:
         eps, steps = auto_epsilon_steps(m)
         assert eps == pytest.approx(llm / lm, abs=1e-15)
         assert steps == math.ceil(lm / (llm - math.log2(llm)))
-
-    def test_transcript_json_shape(self):
-        transcript = AttackTranscript(
-            queries=[("GM", 1, 0), ("UID", 2, 1)],
-            success=True,
-            identified=2,
-            steps_used=1,
-            tau_star_per_step=[1],
-        )
-        blob = transcript.to_json()
-        assert blob["victim"] == 2
-        assert blob["q_count"] == 2
-        assert blob["queries"][0] == {"kind": "GM", "target": 1, "response": 0}
-        assert blob["success"] is True and blob["steps_used"] == 1

@@ -214,3 +214,24 @@ def test_json_output_is_strict_for_unbounded_models(tmp_path, capsys, command):
     assert report["upper_finite"] is None
     assert report["lower_converse"] == 0.0
     assert math.copysign(1.0, report["lower_converse"]) == 1.0
+
+
+def test_bounds_reports_a_zero_information_model(capsys):
+    # A fully flipped scan carries no evidence: bounds runs no attack, so it
+    # reports I = 0 with unbounded (null) upper bounds instead of refusing.
+    code = run_cli(["bounds", "--users", "8", "--groups", "8", "--edge-flip", "0.5"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["params_used"]["mutual_info_bits"] == 0.0
+    # H = 3 bits over I = 0: the floor and every upper bound are unbounded.
+    assert report["upper_finite"] is None and report["lower_converse"] is None
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trials", "2"],
+    ["sweep", "--trials", "2", "--axis", "zipf", "--points", "0,1"],
+])
+def test_attack_on_a_zero_information_model_exits_2_naming_strategy(capsys, command):
+    code = run_cli([*command, "--users", "8", "--groups", "8", "--edge-flip", "0.5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: strategy: its needs a model")

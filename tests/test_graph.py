@@ -11,9 +11,14 @@ ALL_ZEROS = EdgeJointDistribution.from_marginal_flip(0.0, 0.0)
 FAIR_CORRELATED = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
 
 
+def column(pair, which, group):
+    """The length-m 0/1 column of one group, read as a one-group block."""
+    return pair.block_bits(which, group, group)[:, 0]
+
+
 def members(pair, which, group):
     """1-based users in the group, read from its column."""
-    return set((np.flatnonzero(pair.column_bits(which, group)) + 1).tolist())
+    return set((np.flatnonzero(column(pair, which, group)) + 1).tolist())
 
 
 def test_degenerate_all_ones():
@@ -78,8 +83,8 @@ def test_access_order_does_not_change_bits():
 
     lazy = generate_cprb(200, 9, edge, seed=5)
     # Touch columns out of order through the public readers first.
-    assert np.array_equal(lazy.column_bits("scanned", 150), full1[:, 149])
-    assert np.array_equal(lazy.column_bits("true", 3), full0[:, 2])
+    assert np.array_equal(column(lazy, "scanned", 150), full1[:, 149])
+    assert np.array_equal(column(lazy, "true", 3), full0[:, 2])
     assert members(lazy, "scanned", 77) == set((np.flatnonzero(full1[:, 76]) + 1).tolist())
     assert np.array_equal(lazy.sig0, full0)
     assert np.array_equal(lazy.sig1, full1)
@@ -104,8 +109,8 @@ def test_column_stream_oracle():
         draws = u[m * (g - 1) : m * g]
         e0 = draws >= cut2
         e1 = (draws >= cut1) & (draws < cut3)
-        assert np.array_equal(pair.column_bits("true", g), e0.astype(np.uint8))
-        assert np.array_equal(pair.column_bits("scanned", g), e1.astype(np.uint8))
+        assert np.array_equal(column(pair, "true", g), e0.astype(np.uint8))
+        assert np.array_equal(column(pair, "scanned", g), e1.astype(np.uint8))
 
 
 @pytest.mark.parametrize("p0", [0.0, 1.0])
@@ -130,7 +135,7 @@ def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     monkeypatch.setattr(graph, "_BLOCK_POSITIONS", 0)
     pair = generate_cprb(203, 11, edge, seed=17)
     assert pair.block_width == block
-    pair.column_bits("true", 9)
+    column(pair, "true", 9)
     assert pair._ready == -(-9 // block) * block
     assert np.array_equal(pair.sig0, full0)
     assert np.array_equal(pair.sig1, full1)
@@ -150,7 +155,7 @@ def test_storage_grows_with_materialized_columns():
     n, m = 8192, 16
     full_bytes = 2 * m * n // 8
     pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
-    pair.column_bits("true", 1)
+    column(pair, "true", 1)
     assert pair._packed.nbytes <= full_bytes // 64
     assert pair.sig0.shape == (m, n)
     assert pair._packed.nbytes == full_bytes
@@ -247,7 +252,7 @@ def test_index_errors():
     with pytest.raises(IndexError):
         pair.row_bits("true", 6)
     with pytest.raises(IndexError):
-        pair.column_bits("true", 11)
+        column(pair, "true", 11)
     # upto must lie in [0, n]: no phantom groups past n, no negative counts.
     with pytest.raises(IndexError):
         pair.row_bits("true", 1, upto=15)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deanonlab import harness
-from deanonlab.attacker import ITSConfig, run_its, run_uid_scan
+from deanonlab.attacker import FINAL_PHASE_ORDERS, ITSConfig, run_its
 from deanonlab.graph import generate_cprb
 from deanonlab.harness import (
     CSV_COLUMNS,
@@ -79,7 +79,9 @@ class TestTrialSeeds:
             final_phase_order="random", strategy=strategy, master_seed=77,
         )
         model = harness.resolve_model(config)
-        its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
+        # The scan is the attack with no threshold step, as _trial_block runs it.
+        steps = model.steps if strategy == "its" else 1
+        its = ITSConfig(model.epsilon, steps, config.final_phase_order)
         streams = TrialStreams(config.master_seed)
         for k in (0, 3, 11):
             pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
@@ -88,11 +90,13 @@ class TestTrialSeeds:
             if strategy == "its":
                 expected = run_its(
                     pair, inst, model.prior, model.measures, its, jumped(77, 4 * k + 3)
-                )
+                ).queries
             else:
-                expected = run_uid_scan(inst, jumped(77, 4 * k + 3))
+                # Stream 3's permutation of the users, up to the victim.
+                order = (np.random.default_rng(jumped(77, 4 * k + 3)).permutation(9) + 1).tolist()
+                expected = [("UID", j, int(j == victim)) for j in order[: order.index(victim) + 1]]
             transcript = harness._run_one_trial(config, model, its, streams, k)
-            assert transcript.queries == expected.queries
+            assert transcript.queries == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,6 +198,21 @@ class TestRunExperiment:
         assert 48.0 <= summary.mean_q <= 53.0
         assert summary.success_rate == 1.0
         assert all(rate is None for rate in summary.per_step_failure_rates)
+
+    def test_uid_scan_ignores_steps_and_fallback_order(self):
+        # The scan is the attack with no threshold step, always in the random
+        # order: the configured retry budget and fallback order play no part.
+        base = ExperimentConfig(
+            users=30, groups=8, strategy="uid_scan", trials=200, master_seed=23,
+        )
+        reference = run_experiment(base)
+        for steps in (1, 2, 5):
+            for order in FINAL_PHASE_ORDERS:
+                summary = run_experiment(
+                    dataclasses.replace(base, steps=steps, final_phase_order=order)
+                )
+                assert summary.q_histogram == reference.q_histogram
+                assert summary.mean_q == reference.mean_q
 
     def test_summary_embeds_matching_bound_report(self):
         summary = run_experiment(small_config())

@@ -13,29 +13,30 @@ def make_pair(n=20, m=8, p0=0.5, flip=0.1, seed=17):
 
 
 class TestTrueResponse:
+    # Through the identity channel the answer is the victim's true-graph bit.
     def test_all_ones_graph(self):
         pair = generate_cprb(6, 4, EdgeJointDistribution.from_marginal_flip(1.0, 0.0), 1)
         inst = VictimInstance(pair, 2, NOISELESS, 0)
-        assert all(inst.true_gm_response(g) == 1 for g in range(1, 7))
+        assert all(inst.noisy_gm_response(g, g) == 1 for g in range(1, 7))
 
     def test_all_zeros_graph(self):
         pair = generate_cprb(6, 4, EdgeJointDistribution.from_marginal_flip(0.0, 0.0), 1)
         inst = VictimInstance(pair, 2, NOISELESS, 0)
-        assert all(inst.true_gm_response(g) == 0 for g in range(1, 7))
+        assert all(inst.noisy_gm_response(g, g) == 0 for g in range(1, 7))
 
     def test_matches_matrix_lookup(self):
         pair = make_pair()
         inst = VictimInstance(pair, 5, NOISELESS, 0)
         sig0 = pair.sig0
         for g in range(1, pair.n + 1):
-            assert inst.true_gm_response(g) == sig0[4, g - 1]
+            assert inst.noisy_gm_response(g, g) == sig0[4, g - 1]
 
     def test_group_range_checked(self):
         inst = VictimInstance(make_pair(n=10), 1, NOISELESS, 0)
         with pytest.raises(IndexError):
-            inst.true_gm_response(11)
+            inst.noisy_gm_response(11, 1)
         with pytest.raises(IndexError):
-            inst.true_gm_response(0)
+            inst.noisy_gm_response(0, 1)
 
 
 class TestNoisyResponse:
@@ -43,7 +44,7 @@ class TestNoisyResponse:
         pair = make_pair()
         inst = VictimInstance(pair, 3, NOISELESS, 99)
         for ordinal, g in enumerate(range(1, pair.n + 1), start=1):
-            assert inst.noisy_gm_response(g, ordinal) == inst.true_gm_response(g)
+            assert inst.noisy_gm_response(g, ordinal) == pair.bit("true", 3, g)
 
     def test_completely_noisy_channel_frequency(self):
         # Both rows Bernoulli(q): the response ignores the true bit entirely.

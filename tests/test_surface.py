@@ -3,10 +3,11 @@
 A name in ``deanonlab.__all__`` must be referred to by some line of the
 package outside ``__init__.py``, of a demo, or of the benchmark script; its
 own ``def``, ``class`` or assignment line does not count, and neither do the
-test suites.
+test suites. And every call site the benchmark's tracer patches still exists.
 """
 
 import re
+import types
 from pathlib import Path
 
 import deanonlab
@@ -28,3 +29,19 @@ def test_every_exported_name_has_a_caller():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert not unused, f"exported without a caller outside the tests: {unused}"
+
+
+def test_every_tracer_call_site_resolves():
+    # The tracer looks each (owner, attribute) up in the owner's own
+    # namespace; a name deleted or moved from there breaks the traced run.
+    # The module is executed from its source text, so nothing is written
+    # next to it.
+    path = ROOT / "benchmarks" / "layers.py"
+    layers = types.ModuleType("layers")
+    exec(compile(path.read_text(), str(path), "exec"), vars(layers))
+    missing = [
+        (owner, attr)
+        for owner, attr, _ in layers._CALL_SITES
+        if attr not in vars(layers._resolve(deanonlab, owner))
+    ]
+    assert not missing, f"tracer call sites that no longer resolve: {missing}"
