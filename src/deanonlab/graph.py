@@ -2,12 +2,12 @@
 
 A pair holds two m x n binary membership matrices: the true graph and the
 scanned (attacker-side) copy. Row i is user i's group signature. Both graphs
-live in one (2, columns, ceil(m/8)) array of packed bit words, group-major
-within each graph: group g's row holds the bits of users 1..m, big-endian
-within a byte (user 1 is the most significant bit of the first byte). The
-attack adds one information density to every candidate's score per group
+live in one (2, columns, m) uint8 array of 0/1 values, one byte per position,
+group-major within each graph: group g's row holds the bits of users 1..m.
+The attack adds one information density to every candidate's score per group
 query, so its hot loop reads a block of consecutive groups as a contiguous
-(groups, users) grid, and the victim's answers come from one byte column.
+(groups, users) grid, and the victim's answers come from one strided column.
+The block and user readers hand out read-only views of the stored rows.
 
 Generation draws the (true, scanned) bit pair of every position i.i.d. from
 an ``EdgeJointDistribution`` out of a single random stream per pair,
@@ -18,7 +18,7 @@ laid out in the order (0,0), (0,1), (1,1), (1,0), so that the true bit is
 ``u >= c2`` and the scanned bit ``c1 <= u < c3`` for the law's cut points
 (``EdgeJointDistribution.generation_cuts``). Columns are materialized left to
 right on demand, one block of ``block_width`` columns at a time, and the
-packed storage grows along the group axis with them. A block is
+storage grows along the group axis with them. A block is
 ``max(32, 2048 // m)`` columns wide: about 2048 positions at small m (128
 columns at m=16), so an attack that asks dozens of cheap queries reads one
 block instead of several, and 32 columns from m=64 up, so an attack that
@@ -52,14 +52,14 @@ class BigraphPair:
     across threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "block_width", "_packed", "_ready", "_gen", "_c1", "_c2", "_c3")
+    __slots__ = ("n", "m", "block_width", "_bits", "_ready", "_gen", "_c1", "_c2", "_c3")
 
-    def __init__(self, n: int, m: int, packed: np.ndarray, ready: int, gen=None, cuts=(0.0, 0.0, 0.0)):
+    def __init__(self, n: int, m: int, bits: np.ndarray, ready: int, gen=None, cuts=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
         # Columns per materialization block; readers align their scans to it.
         self.block_width = max(_BLOCK, _BLOCK_POSITIONS // m)
-        self._packed = packed
+        self._bits = bits
         self._ready = ready
         self._gen = gen
         self._c1, self._c2, self._c3 = cuts
@@ -77,8 +77,7 @@ class BigraphPair:
         for name, a in (("sig0", a0), ("sig1", a1)):
             if not np.isin(a, (0, 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
-        packed = np.packbits(np.stack((a0.T, a1.T)).astype(np.uint8), axis=2)
-        return cls(n, m, packed, ready=n)
+        return cls(n, m, np.stack((a0.T, a1.T)).astype(np.uint8), ready=n)
 
     # -- generation ------------------------------------------------------
 
@@ -89,60 +88,55 @@ class BigraphPair:
             return
         block = self.block_width
         stop = min(self._ready + -(-(upto - self._ready) // block) * block, self.n)
-        have = self._packed.shape[1]
+        have = self._bits.shape[1]
         if stop > have:
             # Grow geometrically, so reading a wide graph left to right copies
             # each row a bounded number of times, but never past the full width.
             size = min(max(stop, 2 * have), self.n)
-            grown = np.empty((2, size, self._packed.shape[2]), dtype=np.uint8)
-            grown[:, : self._ready] = self._packed[:, : self._ready]
-            self._packed = grown
-        m, nbytes = self.m, self._packed.shape[2]
+            grown = np.empty((2, size, self.m), dtype=np.uint8)
+            grown[:, : self._ready] = self._bits[:, : self._ready]
+            self._bits = grown
         while self._ready < stop:
             width = min(block, stop - self._ready)
-            u = self._gen.random((width, m))
-            # Both graphs' bits, each row padded to whole bytes with False, so
-            # one flat pack writes the bytes a row-wise pack would.
-            bits = np.zeros((2, width, 8 * nbytes), dtype=bool)
-            np.greater_equal(u, self._c2, out=bits[0, :, :m])
-            np.greater_equal(u, self._c1, out=bits[1, :, :m])
-            bits[1, :, :m] &= u < self._c3
-            rows = slice(self._ready, self._ready + width)
-            self._packed[:, rows] = np.packbits(bits).reshape(2, width, nbytes)
+            u = self._gen.random((width, self.m))
+            true, scanned = self._bits[:, self._ready : self._ready + width]
+            np.greater_equal(u, self._c2, out=true)
+            np.greater_equal(u, self._c1, out=scanned)
+            scanned &= u < self._c3
             self._ready += width
 
     # -- raw access ------------------------------------------------------
 
     def _columns(self, which: str, upto: int) -> np.ndarray:
-        """Packed group rows of the selected graph with columns [1, upto] materialized."""
+        """Read-only group rows of the selected graph with columns [1, upto] materialized."""
         if which not in _SELECTORS:
             raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
         self._ensure_columns(upto)
-        return self._packed[_SELECTORS[which]]
+        rows = self._bits[_SELECTORS[which]]
+        rows.flags.writeable = False
+        return rows
 
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
         """Groups first..last (1-based, inclusive) of every user, as an m x w 0/1 matrix.
 
-        The matrix is the transposed view of a contiguous w x m unpack of the
-        groups' rows, so ``.T`` gives the (groups, users) grid without a copy.
+        The matrix is a read-only transposed view of the groups' stored rows,
+        so ``.T`` gives the contiguous (groups, users) grid without a copy.
         """
         if not 1 <= first <= last <= self.n:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        rows = self._columns(which, last)[first - 1 : last]
-        return np.unpackbits(rows, axis=1, count=self.m).T
+        return self._columns(which, last)[first - 1 : last].T
 
     def user_bits(self, which: str, user: int, first: int, last: int) -> np.ndarray:
         """Groups first..last (1-based, inclusive) of one user, as a 0/1 vector.
 
-        Reads the user's byte of each group row; the other users stay packed.
+        The vector is a read-only view of the user's column of the stored
+        rows, strided by m bytes.
         """
         if not 1 <= user <= self.m:
             raise IndexError(f"user index {user} outside [1, {self.m}]")
         if not 1 <= first <= last <= self.n:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        u0 = user - 1
-        column = self._columns(which, last)[first - 1 : last, u0 >> 3]
-        return (column >> (7 - (u0 & 7))) & 1
+        return self._columns(which, last)[first - 1 : last, user - 1]
 
     def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
         """The first ``upto`` signature bits of one user (defaults to all n)."""
@@ -157,13 +151,13 @@ class BigraphPair:
 
     @property
     def sig0(self) -> np.ndarray:
-        """True-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        return self.block_bits("true", 1, self.n)
+        """True-graph signatures as an m x n 0/1 matrix (copy)."""
+        return self.block_bits("true", 1, self.n).copy()
 
     @property
     def sig1(self) -> np.ndarray:
-        """Scanned-graph signatures as an unpacked m x n 0/1 matrix (copy)."""
-        return self.block_bits("scanned", 1, self.n)
+        """Scanned-graph signatures as an m x n 0/1 matrix (copy)."""
+        return self.block_bits("scanned", 1, self.n).copy()
 
 
 def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> BigraphPair:
@@ -186,6 +180,6 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
     if not isinstance(edge_joint, EdgeJointDistribution):
         raise TypeError("edge_joint must be an EdgeJointDistribution")
     return BigraphPair(
-        n, m, np.zeros((2, 0, (m + 7) // 8), dtype=np.uint8), ready=0,
+        n, m, np.zeros((2, 0, m), dtype=np.uint8), ready=0,
         gen=np.random.default_rng(seed), cuts=edge_joint.generation_cuts,
     )

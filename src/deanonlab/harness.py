@@ -147,7 +147,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _ResolvedModel:
-    """Config turned into concrete model objects plus resolved (epsilon, steps)."""
+    """Config turned into concrete model objects plus the resolved attack it runs."""
 
     edge_joint: EdgeJointDistribution
     gm: QueryChannel
@@ -155,6 +155,7 @@ class _ResolvedModel:
     measures: InfoMeasures
     epsilon: float
     steps: int
+    final_phase_order: str
 
     def bound_report(self, n: int) -> bounds_mod.BoundReport:
         """The analytic bound report for this model over n groups."""
@@ -179,7 +180,9 @@ def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
         auto_eps, auto_steps = auto_epsilon_steps(config.users)
     eps = auto_eps if config.epsilon == "auto" else float(config.epsilon)
     steps = auto_steps if config.steps == "auto" else int(config.steps)
-    return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps)
+    if config.strategy == "uid_scan":  # the attack with no threshold step, in a random order
+        return _ResolvedModel(edge_joint, gm, prior, measures, eps, 1, "random")
+    return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps, config.final_phase_order)
 
 
 # PCG64.jumped(j) advances the state by j times this step, mod 2**128.
@@ -227,10 +230,7 @@ def _run_one_trial(
 def _trial_block(config: ExperimentConfig, start: int, count: int):
     """Run trials [start, start + count) and return compact per-trial arrays."""
     model = resolve_model(config)
-    if config.strategy == "its":
-        its = ITSConfig(model.epsilon, model.steps, config.final_phase_order)
-    else:  # the identity scan: no threshold step, users in a random order
-        its = ITSConfig(model.epsilon, 1, "random")
+    its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
     streams = TrialStreams(config.master_seed)
     verify_slots = max(model.steps - 1, 0)
     qs = np.empty(count, dtype=np.int64)

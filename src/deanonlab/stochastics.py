@@ -196,9 +196,11 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
     probs = np.asarray(kind, dtype=np.float64)
     if m is not None and probs.size != m:
         raise ValueError("explicit prior length disagrees with m")
-    if not np.all(probs > 0.0):
-        raise ValueError("prior entries must be strictly positive")
-    return VictimPrior(probs / probs.sum())
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    if not (np.all(probs > 0.0) and total < np.inf):
+        raise ValueError("prior entries must be strictly positive with a finite sum")
+    return VictimPrior(probs / total)
 
 
 def entropy(prior: VictimPrior) -> float:

@@ -2,10 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from deanonlab import cli
+from deanonlab import cli, harness
+from deanonlab.attacker import FINAL_PHASE_ORDERS
 from deanonlab.cli import main
-from deanonlab.harness import CSV_COLUMNS
+from deanonlab.harness import CSV_COLUMNS, OUTPUT_FORMATS, STRATEGIES
 
 
 def run_cli(args):
@@ -124,6 +127,8 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("allow_degenerate", "false"),
         ("prior", "zipf:nan"),
         ("prior", [float("nan"), 1, 1, 1]),
+        ("prior", [1, 1, 1, float("inf")]),
+        ("prior", [1e308] * 4),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -235,3 +240,85 @@ def test_attack_on_a_zero_information_model_exits_2_naming_strategy(capsys, comm
     code = run_cli([*command, "--users", "8", "--groups", "8", "--edge-flip", "0.5"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: strategy: its needs a model")
+
+
+# Malformed JSON values of every field ExperimentConfig.validate checks.
+_NON_NUMBERS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=6), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_ANY = st.one_of(_NON_NUMBERS, st.integers(), st.floats())
+_NOT_POSITIVE_INT = st.one_of(st.integers(max_value=0), st.floats(), _NON_NUMBERS)
+_NOT_IN_UNIT = st.one_of(
+    st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=1.0, exclude_min=True),
+    st.just(float("nan")), _NON_NUMBERS,
+)
+
+
+def _none_of(allowed):
+    """Any value but the allowed strings (a tuple, so unhashable values compare too)."""
+    return _ANY.filter(lambda value: value not in allowed)
+
+
+def _not_an_exponent(text):
+    try:
+        return not float(text) >= 0.0
+    except ValueError:
+        return True
+
+
+MALFORMED = {
+    "users": _NOT_POSITIVE_INT,
+    "groups": _NOT_POSITIVE_INT,
+    "trials": _NOT_POSITIVE_INT,
+    "workers": _NOT_POSITIVE_INT,
+    "master_seed": st.one_of(st.integers(max_value=-1), st.floats(), _NON_NUMBERS),
+    "p0": st.one_of(_NOT_IN_UNIT, st.sampled_from([0, 1, 0.0, 1.0])),
+    "edge_flip": _NOT_IN_UNIT,
+    "gm_flip": _NOT_IN_UNIT,
+    "prior": st.one_of(
+        _ANY.filter(lambda value: value != "uniform" and not str(value).startswith("zipf:")),
+        st.text(max_size=6).filter(_not_an_exponent).map(lambda text: f"zipf:{text}"),
+        st.sampled_from([
+            "zipf:-1", "zipf:nan", "zipf:inf", "zipf:1e400",
+            [1, 1, 1, float("inf")], [1e308] * 4, [1, 1, 1, 0],
+        ]),
+        st.lists(st.floats(), min_size=4, max_size=4).filter(
+            lambda probs: not all(0.0 < p < float("inf") for p in probs)
+        ),
+        st.lists(st.floats(0.1, 1.0), min_size=0, max_size=6).filter(lambda probs: len(probs) != 4),
+        st.lists(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=2), min_size=2, max_size=2),
+    ),
+    "epsilon": st.one_of(_NOT_IN_UNIT.filter(lambda value: value != "auto"), st.sampled_from([0, 1])),
+    "steps": st.one_of(
+        st.integers(max_value=0), st.floats(), _NON_NUMBERS.filter(lambda value: value != "auto")
+    ),
+    "strategy": _none_of(STRATEGIES),
+    "final_phase_order": _none_of(FINAL_PHASE_ORDERS),
+    "format": _none_of(OUTPUT_FORMATS),
+    "allow_degenerate": _ANY.filter(lambda value: not isinstance(value, bool)),
+    "out": st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(max_size=3), max_size=2)),
+}
+
+
+@st.composite
+def _malformed_field(draw):
+    field = draw(st.sampled_from(sorted(MALFORMED)))
+    return field, draw(MALFORMED[field])
+
+
+# The fixtures' patches and pool record are meant to span every example.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_malformed_field())
+def test_config_file_fuzzer_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, in_process_pool, case):
+    field, value = case
+    # Two trials on two reported cores: a config that got through would start a pool.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = {"users": 4, "groups": 8, "trials": 2, "workers": 2, field: value}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = run_cli(["simulate", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field}:")
+    assert in_process_pool == []

@@ -124,7 +124,6 @@ def test_degenerate_true_graph_under_a_noisy_scan(p0, flip):
         assert 0 < pair.sig1.sum() < pair.sig1.size
 
 
-# Widths 5 and 12 are not multiples of 8: a block need not fill whole bytes.
 @pytest.mark.parametrize("block", [5, 8, 12, 64])
 def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
@@ -150,15 +149,42 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
 
 
 def test_storage_grows_with_materialized_columns():
-    # m and n are multiples of 8, so a full pair packs into exactly 2mn/8
-    # bytes whichever way the bits are laid out.
+    # One byte per position: a full pair takes exactly 2mn bytes.
     n, m = 8192, 16
-    full_bytes = 2 * m * n // 8
+    full_bytes = 2 * m * n
     pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
     column(pair, "true", 1)
-    assert pair._packed.nbytes <= full_bytes // 64
+    assert pair._bits.nbytes <= full_bytes // 64
     assert pair.sig0.shape == (m, n)
-    assert pair._packed.nbytes == full_bytes
+    assert pair._bits.nbytes == full_bytes
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda pair: pair.block_bits("scanned", 3, 9),
+        lambda pair: pair.block_bits("true", 1, pair.n),
+        lambda pair: pair.block_bits("scanned", 5, 5).T,
+        lambda pair: pair.user_bits("true", 2, 1, 20),
+        lambda pair: pair.user_bits("scanned", 6, 7, 7),
+        lambda pair: pair.row_bits("scanned", 4),
+        lambda pair: pair.row_bits("true", 1, upto=7),
+        lambda pair: pair.sig0,
+        lambda pair: pair.sig1,
+    ],
+    ids=["block", "block-all", "block-grid", "user", "user-one", "row", "row-prefix", "sig0", "sig1"],
+)
+def test_a_read_never_hands_out_writable_storage(read):
+    pair = generate_cprb(40, 6, EdgeJointDistribution.from_marginal_flip(0.5, 0.1), seed=8)
+    before = read(pair).copy()
+    full0, full1 = pair.sig0, pair.sig1
+    try:
+        read(pair)[...] = 1 - before
+    except ValueError:
+        pass
+    assert np.array_equal(read(pair), before)
+    assert np.array_equal(pair.sig0, full0)
+    assert np.array_equal(pair.sig1, full1)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +225,6 @@ class TestSignatureSlices:
     "first, last", [(1, 45), (3, 3), (3, 11), (8, 9), (30, 37), (31, 45), (45, 45)]
 )
 def test_block_bits_equal_matrix_slices(first, last):
-    # n = 45 is not a multiple of 8, and most ranges start and end mid-byte.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
     full0, full1 = full.sig0, full.sig1
@@ -209,7 +234,6 @@ def test_block_bits_equal_matrix_slices(first, last):
     assert block0.shape == (11, last - first + 1)
     assert np.array_equal(block0, full0[:, first - 1 : last])
     assert np.array_equal(block1, full1[:, first - 1 : last])
-    # m = 11: the last byte of each group row holds users 9-11 and 5 pad bits.
     for user in (1, 8, 9, 11):
         row0 = lazy.user_bits("true", user, first, last)
         row1 = lazy.user_bits("scanned", user, first, last)

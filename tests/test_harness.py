@@ -79,9 +79,7 @@ class TestTrialSeeds:
             final_phase_order="random", strategy=strategy, master_seed=77,
         )
         model = harness.resolve_model(config)
-        # The scan is the attack with no threshold step, as _trial_block runs it.
-        steps = model.steps if strategy == "its" else 1
-        its = ITSConfig(model.epsilon, steps, config.final_phase_order)
+        its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
         streams = TrialStreams(config.master_seed)
         for k in (0, 3, 11):
             pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
@@ -130,6 +128,40 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     singles = [harness._trial_block(config, start + i, 1) for i in range(count)]
     for part, joined in zip(block, zip(*singles)):
         assert np.array_equal(part, np.concatenate(joined))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    users=st.integers(1, 12),
+    groups=st.integers(1, 80),
+    p0=st.floats(0.05, 0.95),
+    edge_flip=st.floats(0.0, 1.0),
+    gm_flip=st.floats(0.0, 1.0),
+    prior=st.sampled_from(["uniform", "zipf:1.5"]),
+    epsilon=st.floats(0.05, 0.6),
+    steps=st.integers(1, 4),
+    strategy=st.sampled_from(harness.STRATEGIES),
+    order=st.sampled_from(FINAL_PHASE_ORDERS),
+    trials=st.integers(2, 24),
+    master_seed=st.integers(0, 2**63),
+)
+def test_output_does_not_depend_on_the_worker_count(
+    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy, order,
+    trials, master_seed,
+):
+    config = ExperimentConfig(
+        users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
+        prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
+        final_phase_order=order, trials=trials, master_seed=master_seed,
+        allow_degenerate=True,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        # Two cores on any machine, so workers=2 runs a real pool of two processes.
+        patch.setattr(harness.os, "cpu_count", lambda: 2)
+        serial = run_experiment(config)
+        parallel = run_experiment(dataclasses.replace(config, workers=2))
+    assert serial.to_json() == parallel.to_json()
+    assert serial.csv_row() == parallel.csv_row()
 
 
 class TestConfigValidation:
@@ -197,7 +229,7 @@ class TestRunExperiment:
         # Random order, uniform victim: E[Q] = (m+1)/2 = 50.5.
         assert 48.0 <= summary.mean_q <= 53.0
         assert summary.success_rate == 1.0
-        assert all(rate is None for rate in summary.per_step_failure_rates)
+        assert summary.per_step_failure_rates == []
 
     def test_uid_scan_ignores_steps_and_fallback_order(self):
         # The scan is the attack with no threshold step, always in the random
@@ -211,8 +243,28 @@ class TestRunExperiment:
                 summary = run_experiment(
                     dataclasses.replace(base, steps=steps, final_phase_order=order)
                 )
-                assert summary.q_histogram == reference.q_histogram
-                assert summary.mean_q == reference.mean_q
+                assert summary.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(users=100, groups=4),
+            dict(users=30, groups=16, prior="zipf:1.5"),
+            dict(users=256, groups=8192, edge_flip=0.05, gm_flip=0.05),
+        ],
+        ids=["m100-uniform", "m30-zipf", "m256-sandwich-flips"],
+    )
+    def test_uid_scan_reports_the_attack_it_runs(self, overrides):
+        # The scan is the attack at l = 1: no verification step, and the
+        # l = 1 bound report, whose certified bound core + m/2 lies above the
+        # scan's (m+1)/2 whenever I > 0, since core > 1.
+        summary = run_experiment(
+            ExperimentConfig(strategy="uid_scan", trials=400, master_seed=41, **overrides)
+        )
+        assert summary.steps == 1 and summary.to_json()["l"] == 1
+        assert summary.bound_report.params_used["l"] == 1
+        assert summary.per_step_failure_rates == []
+        assert summary.mean_q <= summary.bound_report.upper_finite
 
     def test_summary_embeds_matching_bound_report(self):
         summary = run_experiment(small_config())
@@ -235,25 +287,9 @@ class TestRunExperiment:
         parallel = run_experiment(small_config(trials=60, workers=3))
         assert serial.to_json() == parallel.to_json()
 
-    def test_worker_count_is_capped_by_trials_and_cores(self, monkeypatch):
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    def test_worker_count_is_capped_by_trials_and_cores(self, in_process_pool):
         capped = run_experiment(small_config(trials=3, workers=10**6))
-        assert all(count <= min(3, os.cpu_count() or 1) for count in requested)
+        assert all(count <= min(3, os.cpu_count() or 1) for count in in_process_pool)
         assert capped.to_json() == run_experiment(small_config(trials=3)).to_json()
 
     def test_noiseless_model_sandwiched_by_bounds(self):
