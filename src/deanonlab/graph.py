@@ -16,9 +16,11 @@ position. Group column g takes uniforms [m(g-1), mg) of that stream, one per
 user 1..m; a uniform u gives the pair by inverse CDF over the four outcomes
 laid out in the order (0,0), (0,1), (1,1), (1,0), so that the true bit is
 ``u >= c2`` and the scanned bit ``c1 <= u < c3`` for the law's cut points
-(``EdgeJointDistribution.generation_cuts``). Columns are materialized left to
-right on demand, one block of ``block_width`` columns at a time, and the
-storage grows along the group axis with them. A block is
+(``EdgeJointDistribution.generation_cuts``). The comparisons write through a
+bool view of the stored rows: a bool is one 0/1 byte, so the stored bytes
+are the same, and no cast pass to uint8 follows each compare. Columns are
+materialized left to right on demand, one block of ``block_width`` columns
+at a time, and the storage grows along the group axis with them. A block is
 ``max(32, 2048 // m)`` columns wide: about 2048 positions at small m (128
 columns at m=16), so an attack that asks dozens of cheap queries reads one
 block instead of several, and 32 columns from m=64 up, so an attack that
@@ -99,7 +101,7 @@ class BigraphPair:
         while self._ready < stop:
             width = min(block, stop - self._ready)
             u = self._gen.random((width, self.m))
-            true, scanned = self._bits[:, self._ready : self._ready + width]
+            true, scanned = self._bits[:, self._ready : self._ready + width].view(bool)
             np.greater_equal(u, self._c2, out=true)
             np.greater_equal(u, self._c1, out=scanned)
             scanned &= u < self._c3

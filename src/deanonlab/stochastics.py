@@ -193,6 +193,10 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
             weights = np.arange(1, m + 1, dtype=np.float64) ** (-s)
             return VictimPrior(weights / weights.sum())
         raise ValueError(f"unknown prior kind {kind!r}")
+    # A float conversion would read True as 1 and "2" as 2; neither is a weight.
+    entries = np.asarray(kind, dtype=object).ravel()
+    if any(isinstance(p, (bool, np.bool_, str, bytes)) for p in entries):
+        raise ValueError("explicit prior entries must be numbers")
     probs = np.asarray(kind, dtype=np.float64)
     if m is not None and probs.size != m:
         raise ValueError("explicit prior length disagrees with m")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deanonlab import attacker
 from deanonlab.attacker import (
     FINAL_PHASE_ORDERS,
     ITSConfig,
@@ -447,6 +448,39 @@ class TestRunIts:
         assert narrowed.tau_star_per_step == default.tau_star_per_step
         assert (narrowed.steps_used, narrowed.identified) == (default.steps_used, default.identified)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 40),
+        n=st.integers(1, 300),
+        p0=st.floats(0.05, 0.95),
+        edge_flip=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        gm_flip=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
+        steps_l=st.integers(1, 4),
+        order=st.sampled_from(FINAL_PHASE_ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transcript_does_not_depend_on_the_accumulate_form(
+        self, data, m, n, p0, edge_flip, gm_flip, epsilon, steps_l, order, seed
+    ):
+        edge, gm = EdgeJointDistribution.from_marginal_flip(p0, edge_flip), QueryChannel.bsc(gm_flip)
+        prior = make_prior("zipf:1.0", m)
+        victim = data.draw(st.integers(1, m), label="victim")
+        measures = measures_for(edge, gm)
+        config = ITSConfig(epsilon, steps_l, final_phase_order=order)
+
+        # Row by row against two candidates per add (even m) or the plain
+        # accumulate (odd m), through whole attacks.
+        def attack(rowwise_from):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(attacker, "_ROWWISE_FROM", rowwise_from)
+                pair = generate_cprb(n, m, edge, seed=seed)
+                inst = VictimInstance(pair, victim, gm, noise_seed=seed + 1)
+                return run_its(pair, inst, prior, measures, config, order_seed=seed + 2)
+
+        assert attack(1) == attack(2**62)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_small_m_trial_materializes_one_block_past_its_last_query(self, seed):
         # The benchmark's noisy_small model: m=16, a wide graph, about 80 queries.
@@ -480,6 +514,30 @@ class TestRunIts:
         steps = len(transcript.tau_star_per_step)
         assert len(uid_responses) > steps  # some identity queries are fallback ones
         assert transcript.step_uid_responses() == uid_responses[:steps]
+
+
+class TestAccumulate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.integers(1, 40),
+        m=st.one_of(st.integers(1, 24), st.sampled_from([510, 511, 512, 513])),
+        rowwise_from=st.sampled_from([1, attacker._ROWWISE_FROM, 2**62]),
+        neg_inf=st.floats(0.0, 0.5),
+        neg_zero=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_cumsum_bit_for_bit(self, w, m, rowwise_from, neg_inf, neg_zero, seed):
+        # Every form must make the adds of np.cumsum in its order: -0.0
+        # columns stay -0.0, and -inf densities stay -inf without a NaN.
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal((w, m)) * 10.0 ** rng.integers(-3, 4)
+        grid[:, rng.random(m) < neg_zero] = -0.0
+        grid[rng.random((w, m)) < neg_inf] = -np.inf
+        expected = np.cumsum(grid, axis=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacker, "_ROWWISE_FROM", rowwise_from)
+            attacker._accumulate(grid)
+        assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPosteriorEquivalence:

@@ -129,6 +129,8 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("prior", [float("nan"), 1, 1, 1]),
         ("prior", [1, 1, 1, float("inf")]),
         ("prior", [1e308] * 4),
+        ("prior", [True, 1, 1, 1]),
+        ("prior", [1, 1, 1, "2"]),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -281,12 +283,15 @@ MALFORMED = {
         st.text(max_size=6).filter(_not_an_exponent).map(lambda text: f"zipf:{text}"),
         st.sampled_from([
             "zipf:-1", "zipf:nan", "zipf:inf", "zipf:1e400",
-            [1, 1, 1, float("inf")], [1e308] * 4, [1, 1, 1, 0],
+            [1, 1, 1, float("inf")], [1e308] * 4, [1, 1, 1, 0], [True, 1, 1, 1], [1, 1, 1, "2"],
         ]),
         st.lists(st.floats(), min_size=4, max_size=4).filter(
             lambda probs: not all(0.0 < p < float("inf") for p in probs)
         ),
         st.lists(st.floats(0.1, 1.0), min_size=0, max_size=6).filter(lambda probs: len(probs) != 4),
+        st.lists(
+            st.one_of(st.booleans(), st.text(max_size=3), st.floats(0.1, 1.0)), min_size=4, max_size=4
+        ).filter(lambda probs: any(isinstance(p, (bool, str)) for p in probs)),
         st.lists(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=2), min_size=2, max_size=2),
     ),
     "epsilon": st.one_of(_NOT_IN_UNIT.filter(lambda value: value != "auto"), st.sampled_from([0, 1])),

@@ -187,6 +187,23 @@ def test_a_read_never_hands_out_writable_storage(read):
     assert np.array_equal(pair.sig1, full1)
 
 
+@pytest.mark.parametrize("m", [1, 6, 33])
+def test_generated_reads_are_read_only_bytes_of_0_or_1(m):
+    # Generation writes through a bool view of the stored bytes, and readers
+    # must still see uint8 0/1: the oracle indexes its channel table with
+    # them, which bools would turn into a mask.
+    pair = generate_cprb(300, m, EdgeJointDistribution.from_marginal_flip(0.5, 0.3), seed=m)
+    reads = [
+        pair.block_bits("scanned", 1, 300), pair.block_bits("true", 5, 40),
+        pair.user_bits("true", m, 1, 300), pair.user_bits("scanned", 1, 250, 250),
+    ]
+    for read in reads:
+        assert read.dtype == np.uint8
+        assert not read.flags.writeable
+        assert set(np.unique(read).tolist()) <= {0, 1}
+    assert set(np.unique(reads[0]).tolist()) == {0, 1}
+
+
 @pytest.fixture(scope="module")
 def slice_pair():
     return generate_cprb(40, 6, EdgeJointDistribution.from_marginal_flip(0.5, 0.1), seed=8)

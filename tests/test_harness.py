@@ -174,6 +174,8 @@ class TestConfigValidation:
             ("edge_flip", 1.5),
             ("gm_flip", -0.1),
             ("prior", "powerlaw"),
+            ("prior", [True] + [1] * 15),
+            ("prior", [1] * 15 + ["2"]),
             ("epsilon", 1.0),
             ("steps", 0),
             ("trials", 0),

@@ -263,6 +263,13 @@ class TestPriors:
         with pytest.raises(ValueError, match="positive"):
             VictimPrior(np.array([np.nan, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("probs", [
+        [True, 1, 1, 1], [1, 1, 1, "2"], np.array([True, True]), np.array(["1", "2"]),
+    ])
+    def test_rejects_bool_and_string_entries(self, probs):
+        with pytest.raises(ValueError, match="numbers"):
+            make_prior(probs)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             make_prior("powerlaw", 4)
