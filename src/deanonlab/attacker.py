@@ -176,7 +176,7 @@ def threshold_check(state: ITSState, epsilon: float) -> tuple[bool, np.ndarray]:
 
 def select_candidate(state: ITSState) -> int:
     """The top-scoring live candidate, ties broken toward the lowest index."""
-    return int(np.argmax(state.scores())) + 1
+    return int(state.scores().argmax()) + 1
 
 
 def _final_phase_order(state: ITSState, prior: VictimPrior, config: ITSConfig, order_seed) -> np.ndarray:
@@ -258,7 +258,10 @@ def run_its(
     if config.final_phase_order == "random" and order_seed is None:
         raise ValueError("the random fallback order needs an order_seed")
     n, m, block = pair.n, pair.m, pair.block_width
-    density = measures.density.ravel()  # entry 2u + y is i(u; y)
+    density = measures.density.T.ravel()  # entry 2y + u is i(u; y)
+    # Wide grids are taken into one buffer per trial: a fresh grid per block
+    # costs more in page faults than the lookup itself.
+    grid = np.empty((block, m)) if m >= _ROWWISE_FROM else None
     threshold = config.threshold_bits
     state = init_state(prior, config)
     queries: list[tuple[str, int, int]] = []
@@ -275,7 +278,11 @@ def run_its(
             # Query k asks group k, so the block's first ordinal is its first group.
             ys = inst.noisy_gm_responses(first, last - first + 1, first)
             bits = pair.block_bits("scanned", first, last).T  # (w, m), contiguous
-            sums = density.take(2 * bits + ys[:, None])
+            index = bits + (ys << 1)[:, None]
+            if grid is None:
+                sums = density.take(index)
+            else:
+                sums = density.take(index, out=grid[: last - first + 1], mode="clip")
             sums[0] += state.info
             _accumulate(sums)
             crossed = ((sums - surprisal) >= threshold).ravel()

@@ -4,11 +4,13 @@ Trial k draws from four substreams of one PCG64 stream seeded by master_seed:
 stream s (0 graph, 1 victim, 2 noise, 3 fallback or scan order) is
 ``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not depend on
 execution order or on how trials are distributed over worker processes. A
-block of trials builds four generators once and, for each trial, rewinds them
-to the master state and advances each to its jump offset, which costs a few
-microseconds where building a generator from a seed costs a seed hash.
-Aggregation is a single pass over the per-trial arrays in trial order, which
-keeps repeated runs byte-identical.
+block of trials builds one generator per stream once. Its first trial
+advances each generator from the master state to its jump offset; each later
+trial steps the previous trial's state by four jumps, an affine map of the
+128-bit PCG64 state computed once per block, and assigns it. Stream 3 is
+positioned only when the block reads it: with the random fallback order,
+which the identity scan uses. Aggregation is a single pass over the per-trial
+arrays in trial order, which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -189,53 +191,105 @@ def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # Substreams per trial: graph, victim, noise, fallback or scan order.
 _STREAMS = 4
+_MASK = (1 << 128) - 1
 
 
 class TrialStreams:
-    """One set of reusable generators for the trial substreams of a campaign."""
+    """Reusable generators for the first ``count`` substreams of each trial of a campaign.
 
-    __slots__ = ("generators", "master_state")
+    Stream s of every trial has its own generator. Moving it from trial k to
+    trial k + 1 advances its PCG64 state by ``_STREAMS`` jumps, and an advance
+    by a fixed distance is an affine map of the 128-bit state,
+    ``s -> (a*s + b) mod 2**128``, for the ``inc`` that every jump of one
+    master stream keeps. The map is read off two ``advance`` probes, from
+    state 0 (giving b) and from state 1 (giving a + b).
+    """
 
-    def __init__(self, master_seed: int):
+    __slots__ = ("generators", "master_state", "_inc", "_mul", "_add", "_states", "_next")
+
+    def __init__(self, master_seed: int, count: int = _STREAMS):
+        if not 1 <= count <= _STREAMS:
+            raise ValueError(f"count must lie in [1, {_STREAMS}]")
         self.generators = tuple(
-            np.random.Generator(np.random.PCG64(master_seed)) for _ in range(_STREAMS)
+            np.random.Generator(np.random.PCG64(master_seed)) for _ in range(count)
         )
         self.master_state = self.generators[0].bit_generator.state
+        self._inc = self.master_state["state"]["inc"]
+        probe = self.generators[0].bit_generator
+        images = []
+        for start in (0, 1):
+            probe.state = self._state(start)
+            probe.advance(_STREAMS * _JUMP & _MASK)
+            images.append(probe.state["state"]["state"])
+        probe.state = self.master_state
+        self._add = images[0]
+        self._mul = (images[1] - images[0]) & _MASK
+        self._states: list[int] = []
+        self._next = None  # the trial index one step of the map reaches
+
+    def _state(self, state: int) -> dict:
+        """A PCG64 state dict at this 128-bit state, with the campaign's inc."""
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": self._inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Generator, ...]:
-    """The (graph, victim, noise, order) generators of one trial.
+    """The (graph, victim, noise[, order]) generators of one trial.
 
     Stream s of trial k is ``Generator(PCG64(master_seed).jumped(4k + s))``.
     The generators of ``streams`` are repositioned in place and returned, so
     they hold trial k's streams only until the next call on ``streams``.
+    When k follows the previous call's trial, each stored state steps by one
+    multiply-add; otherwise each generator advances from the master state.
     """
-    for s, gen in enumerate(streams.generators):
-        bit_gen = gen.bit_generator
-        bit_gen.state = streams.master_state
-        bit_gen.advance((_STREAMS * trial_index + s) * _JUMP % (1 << 128))
+    if trial_index == streams._next:
+        mul, add = streams._mul, streams._add
+        streams._states = [(mul * state + add) & _MASK for state in streams._states]
+        for gen, state in zip(streams.generators, streams._states):
+            gen.bit_generator.state = streams._state(state)
+    else:
+        for s, gen in enumerate(streams.generators):
+            bit_gen = gen.bit_generator
+            bit_gen.state = streams.master_state
+            bit_gen.advance((_STREAMS * trial_index + s) * _JUMP & _MASK)
+        streams._states = [gen.bit_generator.state["state"]["state"] for gen in streams.generators]
+    streams._next = trial_index + 1
     return streams.generators
 
 
 def _run_one_trial(
     config: ExperimentConfig, model: _ResolvedModel, its: ITSConfig, streams: TrialStreams, k: int
 ):
-    graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, k)
+    graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, k)
     pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
     victim = sample_victim(model.prior, victim_rng)
     inst = VictimInstance(pair, victim, model.gm, noise_rng)
-    return run_its(pair, inst, model.prior, model.measures, its, order_rng)
+    return run_its(pair, inst, model.prior, model.measures, its, *order_rng)
 
 
-def _trial_block(config: ExperimentConfig, start: int, count: int):
-    """Run trials [start, start + count) and return compact per-trial arrays."""
-    model = resolve_model(config)
+def _trial_block(
+    config: ExperimentConfig, start: int, count: int, model: _ResolvedModel | None = None
+):
+    """Run trials [start, start + count) and return compact per-trial arrays.
+
+    ``model`` is ``resolve_model(config)``, resolved here when not given. A
+    trial verifies at most one candidate per user, so ``verify`` holds
+    ``min(steps - 1, users)`` slots per trial; later steps never happen.
+    """
+    if model is None:
+        model = resolve_model(config)
     its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
-    streams = TrialStreams(config.master_seed)
-    verify_slots = max(model.steps - 1, 0)
+    # Only the random fallback order, which the identity scan uses, reads stream 3.
+    streams = TrialStreams(
+        config.master_seed, _STREAMS if its.final_phase_order == "random" else _STREAMS - 1
+    )
     qs = np.empty(count, dtype=np.int64)
     successes = np.empty(count, dtype=bool)
-    verify = np.full((count, verify_slots), -1, dtype=np.int8)
+    verify = np.full((count, min(model.steps - 1, config.users)), -1, dtype=np.int8)
     for i in range(count):
         transcript = _run_one_trial(config, model, its, streams, start + i)
         qs[i] = transcript.q_count
@@ -332,9 +386,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         )
     trials = config.trials
     # More processes than trials or cores would only add start-up cost.
-    workers = min(config.workers, trials, os.cpu_count() or 1)
+    workers = min(config.workers, trials)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
-        blocks = [_trial_block(config, 0, trials)]
+        blocks = [_trial_block(config, 0, trials, model)]
     else:
         chunk = max(1, math.ceil(trials / (workers * 4)))
         starts = list(range(0, trials, chunk))
@@ -354,11 +410,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     mean_q = float(qs.mean())
     std_q = float(qs.std(ddof=1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_q / math.sqrt(trials)
-    rates = []
-    for s in range(verify.shape[1]):
-        attempts = int((verify[:, s] >= 0).sum())
-        failures = int((verify[:, s] == 0).sum())
-        rates.append(failures / attempts if attempts else None)
+    attempts = (verify >= 0).sum(axis=0).tolist()
+    failures = (verify == 0).sum(axis=0).tolist()
+    rates = [f / a if a else None for f, a in zip(failures, attempts)]
+    rates += [None] * (model.steps - 1 - len(rates))  # steps no trial can reach
     values, counts = np.unique(qs, return_counts=True)
     histogram = [[int(v), int(c)] for v, c in zip(values, counts)]
     report = model.bound_report(config.groups)

@@ -37,6 +37,7 @@ class VictimInstance:
         self.pair = pair
         self.victim = victim
         self.gm_channel = gm_channel
+        self._p_one = gm_channel.table[:, 1]  # P(received 1 | correct z), indexed by z
         self._gen = np.random.default_rng(noise_seed)
         self._uniforms = np.empty(0, dtype=np.float64)
 
@@ -67,7 +68,7 @@ class VictimInstance:
         z = self.pair.user_bits("true", self.victim, first_group, first_group + count - 1)
         stream = self._uniforms_through(first_ordinal + count - 1)
         u = stream[first_ordinal - 1 : first_ordinal - 1 + count]
-        return (u < self.gm_channel.table[z, 1]).astype(np.uint8)
+        return (u < self._p_one.take(z)).view(np.uint8)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

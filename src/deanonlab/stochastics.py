@@ -223,7 +223,7 @@ def sample_victim(prior: VictimPrior, seed) -> int:
     common-random-number sweeps).
     """
     u = np.random.default_rng(seed).random()
-    idx = int(np.searchsorted(prior.cdf, u, side="right"))
+    idx = int(prior.cdf.searchsorted(u, side="right"))
     return min(idx, prior.m - 1) + 1
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -70,17 +71,46 @@ class TestTrialSeeds:
             assert gen.bit_generator.state == reference.bit_generator.state
             assert np.array_equal(gen.random(8), reference.random(8))
 
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_every_visiting_order_positions_stream_s_at_jump_4k_plus_s(self, count):
+        # Consecutive calls step the affine jump map; backward, repeated and
+        # far calls reposition from the master state.
+        master_seed = 2024
+        streams = TrialStreams(master_seed, count)
+        for k in (0, 1, 2, 3, 1, 2, 2, 2, 9, 10, 2**40 + 3, 2**40 + 4, 2**40 + 5, 0, 1):
+            generators = trial_seeds(streams, k)
+            assert len(generators) == count
+            for s, gen in enumerate(generators):
+                assert gen.bit_generator.state == jumped(master_seed, 4 * k + s).bit_generator.state
+                gen.random(1 + s)  # a trial draws from its streams before the next call
+
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_stream_count_outside_one_to_four_is_rejected(self, count):
+        with pytest.raises(ValueError, match="count"):
+            TrialStreams(1, count)
+
+    @pytest.mark.parametrize("order", FINAL_PHASE_ORDERS)
     @pytest.mark.parametrize("strategy", ["its", "uid_scan"])
-    def test_trial_draws_graph_victim_noise_and_order_from_streams_0_to_3(self, strategy):
+    def test_trial_draws_graph_victim_noise_and_order_from_streams_0_to_3(
+        self, strategy, order, monkeypatch
+    ):
         # 12 groups are too few to cross log2(1/0.01) bits, so each its
-        # trial ends in the random fallback order.
+        # trial ends in the fallback order. The trials run as one campaign
+        # block, which positions stream 3 only for the random order.
         config = small_config(
             users=9, groups=12, prior="zipf:1.0", epsilon=0.01, steps=2,
-            final_phase_order="random", strategy=strategy, master_seed=77,
+            final_phase_order=order, strategy=strategy, master_seed=77,
         )
         model = harness.resolve_model(config)
         its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
-        streams = TrialStreams(config.master_seed)
+        transcripts = []
+
+        def recording_run_its(*args):
+            transcripts.append(run_its(*args))
+            return transcripts[-1]
+
+        monkeypatch.setattr(harness, "run_its", recording_run_its)
+        harness._trial_block(config, 0, 12)
         for k in (0, 3, 11):
             pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
             victim = sample_victim(model.prior, jumped(77, 4 * k + 1))
@@ -91,10 +121,10 @@ class TestTrialSeeds:
                 ).queries
             else:
                 # Stream 3's permutation of the users, up to the victim.
-                order = (np.random.default_rng(jumped(77, 4 * k + 3)).permutation(9) + 1).tolist()
-                expected = [("UID", j, int(j == victim)) for j in order[: order.index(victim) + 1]]
-            transcript = harness._run_one_trial(config, model, its, streams, k)
-            assert transcript.queries == expected
+                order_rng = np.random.default_rng(jumped(77, 4 * k + 3))
+                scan = (order_rng.permutation(9) + 1).tolist()
+                expected = [("UID", j, int(j == victim)) for j in scan[: scan.index(victim) + 1]]
+            assert transcripts[k].queries == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,10 +314,34 @@ class TestRunExperiment:
         summary = run_experiment(small_config(epsilon="auto", steps="auto"))
         assert summary.epsilon == 0.25 and summary.steps == 3  # m=16 clamp
 
+    def test_verification_bookkeeping_does_not_grow_with_steps(self):
+        # A trial verifies at most one candidate per user, so a budget of a
+        # million steps costs what a budget of m steps does, and every step
+        # from m on reports no attempts.
+        config = small_config(
+            users=8, groups=4000, edge_flip=0.3, gm_flip=0.35, epsilon=0.9,
+            steps=10**6, trials=200, master_seed=17,
+        )
+        start = time.perf_counter()
+        summary = run_experiment(config)
+        assert time.perf_counter() - start < 1.0
+        rates = summary.per_step_failure_rates
+        assert len(rates) == 10**6 - 1
+        assert all(rate is None for rate in rates[8:])
+        assert any(rates[:8])  # some verifications failed
+
     def test_parallel_workers_change_nothing(self):
         serial = run_experiment(small_config(trials=60, workers=1))
         parallel = run_experiment(small_config(trials=60, workers=3))
         assert serial.to_json() == parallel.to_json()
+
+    def test_one_worker_campaign_does_not_ask_for_the_core_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("a one-worker campaign asked for the core count")
+
+        monkeypatch.setattr(harness.os, "cpu_count", cpu_count)
+        run_experiment(small_config(trials=3, workers=1))
+        run_experiment(small_config(trials=1, workers=4))
 
     def test_worker_count_is_capped_by_trials_and_cores(self, in_process_pool):
         capped = run_experiment(small_config(trials=3, workers=10**6))
