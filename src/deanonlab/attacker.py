@@ -19,7 +19,7 @@ not yet struck, so it always terminates with the victim found. With
 alone: in the "random" order it is the naive identity-scan baseline.
 
 The walk is computed a block of groups at a time rather than one query at a
-time: the scanned bits of the block, the received answers to all its
+time: the outcome codes of the block, the received answers to all its
 queries, every candidate's running sum after each of them (a cumulative sum
 along the block), and the first query after which some score reaches the
 threshold. The queries past that crossing are dropped. This is exact, not an
@@ -55,7 +55,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .graph import BigraphPair
+from .graph import CODE_BITS, BigraphPair
 # expected_response_column is the one-group form of the block read in
 # run_its; it stays importable here because the benchmark's tracer patches
 # the attack's call sites on this module.
@@ -241,15 +241,16 @@ def run_its(
     Each threshold step scans from the group cursor to the end of the graph's
     materialization block (``pair.block_width`` aligned columns, so the scan
     never generates a column the one-query walk would not): one read of the
-    block's scanned bits as a (w, m) grid of w groups by m candidates, one
-    vector of w received answers, and the densities of the grid summed down
-    its group axis in place by :func:`_accumulate`, the first row seeded
-    with the running sums. The first row where a live candidate's score
-    reaches the threshold ends the step (the first crossing of the flattened
-    grid, divided by m); struck candidates carry surprisal +inf, so their
-    scores stay -inf. The adds and comparisons are those of one update per
-    query, in the same order, so the transcript is identical to it bit for
-    bit, whichever form :func:`_accumulate` takes for this m.
+    block's codes as a (w, m) grid of w groups by m candidates, one vector
+    of w received answers, and the densities of the grid, looked up by code
+    and answer, summed down its group axis in place by :func:`_accumulate`,
+    the first row seeded with the running sums. The first row where a live
+    candidate's score reaches the threshold ends the step (the first
+    crossing of the flattened grid, divided by m); struck candidates carry
+    surprisal +inf, so their scores stay -inf. The adds and comparisons are
+    those of one update per query, in the same order, so the transcript is
+    identical to it bit for bit, whichever form :func:`_accumulate` takes
+    for this m.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
@@ -258,7 +259,7 @@ def run_its(
     if config.final_phase_order == "random" and order_seed is None:
         raise ValueError("the random fallback order needs an order_seed")
     n, m, block = pair.n, pair.m, pair.block_width
-    density = measures.density.T.ravel()  # entry 2y + u is i(u; y)
+    density = measures.density[CODE_BITS["scanned"]].T.ravel()  # entry code + 4y is i(u; y)
     # Wide grids are taken into one buffer per trial: a fresh grid per block
     # costs more in page faults than the lookup itself.
     grid = np.empty((block, m)) if m >= _ROWWISE_FROM else None
@@ -277,8 +278,8 @@ def run_its(
             last = min((first - 1) // block * block + block, n)
             # Query k asks group k, so the block's first ordinal is its first group.
             ys = inst.noisy_gm_responses(first, last - first + 1, first)
-            bits = pair.block_bits("scanned", first, last).T  # (w, m), contiguous
-            index = bits + (ys << 1)[:, None]
+            codes = pair.block_codes(first, last)  # (w, m), contiguous
+            index = codes + (ys << 2)[:, None]
             if grid is None:
                 sums = density.take(index)
             else:

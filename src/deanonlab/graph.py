@@ -1,47 +1,54 @@
 """Correlated pairs of random bipartite membership graphs.
 
 A pair holds two m x n binary membership matrices: the true graph and the
-scanned (attacker-side) copy. Row i is user i's group signature. Both graphs
-live in one (2, columns, m) uint8 array of 0/1 values, one byte per position,
-group-major within each graph: group g's row holds the bits of users 1..m.
-The attack adds one information density to every candidate's score per group
-query, so its hot loop reads a block of consecutive groups as a contiguous
-(groups, users) grid, and the victim's answers come from one strided column.
-The block and user readers hand out read-only views of the stored rows.
+scanned (attacker-side) copy. Row i is user i's group signature. The pair
+stores one uint8 outcome code per (user, group) position: code k is the k-th
+of the outcomes (true bit, scanned bit) = (0,0), (0,1), (1,1), (1,0), and
+``CODE_BITS`` decodes it into either bit. Codes are stored group-major,
+group g's row holding users 1..m, so the attack reads a block of groups as a
+contiguous (groups, users) grid and the victim's answers as one column of it.
 
-Generation draws the (true, scanned) bit pair of every position i.i.d. from
-an ``EdgeJointDistribution`` out of a single random stream per pair,
+Generation draws the outcome of every position i.i.d. from an
+``EdgeJointDistribution`` out of a single random stream per pair,
 ``numpy.random.default_rng(seed)``, consumed column-major, one uniform per
 position. Group column g takes uniforms [m(g-1), mg) of that stream, one per
-user 1..m; a uniform u gives the pair by inverse CDF over the four outcomes
-laid out in the order (0,0), (0,1), (1,1), (1,0), so that the true bit is
-``u >= c2`` and the scanned bit ``c1 <= u < c3`` for the law's cut points
-(``EdgeJointDistribution.generation_cuts``). The comparisons write through a
-bool view of the stored rows: a bool is one 0/1 byte, so the stored bytes
-are the same, and no cast pass to uint8 follows each compare. Columns are
+user 1..m; a uniform u picks the outcome by inverse CDF over the code
+layout, ``code = (u >= c1) + (u >= c2) + (u >= c3)`` for the law's cut
+points (``EdgeJointDistribution.generation_cuts``). Columns are
 materialized left to right on demand, one block of ``block_width`` columns
-at a time, and the storage grows along the group axis with them. A block is
-``max(32, 2048 // m)`` columns wide: about 2048 positions at small m (128
-columns at m=16), so an attack that asks dozens of cheap queries reads one
-block instead of several, and 32 columns from m=64 up, so an attack that
-touches only the first few dozen groups of a wide graph never pays for the
-rest of it. The block width is not part of the layout, and materialized bits
-are identical whichever access pattern triggered them. Rows are not
-individually re-derivable: row i's bits are spread over the whole stream.
+at a time, and each block is kept as its own read-only (columns, m) array,
+so nothing stored is ever copied. A block is ``max(32, 2048 // m)`` columns
+wide: a small-m attack asking dozens of cheap queries reads one block, and
+one touching the first few dozen groups of a wide graph never pays for the
+rest. The block width is not part of the layout: materialized codes are
+identical whichever access pattern triggered them. Rows are not
+individually re-derivable: row i's codes are spread over the whole stream.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
 from .stochastics import EdgeJointDistribution
 
 # A block of columns materialized per extension holds at least _BLOCK
-# columns and about _BLOCK_POSITIONS positions; any width gives the same bits.
+# columns and about _BLOCK_POSITIONS positions; any width gives the same codes.
 _BLOCK = 32
 _BLOCK_POSITIONS = 2048
 
-_SELECTORS = {"true": 0, "scanned": 1}
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Each graph's bit by outcome code, in the order generation lays the outcomes on [0, 1).
+CODE_BITS = {
+    "true": _read_only(np.array([0, 0, 1, 1], dtype=np.uint8)),
+    "scanned": _read_only(np.array([0, 1, 1, 0], dtype=np.uint8)),
+}
 
 
 class BigraphPair:
@@ -49,28 +56,28 @@ class BigraphPair:
 
     Construct through :func:`generate_cprb` or :meth:`from_matrices`. The
     pair is logically immutable: every read of the same position yields the
-    same bit. Lazy generation fills the internal cache left to right, which
-    is safe for the intended one-trial-per-instance usage; share an instance
-    across threads only after it is fully materialized.
+    same code. Lazy generation appends blocks left to right, which is safe
+    for the intended one-trial-per-instance usage; share an instance across
+    threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "block_width", "_bits", "_ready", "_gen", "_c1", "_c2", "_c3")
+    __slots__ = ("n", "m", "block_width", "_blocks", "_starts", "_ready", "_gen", "_c1", "_c2", "_c3")
 
-    def __init__(self, n: int, m: int, bits: np.ndarray, ready: int, gen=None, cuts=(0.0, 0.0, 0.0)):
+    def __init__(self, n: int, m: int, gen=None, cuts=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
         # Columns per materialization block; readers align their scans to it.
         self.block_width = max(_BLOCK, _BLOCK_POSITIONS // m)
-        self._bits = bits
-        self._ready = ready
+        # Block k holds the codes of columns _starts[k] + 1 onward (1-based).
+        self._blocks, self._starts = [], []
+        self._ready = 0
         self._gen = gen
         self._c1, self._c2, self._c3 = cuts
 
     @classmethod
     def from_matrices(cls, sig0, sig1) -> "BigraphPair":
         """Wrap two explicit m x n 0/1 matrices (fully materialized)."""
-        a0 = np.asarray(sig0)
-        a1 = np.asarray(sig1)
+        a0, a1 = np.asarray(sig0), np.asarray(sig1)
         if a0.ndim != 2 or a0.shape != a1.shape:
             raise ValueError("sig0 and sig1 must be 2-D with identical shapes")
         m, n = a0.shape
@@ -79,66 +86,56 @@ class BigraphPair:
         for name, a in (("sig0", a0), ("sig1", a1)):
             if not np.isin(a, (0, 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
-        return cls(n, m, np.stack((a0.T, a1.T)).astype(np.uint8), ready=n)
+        code_of = np.empty((2, 2), dtype=np.uint8)
+        code_of[CODE_BITS["true"], CODE_BITS["scanned"]] = range(4)
+        pair = cls(n, m)
+        codes = code_of[a0.astype(np.intp), a1.astype(np.intp)].T.copy()
+        pair._blocks, pair._starts, pair._ready = [_read_only(codes)], [0], n
+        return pair
 
     # -- generation ------------------------------------------------------
 
     def _ensure_columns(self, upto: int):
-        """Materialize group columns [1, upto]; no-op if already present."""
-        upto = min(upto, self.n)
-        if upto <= self._ready:
-            return
-        block = self.block_width
-        stop = min(self._ready + -(-(upto - self._ready) // block) * block, self.n)
-        have = self._bits.shape[1]
-        if stop > have:
-            # Grow geometrically, so reading a wide graph left to right copies
-            # each row a bounded number of times, but never past the full width.
-            size = min(max(stop, 2 * have), self.n)
-            grown = np.empty((2, size, self.m), dtype=np.uint8)
-            grown[:, : self._ready] = self._bits[:, : self._ready]
-            self._bits = grown
-        while self._ready < stop:
-            width = min(block, stop - self._ready)
-            u = self._gen.random((width, self.m))
-            true, scanned = self._bits[:, self._ready : self._ready + width].view(bool)
-            np.greater_equal(u, self._c2, out=true)
-            np.greater_equal(u, self._c1, out=scanned)
-            scanned &= u < self._c3
-            self._ready += width
+        """Materialize group columns [1, upto] a block at a time; no-op if already present."""
+        while self._ready < min(upto, self.n):
+            u = self._gen.random((min(self.block_width, self.n - self._ready), self.m))
+            codes = np.greater_equal(u, self._c1).view(np.uint8)
+            above = np.greater_equal(u, self._c2)
+            codes += above.view(np.uint8)
+            codes += np.greater_equal(u, self._c3, out=above).view(np.uint8)
+            self._starts.append(self._ready)
+            self._blocks.append(_read_only(codes))
+            self._ready += len(codes)
 
     # -- raw access ------------------------------------------------------
 
-    def _columns(self, which: str, upto: int) -> np.ndarray:
-        """Read-only group rows of the selected graph with columns [1, upto] materialized."""
-        if which not in _SELECTORS:
-            raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
-        self._ensure_columns(upto)
-        rows = self._bits[_SELECTORS[which]]
-        rows.flags.writeable = False
-        return rows
+    def block_codes(self, first: int, last: int) -> np.ndarray:
+        """Codes of groups first..last (1-based, inclusive), as a read-only (w, m) grid.
+
+        A view of the stored rows within one block, a concatenated copy across blocks.
+        """
+        if not 1 <= first <= last <= self.n:
+            raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
+        self._ensure_columns(last)
+        k = bisect_right(self._starts, first - 1) - 1
+        start = self._starts[k]
+        if last - start <= len(self._blocks[k]):
+            return self._blocks[k][first - 1 - start : last - start]
+        joined = np.concatenate(self._blocks[k : bisect_right(self._starts, last - 1)])
+        return _read_only(joined[first - 1 - start : last - start])
 
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
-        """Groups first..last (1-based, inclusive) of every user, as an m x w 0/1 matrix.
+        """Groups first..last (1-based, inclusive) of every user, as a read-only m x w 0/1 matrix.
 
-        The matrix is a read-only transposed view of the groups' stored rows,
-        so ``.T`` gives the contiguous (groups, users) grid without a copy.
+        ``.T`` gives the decoded contiguous (groups, users) grid without a copy.
         """
-        if not 1 <= first <= last <= self.n:
-            raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        return self._columns(which, last)[first - 1 : last].T
+        return self._decode(which, self.block_codes(first, last)).T
 
     def user_bits(self, which: str, user: int, first: int, last: int) -> np.ndarray:
-        """Groups first..last (1-based, inclusive) of one user, as a 0/1 vector.
-
-        The vector is a read-only view of the user's column of the stored
-        rows, strided by m bytes.
-        """
+        """Groups first..last (1-based, inclusive) of one user, as a read-only 0/1 vector."""
         if not 1 <= user <= self.m:
             raise IndexError(f"user index {user} outside [1, {self.m}]")
-        if not 1 <= first <= last <= self.n:
-            raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        return self._columns(which, last)[first - 1 : last, user - 1]
+        return self._decode(which, self.block_codes(first, last)[:, user - 1])
 
     def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
         """The first ``upto`` signature bits of one user (defaults to all n)."""
@@ -150,6 +147,12 @@ class BigraphPair:
     def bit(self, which: str, user: int, group: int) -> int:
         """Single membership bit at (user, group), both 1-based."""
         return int(self.user_bits(which, user, group, group)[0])
+
+    @staticmethod
+    def _decode(which: str, codes: np.ndarray) -> np.ndarray:
+        if which not in CODE_BITS:
+            raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
+        return _read_only(CODE_BITS[which].take(codes))
 
     @property
     def sig0(self) -> np.ndarray:
@@ -181,7 +184,4 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         raise ValueError("user count m must be at least 1")
     if not isinstance(edge_joint, EdgeJointDistribution):
         raise TypeError("edge_joint must be an EdgeJointDistribution")
-    return BigraphPair(
-        n, m, np.zeros((2, 0, m), dtype=np.uint8), ready=0,
-        gen=np.random.default_rng(seed), cuts=edge_joint.generation_cuts,
-    )
+    return BigraphPair(n, m, gen=np.random.default_rng(seed), cuts=edge_joint.generation_cuts)

@@ -413,7 +413,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     attempts = (verify >= 0).sum(axis=0).tolist()
     failures = (verify == 0).sum(axis=0).tolist()
     rates = [f / a if a else None for f, a in zip(failures, attempts)]
-    rates += [None] * (model.steps - 1 - len(rates))  # steps no trial can reach
     values, counts = np.unique(qs, return_counts=True)
     histogram = [[int(v), int(c)] for v, c in zip(values, counts)]
     report = model.bound_report(config.groups)

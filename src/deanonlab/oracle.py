@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import BigraphPair
+from .graph import CODE_BITS, BigraphPair
 from .stochastics import QueryChannel
 
 
@@ -37,7 +37,7 @@ class VictimInstance:
         self.pair = pair
         self.victim = victim
         self.gm_channel = gm_channel
-        self._p_one = gm_channel.table[:, 1]  # P(received 1 | correct z), indexed by z
+        self._p_one = gm_channel.table[CODE_BITS["true"], 1]  # P(received 1 | z), by z's code
         self._gen = np.random.default_rng(noise_seed)
         self._uniforms = np.empty(0, dtype=np.float64)
 
@@ -65,10 +65,10 @@ class VictimInstance:
         """
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
-        z = self.pair.user_bits("true", self.victim, first_group, first_group + count - 1)
+        codes = self.pair.block_codes(first_group, first_group + count - 1)[:, self.victim - 1]
         stream = self._uniforms_through(first_ordinal + count - 1)
         u = stream[first_ordinal - 1 : first_ordinal - 1 + count]
-        return (u < self._p_one.take(z)).view(np.uint8)
+        return (u < self._p_one.take(codes)).view(np.uint8)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

@@ -81,13 +81,12 @@ class EdgeJointDistribution:
 
     @cached_property
     def generation_cuts(self) -> tuple[float, float, float]:
-        """Cut points (c1, c2, c3) that turn one uniform u in [0, 1) into a
-        (true, scanned) bit pair: true = u >= c2, scanned = c1 <= u < c3.
+        """Cut points (c1, c2, c3) between the outcomes (0,0), (0,1), (1,1),
+        (1,0) of the (true, scanned) bit pair, laid end to end on [0, 1).
 
-        The four outcomes are laid end to end in the order (0,0), (0,1),
-        (1,1), (1,0), so each bit is one interval of u. The cumulative masses
-        are divided by their total, so a zero-mass tail ends exactly at 1 and
-        p0 in {0, 1} gives constant true bits. Computed once per law.
+        A uniform u falls in outcome ``(u >= c1) + (u >= c2) + (u >= c3)``.
+        The cumulative masses are divided by their total, so a zero-mass tail
+        ends exactly at 1 and p0 in {0, 1} gives constant true bits.
         """
         t = self.table
         cdf = np.cumsum([t[0, 0], t[0, 1], t[1, 1], t[1, 0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -90,13 +92,25 @@ def test_access_order_does_not_change_bits():
     assert np.array_equal(lazy.sig1, full1)
 
 
-def test_column_stream_oracle():
+@pytest.mark.parametrize(
+    "edge",
+    [
+        EdgeJointDistribution.from_marginal_flip(0.3, 0.2),
+        EdgeJointDistribution.from_marginal_flip(0.3, 0.0),
+        EdgeJointDistribution.from_marginal_flip(0.3, 1.0),
+        EdgeJointDistribution.from_marginal_flip(0.0, 0.3),
+        EdgeJointDistribution.from_marginal_flip(1.0, 0.3),
+        EdgeJointDistribution(np.array([[0.5, 0.0], [0.25, 0.25]])),
+    ],
+    ids=["asymmetric", "flip0", "flip1", "p0=0", "p0=1", "no-01-mass"],
+)
+def test_column_stream_oracle(edge):
     # Group column g is exactly uniforms [m(g-1), mg) of default_rng(seed),
     # one per user. On [0, 1) the outcomes run (0,0), (0,1), (1,1), (1,0), so
     # the true bit is u >= P00 + P01 and the scanned bit P00 <= u < P00 +
-    # P01 + P11. The law is asymmetric, so any other order of the intervals
-    # changes bits.
-    edge = EdgeJointDistribution.from_marginal_flip(0.3, 0.2)
+    # P01 + P11. The asymmetric law changes bits under any other order of
+    # the intervals; the others tie two or three cut points, where the count
+    # of cuts at or below u must still give these interval comparisons.
     seed, n, m = 31337, 100, 37
     pair = generate_cprb(n, m, edge, seed=seed)
     u = np.random.default_rng(seed).random(m * n)
@@ -148,15 +162,44 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
     assert np.array_equal(wide.sig1[:, :40], narrow.sig1)
 
 
+def stored_bytes(pair):
+    return sum(block.nbytes for block in pair._blocks)
+
+
 def test_storage_grows_with_materialized_columns():
-    # One byte per position: a full pair takes exactly 2mn bytes.
+    # One byte per materialized position: a one-column read stores one
+    # block, and a full pair takes exactly mn bytes.
     n, m = 8192, 16
-    full_bytes = 2 * m * n
     pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
     column(pair, "true", 1)
-    assert pair._bits.nbytes <= full_bytes // 64
+    assert stored_bytes(pair) == pair.block_width * m
     assert pair.sig0.shape == (m, n)
-    assert pair._bits.nbytes == full_bytes
+    assert stored_bytes(pair) == m * n
+
+
+def test_scan_peak_does_not_grow_with_scan_length():
+    # Reading a graph left to right block by block never holds more than one
+    # block's temporaries on top of the stored blocks, however long the scan:
+    # a store that grows by copying would hold its old and new arrays at once.
+    edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.3)
+    width, m = 32, 1024
+
+    def peak_over_stored(blocks):
+        tracemalloc.start()
+        try:
+            pair = generate_cprb(blocks * width, m, edge, seed=1)
+            assert pair.block_width == width
+            for last in range(width, blocks * width + 1, width):
+                pair.bit("scanned", 1, last)
+            stored, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - stored
+
+    short, long = peak_over_stored(8), peak_over_stored(32)
+    # A few hundred bytes of list and generator bookkeeping may differ; one
+    # block of codes is 32 KiB.
+    assert abs(long - short) < 1024
 
 
 @pytest.mark.parametrize(
@@ -189,9 +232,8 @@ def test_a_read_never_hands_out_writable_storage(read):
 
 @pytest.mark.parametrize("m", [1, 6, 33])
 def test_generated_reads_are_read_only_bytes_of_0_or_1(m):
-    # Generation writes through a bool view of the stored bytes, and readers
-    # must still see uint8 0/1: the oracle indexes its channel table with
-    # them, which bools would turn into a mask.
+    # Readers decode the stored outcome codes into bits, and must hand out
+    # read-only uint8 0/1: an index array of bools would be a mask, not bits.
     pair = generate_cprb(300, m, EdgeJointDistribution.from_marginal_flip(0.5, 0.3), seed=m)
     reads = [
         pair.block_bits("scanned", 1, 300), pair.block_bits("true", 5, 40),
@@ -257,6 +299,23 @@ def test_block_bits_equal_matrix_slices(first, last):
         assert np.array_equal(row0, full0[user - 1, first - 1 : last])
         assert np.array_equal(row1, full1[user - 1, first - 1 : last])
         assert lazy.bit("true", user, last) == full0[user - 1, last - 1]
+
+
+def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
+    # With 8-column blocks most of these ranges span two or more stored
+    # blocks, which a read joins; a pair wrapped from its matrices stores one
+    # block. Every read must equal the slice of the full matrices.
+    edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
+    full = generate_cprb(45, 11, edge, seed=23)
+    full0, full1 = full.sig0, full.sig1
+    monkeypatch.setattr(graph, "_BLOCK", 8)
+    monkeypatch.setattr(graph, "_BLOCK_POSITIONS", 0)
+    wrapped = BigraphPair.from_matrices(full0.astype(bool), full1)
+    for first, last in [(1, 45), (3, 11), (8, 9), (9, 16), (7, 25), (30, 37), (31, 45), (45, 45)]:
+        for pair in (generate_cprb(45, 11, edge, seed=23), wrapped):
+            assert np.array_equal(pair.block_bits("true", first, last), full0[:, first - 1 : last])
+            assert np.array_equal(pair.block_bits("scanned", first, last), full1[:, first - 1 : last])
+            assert np.array_equal(pair.user_bits("scanned", 4, first, last), full1[3, first - 1 : last])
 
 
 class TestMembers:
