@@ -25,8 +25,9 @@ along the block), and the first query after which some score reaches the
 threshold. The queries past that crossing are dropped. This is exact, not an
 approximation: the running sum after query k is ((info + d_1) + d_2) + ... +
 d_k, the same floating-point adds in the same order as folding one answer at
-a time, and the stop test is the same subtraction and comparison, so the
-transcript is bit-identical to the one-query walk. Dropped answers cost
+a time, and the stop test decides exactly what its subtraction and
+comparison decide (see below), so the transcript is bit-identical to the
+one-query walk. Dropped answers cost
 nothing either: noise is indexed by query ordinal, and every group query
 asks the next unused group, so a query's ordinal is its group index and the
 next step reads the same answers again.
@@ -42,20 +43,36 @@ the pairing saved. From ``_ROWWISE_FROM`` candidates up, a sum down the grid
 would stride across a whole row for every candidate, so each query's row is
 instead added to the previous one in one contiguous pass.
 
+The stop test is one compare per candidate and query, ``sum >= limit``,
+with no subtraction. Candidate j's limit is the smallest double L_j with
+``L_j - surprisal_j >= threshold`` in float arithmetic
+(``VictimPrior.crossing_limits``, cached on the prior per threshold).
+Rounded subtraction is monotone, so ``s >= L_j`` holds for exactly the
+doubles s with ``s - surprisal_j >= threshold``: the compare decides what
+the subtraction and comparison of the one-query walk decide. A candidate
+struck by a failed verification gets a NaN limit, which no sum reaches.
+
 A candidate whose expected bit makes the received response impossible
 (density -inf) drops out of the running step but is revived by the next
 reset; only failed identity checks eliminate permanently.
+
+A transcript stores what the walk cannot reproduce and nothing else. Group
+query k always asks group k, so its group queries are one ``bytes`` of
+answers, one byte per query, built from each block's answers up to the
+crossing and joined once per attack; its identity queries are a list of
+(target, response) pairs. ``AttackTranscript.queries`` rebuilds the full
+(kind, target, response) list from these on demand, and the counts the
+campaign reads come from them directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 
 import numpy as np
 
-from .graph import CODE_BITS, BigraphPair
+from .graph import BigraphPair
 # expected_response_column is the one-group form of the block read in
 # run_its; it stays importable here because the benchmark's tracer patches
 # the attack's call sites on this module.
@@ -245,12 +262,13 @@ def run_its(
     of w received answers, and the densities of the grid, looked up by code
     and answer, summed down its group axis in place by :func:`_accumulate`,
     the first row seeded with the running sums. The first row where a live
-    candidate's score reaches the threshold ends the step (the first
+    candidate's sum reaches its crossing limit ends the step (the first
     crossing of the flattened grid, divided by m); struck candidates carry
-    surprisal +inf, so their scores stay -inf. The adds and comparisons are
-    those of one update per query, in the same order, so the transcript is
-    identical to it bit for bit, whichever form :func:`_accumulate` takes
-    for this m.
+    a NaN limit, so they never cross. The adds are those of one update per
+    query, in the same order, and each compare decides what the score's
+    threshold comparison decides, so the transcript is identical to the
+    one-query walk bit for bit, whichever form :func:`_accumulate` takes for
+    this m.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
@@ -259,19 +277,21 @@ def run_its(
     if config.final_phase_order == "random" and order_seed is None:
         raise ValueError("the random fallback order needs an order_seed")
     n, m, block = pair.n, pair.m, pair.block_width
-    density = measures.density[CODE_BITS["scanned"]].T.ravel()  # entry code + 4y is i(u; y)
+    density = measures.density_by_code  # entry code + 4y is i(u; y)
     # Wide grids are taken into one buffer per trial: a fresh grid per block
     # costs more in page faults than the lookup itself.
     grid = np.empty((block, m)) if m >= _ROWWISE_FROM else None
-    threshold = config.threshold_bits
+    # A live candidate's sum crosses at its limit; a struck one has a NaN
+    # limit, which no sum reaches.
+    limits = prior.crossing_limits(config.threshold_bits)
     state = init_state(prior, config)
-    queries: list[tuple[str, int, int]] = []
+    answers: list[bytes] = []
+    uid_queries: list[tuple[int, int]] = []
     tau_star_per_step: list[int] = []
 
     for step in range(1, config.steps_l):
         state.info[:] = 0.0
         stop = False
-        surprisal = np.where(state.eliminated, np.inf, state.prior_surprisal)
         step_first = state.group_cursor
         while not stop and state.group_cursor <= n:
             first = state.group_cursor
@@ -286,35 +306,38 @@ def run_its(
                 sums = density.take(index, out=grid[: last - first + 1], mode="clip")
             sums[0] += state.info
             _accumulate(sums)
-            crossed = ((sums - surprisal) >= threshold).ravel()
+            crossed = (sums >= limits).ravel()
             hit = int(crossed.argmax())
             stop = bool(crossed[hit])
             width = hit // m + 1 if stop else last - first + 1
             state.info[:] = sums[width - 1]
-            queries.extend(zip(repeat("GM"), range(first, first + width), ys[:width].tolist()))
+            answers.append(ys[:width].tobytes())
             state.group_cursor += width
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
         tau_star_per_step.append(state.group_cursor - step_first)
         guess = select_candidate(state)
         response = inst.uid_response(guess)
-        queries.append(("UID", guess, response))
+        uid_queries.append((guess, response))
         if response == 1:
             return AttackTranscript(
-                queries=queries,
+                gm_answers=b"".join(answers),
+                uid_queries=uid_queries,
                 success=True,
                 identified=guess,
                 steps_used=step,
                 tau_star_per_step=tau_star_per_step,
             )
         state.eliminated[guess - 1] = True
+        limits = np.where(state.eliminated, np.nan, limits)
 
     for candidate in _final_phase_order(state, prior, config, order_seed).tolist():
         response = inst.uid_response(candidate)
-        queries.append(("UID", candidate, response))
+        uid_queries.append((candidate, response))
         if response == 1:
             return AttackTranscript(
-                queries=queries,
+                gm_answers=b"".join(answers),
+                uid_queries=uid_queries,
                 success=True,
                 identified=candidate,
                 steps_used=len(tau_star_per_step) + 1,
@@ -325,34 +348,51 @@ def run_its(
 
 @dataclass
 class AttackTranscript:
-    """Ordered record of one attack run.
+    """Ordered record of one attack run, stored compactly.
 
-    ``queries`` holds (kind, target, response) triples with kind "GM" or
-    "UID"; ``tau_star_per_step`` the number of group queries in each
-    completed threshold step. A successful transcript ends with the
-    identifying ("UID", victim, 1) entry.
+    Group query k asks group k, so the group queries are kept as their
+    answers alone: byte k - 1 of ``gm_answers`` is the 0/1 answer to group
+    query k. ``uid_queries`` holds the identity queries as (target, response)
+    pairs in the order asked. ``tau_star_per_step`` is the number of group
+    queries in each completed threshold step; each such step ends with one
+    verification, the first ``len(tau_star_per_step)`` identity queries, and
+    the rest are the exhaustive fallback. A successful transcript ends with
+    the identifying (victim, 1) identity query.
     """
 
-    queries: list[tuple[str, int, int]]
+    gm_answers: bytes
+    uid_queries: list[tuple[int, int]]
     success: bool
     identified: int | None
     steps_used: int
     tau_star_per_step: list[int] = field(default_factory=list)
 
     @property
+    def queries(self) -> list[tuple[str, int, int]]:
+        """Every query as a (kind, target, response) triple in the order asked.
+
+        Kind "GM" targets a group, "UID" a user. Each completed step's group
+        queries are followed by its verification; group queries of a step
+        that ran out of groups come after those, and the fallback's identity
+        queries last.
+        """
+        answers, out, asked = self.gm_answers, [], 0
+        for tau, (target, response) in zip(self.tau_star_per_step, self.uid_queries):
+            out.extend(("GM", k + 1, answers[k]) for k in range(asked, asked + tau))
+            out.append(("UID", target, response))
+            asked += tau
+        out.extend(("GM", k + 1, answers[k]) for k in range(asked, len(answers)))
+        fallback = self.uid_queries[len(self.tau_star_per_step) :]
+        out.extend(("UID", target, response) for target, response in fallback)
+        return out
+
+    @property
     def q_count(self) -> int:
-        return len(self.queries)
+        return len(self.gm_answers) + len(self.uid_queries)
 
     def uid_count(self) -> int:
-        return sum(1 for kind, _, _ in self.queries if kind == "UID")
+        return len(self.uid_queries)
 
     def step_uid_responses(self) -> list[int]:
-        """Responses of the per-step verification queries, in step order.
-
-        The first ``len(tau_star_per_step)`` identity queries are the
-        threshold-step verifications; later ones belong to the exhaustive
-        fallback. Step k's verification directly follows its group queries,
-        so it sits at index ``sum(tau_star_per_step[:k+1]) + k``.
-        """
-        ends = accumulate(tau + 1 for tau in self.tau_star_per_step)
-        return [self.queries[end - 1][2] for end in ends]
+        """Responses of the per-step verification queries, in step order."""
+        return [response for _, response in self.uid_queries[: len(self.tau_star_per_step)]]

@@ -4,7 +4,7 @@ A pair holds two m x n binary membership matrices: the true graph and the
 scanned (attacker-side) copy. Row i is user i's group signature. The pair
 stores one uint8 outcome code per (user, group) position: code k is the k-th
 of the outcomes (true bit, scanned bit) = (0,0), (0,1), (1,1), (1,0), and
-``CODE_BITS`` decodes it into either bit. Codes are stored group-major,
+``stochastics.CODE_BITS`` decodes it into either bit. Codes are stored group-major,
 group g's row holding users 1..m, so the attack reads a block of groups as a
 contiguous (groups, users) grid and the victim's answers as one column of it.
 
@@ -31,24 +31,12 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .stochastics import EdgeJointDistribution
+from .stochastics import CODE_BITS, EdgeJointDistribution, _read_only
 
 # A block of columns materialized per extension holds at least _BLOCK
 # columns and about _BLOCK_POSITIONS positions; any width gives the same codes.
 _BLOCK = 32
 _BLOCK_POSITIONS = 2048
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# Each graph's bit by outcome code, in the order generation lays the outcomes on [0, 1).
-CODE_BITS = {
-    "true": _read_only(np.array([0, 0, 1, 1], dtype=np.uint8)),
-    "scanned": _read_only(np.array([0, 1, 1, 0], dtype=np.uint8)),
-}
 
 
 class BigraphPair:

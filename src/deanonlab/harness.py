@@ -435,6 +435,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 SWEEP_AXES = ("m", "noise", "zipf")
 
 
+def _user_count(point) -> int:
+    """An "m" sweep point as an int; a bool or a non-integral number is refused, not truncated."""
+    if isinstance(point, (bool, np.bool_)):
+        raise ValueError("a bool is not a user count")
+    count = int(point)
+    if not isinstance(point, str) and count != point:
+        raise ValueError("a user count must be integral")
+    return count
+
+
 def run_sweep(
     base: ExperimentConfig,
     axis: str,
@@ -457,12 +467,12 @@ def run_sweep(
     for point in points:
         try:
             if axis == "m":
-                overrides.append({"users": int(point)})
+                overrides.append({"users": _user_count(point)})
             elif axis == "noise":
                 overrides.append({"gm_flip": float(point)})
             else:
                 overrides.append({"prior": f"zipf:{float(point)}"})
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("points", f"{point!r} is not a valid {axis} value") from None
     summaries = []
     for index, override in enumerate(overrides):

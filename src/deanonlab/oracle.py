@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import CODE_BITS, BigraphPair
+from .graph import BigraphPair
 from .stochastics import QueryChannel
 
 
@@ -37,7 +37,7 @@ class VictimInstance:
         self.pair = pair
         self.victim = victim
         self.gm_channel = gm_channel
-        self._p_one = gm_channel.table[CODE_BITS["true"], 1]  # P(received 1 | z), by z's code
+        self._p_one = gm_channel.p_one_by_code
         self._gen = np.random.default_rng(noise_seed)
         self._uniforms = np.empty(0, dtype=np.float64)
 

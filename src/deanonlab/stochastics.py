@@ -13,6 +13,17 @@ group-membership query, and ``InfoMeasures`` derives the per-query evidence
 table: the information density i(u; y) = log2 P(y|u) / P(y), its expectation
 I(U; Y), and its maximum entry.
 
+The module also owns the outcome code layout. A (true, scanned) bit pair is
+stored as one code k, the k-th of the outcomes (0,0), (0,1), (1,1), (1,0):
+``EdgeJointDistribution.generation_cuts`` lays them end to end on [0, 1) in
+that order, and ``CODE_BITS`` decodes a code into either bit. The tables a
+scan reads by code are derived from that layout once per model object and
+cached read-only: ``InfoMeasures.density_by_code`` (the density of a
+candidate whose scanned bit has code k, given answer y, at entry k + 4y) and
+``QueryChannel.p_one_by_code`` (P(answer 1 | the true bit of code k)). The
+threshold attack's per-candidate crossing limits are cached on the
+``VictimPrior`` the same way (``VictimPrior.crossing_limits``).
+
 Every logarithm in this package is base 2, so entropies, densities, mutual
 information and decision thresholds all share the same unit (bits).
 """
@@ -31,6 +42,18 @@ SUM_TOL = 1e-12
 #: hypothesis. Consumers treat a candidate carrying this value as eliminated
 #: for the current attack step rather than raising.
 NEG_INF = float("-inf")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Each graph's bit by outcome code, in the order generation_cuts lays the outcomes on [0, 1).
+CODE_BITS = {
+    "true": _read_only(np.array([0, 0, 1, 1], dtype=np.uint8)),
+    "scanned": _read_only(np.array([0, 1, 1, 0], dtype=np.uint8)),
+}
 
 
 def _as_table(values, shape, name: str) -> np.ndarray:
@@ -132,6 +155,11 @@ class QueryChannel:
     def identity(cls) -> "QueryChannel":
         return cls(np.eye(2))
 
+    @cached_property
+    def p_one_by_code(self) -> np.ndarray:
+        """P(received 1 | correct z) at entry k, for z the true bit of outcome code k."""
+        return _read_only(self.table[CODE_BITS["true"], 1])
+
 
 @dataclass(frozen=True)
 class VictimPrior:
@@ -171,6 +199,36 @@ class VictimPrior:
         surprisal = -np.log2(self.probs)
         surprisal.setflags(write=False)
         return surprisal
+
+    def crossing_limits(self, threshold: float) -> np.ndarray:
+        """Per user j, the smallest double L_j with ``L_j - surprisal[j] >= threshold``.
+
+        The subtraction is the rounded float one. Rounding is monotone, so
+        for every double s, ``s >= L_j`` holds exactly when
+        ``s - surprisal[j] >= threshold`` does: one compare tests a running
+        sum against the threshold, with no subtraction. The search starts at
+        the rounded ``threshold + surprisal[j]`` and moves by single ulps.
+        The limits of the last threshold asked for are cached read-only on
+        the prior, so a campaign computes them once.
+        """
+        cached = self.__dict__.get("_crossing_limits")
+        if cached is not None and cached[0] == threshold:
+            return cached[1]
+        surprisal = self.surprisal
+        limits = threshold + surprisal
+        while True:
+            short = limits - surprisal < threshold
+            if not short.any():
+                break
+            limits[short] = np.nextafter(limits[short], np.inf)
+        while True:
+            below = np.nextafter(limits, -np.inf)
+            reach = below - surprisal >= threshold
+            if not reach.any():
+                break
+            limits[reach] = below[reach]
+        self.__dict__["_crossing_limits"] = (threshold, _read_only(limits))
+        return limits
 
 
 def make_prior(kind, m: int | None = None) -> VictimPrior:
@@ -271,6 +329,7 @@ class InfoMeasures:
     ``density[u, y]`` is the information density i(u; y) in bits, with
     impossible (u, y) pairs carried as the -inf sentinel. ``mutual_info`` is
     its expectation under P(u, y); ``i_max`` the largest finite entry.
+    Possible pairs have finite densities, however small their masses.
     """
 
     density: np.ndarray
@@ -284,11 +343,22 @@ class InfoMeasures:
         p_y = p_uy.sum(axis=0)
         density = np.full((2, 2), NEG_INF)
         mask = p_uy > 0.0
-        density[mask] = np.log2(p_uy[mask]) - np.log2(
-            (p_u[:, None] * p_y[None, :])[mask]
-        )
+        u, y = np.nonzero(mask)
+        outer = p_u[u] * p_y[y]
+        # A product of two tiny marginals can underflow to 0; its log is then
+        # the sum of their logs, which leaves every other entry as it was.
+        tiny = outer == 0.0
+        outer[tiny] = 1.0
+        log_outer = np.log2(outer)
+        log_outer[tiny] = np.log2(p_u[u[tiny]]) + np.log2(p_y[y[tiny]])
+        density[mask] = np.log2(p_uy[mask]) - log_outer
         mutual = float((p_uy[mask] * density[mask]).sum())
         # Exact arithmetic gives a nonnegative value; guard rounding residue.
         mutual = max(mutual, 0.0)
         density.setflags(write=False)
         return cls(density=density, mutual_info=mutual, i_max=float(density[mask].max()))
+
+    @cached_property
+    def density_by_code(self) -> np.ndarray:
+        """i(u; y) at entry k + 4y, for u the scanned bit of outcome code k (length 8)."""
+        return _read_only(self.density[CODE_BITS["scanned"]].T.ravel())

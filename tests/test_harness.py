@@ -358,6 +358,29 @@ class TestRunExperiment:
         assert 8.0 <= summary.mean_q <= summary.bound_report.upper_finite
 
 
+def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
+    # The density-by-code table, the oracle's P(y=1 | code) table and the
+    # crossing limits are model constants: one read-only object each per
+    # campaign, whatever the trial.
+    seen = []
+
+    def recording_run_its(pair, inst, prior, measures, its, *rest):
+        transcript = run_its(pair, inst, prior, measures, its, *rest)
+        limits = prior.crossing_limits(its.threshold_bits)
+        seen.append((measures.density_by_code, inst._p_one, limits, prior, measures))
+        return transcript
+
+    monkeypatch.setattr(harness, "run_its", recording_run_its)
+    run_experiment(small_config(trials=12, prior="zipf:1.0"))
+    assert len(seen) == 12
+    for tables in zip(*seen):
+        assert all(table is tables[0] for table in tables)
+    density, p_one, limits = seen[0][:3]
+    for table in (density, p_one, limits):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
 class TestSweep:
     def test_user_axis_is_monotone_with_crn(self):
         base = small_config(trials=200)
@@ -383,6 +406,21 @@ class TestSweep:
     def test_empty_points_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(small_config(), "m", [])
+
+    @pytest.mark.parametrize("point", [4.7, True, "4.7"], ids=["float", "bool", "str"])
+    def test_user_axis_rejects_non_integral_points(self, point, monkeypatch):
+        # int() would truncate 4.7 to 4 users and read True as 1.
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(trials=2), "m", [16, point])
+        assert info.value.field == "points"
+        assert ran == []
+
+    def test_user_axis_accepts_integral_points_of_any_type(self):
+        sweep = run_sweep(small_config(trials=2), "m", [16.0, np.int64(8), "12"])
+        assert [s.config.users for s in sweep] == [16, 8, 12]
+        assert all(type(s.config.users) is int for s in sweep)
 
     def test_crn_shares_master_seed(self):
         base = small_config(trials=10)

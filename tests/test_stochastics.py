@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from deanonlab.stochastics import (
+    CODE_BITS,
     NEG_INF,
     EdgeJointDistribution,
     InfoMeasures,
@@ -138,6 +142,49 @@ class TestInfoDensity:
         expected = math.log2((p_uy[1, 1] / p_u[1]) / p_y[1])
         density = InfoMeasures.from_joint(joint).density
         assert density[1, 1] == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "p0, edge_flip", [(1e-300, 0.0), (1e-200, 1e-200), (5e-324, 0.0)]
+    )
+    def test_tiny_p0_gives_finite_densities_without_warning(self, p0, edge_flip):
+        # P(u=1) * P(y=1) underflows to 0; the density is still the finite
+        # log2 P(u=1, y=1) - log2 P(u=1) - log2 P(y=1).
+        edge = EdgeJointDistribution.from_marginal_flip(p0, edge_flip)
+        joint = build_joint_uyz(edge, QueryChannel.identity())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            measures = InfoMeasures.from_joint(joint)
+        p_uy = joint.p_uy()
+        p_u, p_y = p_uy.sum(axis=1), p_uy.sum(axis=0)
+        assert p_u[1] * p_y[1] == 0.0
+        expected = math.log2(p_uy[1, 1]) - (math.log2(p_u[1]) + math.log2(p_y[1]))
+        assert measures.density[1, 1] == expected
+        possible = p_uy > 0.0
+        assert np.isfinite(measures.density[possible]).all()
+        assert (measures.density[~possible] == NEG_INF).all()
+        assert math.isfinite(measures.i_max) and measures.i_max == expected
+
+
+class TestCodeTables:
+    def test_density_by_code_reads_the_scanned_bit_of_each_code(self):
+        measures = measures_of(*bsc_style_model())
+        table = measures.density_by_code
+        for code in range(4):
+            for y in range(2):
+                assert table[code + 4 * y] == measures.density[CODE_BITS["scanned"][code], y]
+
+    def test_p_one_by_code_reads_the_true_bit_of_each_code(self):
+        gm = QueryChannel.bsc(0.2)
+        assert gm.p_one_by_code.tolist() == [gm.table[z, 1] for z in CODE_BITS["true"]]
+
+    def test_tables_are_cached_and_read_only(self):
+        measures, gm = measures_of(*bsc_style_model()), QueryChannel.bsc(0.2)
+        assert measures.density_by_code is measures.density_by_code
+        assert gm.p_one_by_code is gm.p_one_by_code
+        for table in (measures.density_by_code, gm.p_one_by_code, *CODE_BITS.values()):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestMutualInformation:
@@ -288,6 +335,18 @@ class TestPriors:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
+    def test_crossing_limits_are_cached_per_threshold_and_read_only(self):
+        prior = make_prior("zipf:1.3", 37)
+        limits = prior.crossing_limits(3.5)
+        assert prior.crossing_limits(3.5) is limits
+        with pytest.raises(ValueError):
+            limits[0] = 0.0
+        # Only the last threshold is kept, so the cache never grows.
+        other = prior.crossing_limits(2.0)
+        assert other is not limits and prior.crossing_limits(2.0) is other
+        again = prior.crossing_limits(3.5)
+        assert again is not limits and np.array_equal(again, limits)
+
     def test_entropy_uniform(self):
         assert entropy(make_prior("uniform", 8)) == pytest.approx(3.0, abs=1e-12)
 
@@ -325,3 +384,45 @@ class TestSampleVictim:
     def test_deterministic_given_seed(self):
         prior = make_prior("zipf:0.5", 10)
         assert sample_victim(prior, 42) == sample_victim(prior, 42)
+
+
+def _priors():
+    """Uniform, zipf and explicit priors, down to entries near the smallest double."""
+    uniform = st.integers(1, 600).map(lambda m: make_prior("uniform", m))
+    zipf = st.builds(
+        lambda s, m: make_prior(f"zipf:{s}", m), st.floats(0.0, 4.0), st.integers(1, 600)
+    )
+    explicit = st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=40).map(make_prior)
+    extreme = st.sampled_from([[1.0, 5e-324], [1.0, 1e-300, 1e-200], [1.0 - 1e-12, 1e-12]])
+    return st.one_of(uniform, zipf, explicit, extreme.map(make_prior))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prior=_priors(),
+    eps=st.one_of(
+        st.floats(1e-300, 1.0 - 1e-12),
+        st.sampled_from([1e-300, 1e-12, 0.1, 0.5, 1.0 - 1e-12]),
+    ),
+)
+def test_crossing_limit_compare_equals_the_threshold_test(prior, eps):
+    threshold = math.log2(1.0 / eps)
+    surprisal = prior.surprisal
+    limits = prior.crossing_limits(threshold)
+    m = prior.m
+    sums = [
+        limits,
+        np.nextafter(limits, np.inf),
+        np.nextafter(limits, -np.inf),
+        np.full(m, np.inf),
+        np.full(m, -np.inf),
+    ]
+    for s in sums:
+        assert np.array_equal(s >= limits, (s - surprisal) >= threshold)
+    # The limit is the smallest double that crosses.
+    assert ((limits - surprisal) >= threshold).all()
+    assert not ((np.nextafter(limits, -np.inf) - surprisal) >= threshold).any()
+    # A struck candidate's NaN limit is never reached, not even by +inf.
+    struck = np.full(m, np.nan)
+    for s in sums:
+        assert not (s >= struck).any()
