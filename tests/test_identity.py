@@ -11,7 +11,8 @@ The cases cover both benchmark workloads at one and two workers, the three
 accumulate forms of the block scan (even m below 512, odd m, m from 512 up),
 the random and by-prior fallback orders, the identity scan, a noiseless
 model whose candidates drop out and fail verification, a graph smaller than
-one block, and more steps than users.
+one block, more steps than users, and long scans of a wide graph that cross
+dozens of graph and noise blocks per trial.
 """
 
 import hashlib
@@ -52,6 +53,10 @@ CASES = {
     "steps_over_m": dict(
         users=8, groups=512, edge_flip=0.2, gm_flip=0.2, epsilon=0.45, steps=50,
         trials=30, master_seed=18,
+    ),
+    "long_wide_scan": dict(
+        users=4096, groups=8192, edge_flip=0.05, gm_flip=0.4, prior="zipf:1.2",
+        trials=6, master_seed=19,
     ),
 }
 
@@ -101,6 +106,11 @@ GOLDEN = {
         '136cedf01ba201590fe80492b871f0177925e47bc8291a7a80468a597d01aa5a',
         'e1de2ed9fb7337f9d878186c1df66491f56fdc1af7123cc3ea7e7fdd56dec9bc',
         '9107f9da9a0dcc58b707ab1d595cf691e9e021eafb3db5950cbb11cea91056dd',
+    ),
+    'long_wide_scan': (
+        'b6133b19e2537ea069a9764c45ba30913e02536193713c6bd7a38bf66e44453b',
+        '678d4d77010485df3fff46c103c7b9a6f3374c7332a9f43c33fe38fc41a42750',
+        'e57b80b596fd50f8260dd73886c08c06a8b9481780e8d3c86a496db8c904166b',
     ),
 }
 
