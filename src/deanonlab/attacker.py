@@ -56,19 +56,23 @@ A candidate whose expected bit makes the received response impossible
 (density -inf) drops out of the running step but is revived by the next
 reset; only failed identity checks eliminate permanently.
 
-A transcript stores what the walk cannot reproduce and nothing else. Group
-query k always asks group k, so its group queries are one ``bytes`` of
-answers, one byte per query, built from each block's answers up to the
-crossing and joined once per attack; its identity queries are a list of
-(target, response) pairs. ``AttackTranscript.queries`` rebuilds the full
-(kind, target, response) list from these on demand, and the counts the
-campaign reads come from them directly.
+A transcript stores what the walk cannot reproduce and nothing else: its
+queries. Group query k always asks group k, so its group queries are one
+``bytes`` of answers, one byte per query, built from each block's answers up
+to the crossing and joined once per attack; its identity queries are a list
+of (target, response) pairs; and the group queries of each completed step
+are counted. Everything else is derived from these three on demand: the
+full (kind, target, response) list (``AttackTranscript.queries``), the
+query counts the campaign reads, and the outcome. The attack stops at the
+identity query that answers 1, so success is the last identity answer, the
+identified user its target, and the steps used the completed steps plus
+one if the fallback ran.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -320,14 +324,7 @@ def run_its(
         response = inst.uid_response(guess)
         uid_queries.append((guess, response))
         if response == 1:
-            return AttackTranscript(
-                gm_answers=b"".join(answers),
-                uid_queries=uid_queries,
-                success=True,
-                identified=guess,
-                steps_used=step,
-                tau_star_per_step=tau_star_per_step,
-            )
+            return AttackTranscript(b"".join(answers), uid_queries, tau_star_per_step)
         state.eliminated[guess - 1] = True
         limits = np.where(state.eliminated, np.nan, limits)
 
@@ -335,14 +332,7 @@ def run_its(
         response = inst.uid_response(candidate)
         uid_queries.append((candidate, response))
         if response == 1:
-            return AttackTranscript(
-                gm_answers=b"".join(answers),
-                uid_queries=uid_queries,
-                success=True,
-                identified=candidate,
-                steps_used=len(tau_star_per_step) + 1,
-                tau_star_per_step=tau_star_per_step,
-            )
+            return AttackTranscript(b"".join(answers), uid_queries, tau_star_per_step)
     raise AssertionError("unreachable: exhaustive identity phase covers the victim")
 
 
@@ -357,15 +347,29 @@ class AttackTranscript:
     queries in each completed threshold step; each such step ends with one
     verification, the first ``len(tau_star_per_step)`` identity queries, and
     the rest are the exhaustive fallback. A successful transcript ends with
-    the identifying (victim, 1) identity query.
+    the identifying (victim, 1) identity query; ``success``, ``identified``
+    and ``steps_used`` are read off these three fields.
     """
 
     gm_answers: bytes
     uid_queries: list[tuple[int, int]]
-    success: bool
-    identified: int | None
-    steps_used: int
-    tau_star_per_step: list[int] = field(default_factory=list)
+    tau_star_per_step: list[int]
+
+    @property
+    def success(self) -> bool:
+        """Whether the last identity query found the victim."""
+        return bool(self.uid_queries) and self.uid_queries[-1][1] == 1
+
+    @property
+    def identified(self) -> int | None:
+        """The user the attack identified, or None if it did not succeed."""
+        return self.uid_queries[-1][0] if self.success else None
+
+    @property
+    def steps_used(self) -> int:
+        """Threshold steps run, counting a final fallback phase as one more step."""
+        steps = len(self.tau_star_per_step)
+        return steps + (len(self.uid_queries) > steps)
 
     @property
     def queries(self) -> list[tuple[str, int, int]]:

@@ -1,4 +1,4 @@
-"""Correlated pairs of random bipartite membership graphs.
+"""Correlated pairs of random bipartite membership graphs, and the lazy block store behind them.
 
 A pair holds two m x n binary membership matrices: the true graph and the
 scanned (attacker-side) copy. Row i is user i's group signature. The pair
@@ -14,20 +14,24 @@ Generation draws the outcome of every position i.i.d. from an
 position. Group column g takes uniforms [m(g-1), mg) of that stream, one per
 user 1..m; a uniform u picks the outcome by inverse CDF over the code
 layout, ``code = (u >= c1) + (u >= c2) + (u >= c3)`` for the law's cut
-points (``EdgeJointDistribution.generation_cuts``). Columns are
-materialized left to right on demand, one block of ``block_width`` columns
-at a time, and each block is kept as its own read-only (columns, m) array,
-so nothing stored is ever copied. A block is ``max(32, 2048 // m)`` columns
-wide: a small-m attack asking dozens of cheap queries reads one block, and
-one touching the first few dozen groups of a wide graph never pays for the
-rest. The block width is not part of the layout: materialized codes are
-identical whichever access pattern triggered them. Rows are not
+points (``EdgeJointDistribution.generation_cuts``). Rows are not
 individually re-derivable: row i's codes are spread over the whole stream.
+
+One reader, :func:`_read_rows`, keeps every lazily drawn table of a trial:
+the pair's group rows here, and the victim's response noise in
+``oracle.VictimInstance``, which draws it in blocks of the pair's width so
+that a scan aligned to the graph's blocks reads one noise block too. Rows
+live in read-only blocks of ``block_width`` rows, block k starting at row
+``k * block_width + 1``; blocks are drawn in order on demand and never
+copied. A block is ``max(32, 2048 // m)`` columns wide: a small-m attack
+asking dozens of cheap queries reads one block, and one touching the first
+few dozen groups of a wide graph never pays for the rest. The width is not
+part of the layout, since materialized codes are identical whichever
+access pattern triggered them, but block offsets are derived from it, so
+``block_width`` may only be set before the first read.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -37,6 +41,23 @@ from .stochastics import CODE_BITS, EdgeJointDistribution, _read_only
 # columns and about _BLOCK_POSITIONS positions; any width gives the same codes.
 _BLOCK = 32
 _BLOCK_POSITIONS = 2048
+
+
+def _read_rows(blocks: list, width: int, first: int, last: int, draw) -> np.ndarray:
+    """Rows first..last (1-based, inclusive) of a lazy store of blocks of ``width`` rows.
+
+    Block k of ``blocks`` holds rows k * width + 1 onward; ``draw(k)`` makes
+    it, and the blocks up to the one holding ``last`` are drawn in order and
+    kept read-only. A range inside one block is a view of it, a range across
+    blocks a read-only concatenated copy.
+    """
+    k, j = (first - 1) // width, (last - 1) // width
+    while len(blocks) <= j:
+        blocks.append(_read_only(draw(len(blocks))))
+    start = k * width
+    if k == j:
+        return blocks[k][first - 1 - start : last - start]
+    return _read_only(np.concatenate(blocks[k : j + 1])[first - 1 - start : last - start])
 
 
 class BigraphPair:
@@ -49,16 +70,14 @@ class BigraphPair:
     threads only after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "block_width", "_blocks", "_starts", "_ready", "_gen", "_c1", "_c2", "_c3")
+    __slots__ = ("n", "m", "block_width", "_blocks", "_gen", "_c1", "_c2", "_c3")
 
     def __init__(self, n: int, m: int, gen=None, cuts=(0.0, 0.0, 0.0)):
         self.n = n
         self.m = m
         # Columns per materialization block; readers align their scans to it.
         self.block_width = max(_BLOCK, _BLOCK_POSITIONS // m)
-        # Block k holds the codes of columns _starts[k] + 1 onward (1-based).
-        self._blocks, self._starts = [], []
-        self._ready = 0
+        self._blocks = []
         self._gen = gen
         self._c1, self._c2, self._c3 = cuts
 
@@ -77,23 +96,19 @@ class BigraphPair:
         code_of = np.empty((2, 2), dtype=np.uint8)
         code_of[CODE_BITS["true"], CODE_BITS["scanned"]] = range(4)
         pair = cls(n, m)
-        codes = code_of[a0.astype(np.intp), a1.astype(np.intp)].T.copy()
-        pair._blocks, pair._starts, pair._ready = [_read_only(codes)], [0], n
+        codes = _read_only(code_of[a0.astype(np.intp), a1.astype(np.intp)].T.copy())
+        width = pair.block_width
+        pair._blocks = [codes[start : start + width] for start in range(0, n, width)]
         return pair
 
-    # -- generation ------------------------------------------------------
-
-    def _ensure_columns(self, upto: int):
-        """Materialize group columns [1, upto] a block at a time; no-op if already present."""
-        while self._ready < min(upto, self.n):
-            u = self._gen.random((min(self.block_width, self.n - self._ready), self.m))
-            codes = np.greater_equal(u, self._c1).view(np.uint8)
-            above = np.greater_equal(u, self._c2)
-            codes += above.view(np.uint8)
-            codes += np.greater_equal(u, self._c3, out=above).view(np.uint8)
-            self._starts.append(self._ready)
-            self._blocks.append(_read_only(codes))
-            self._ready += len(codes)
+    def _draw(self, k: int) -> np.ndarray:
+        """Codes of the k-th block of group columns (from 0), drawn from the generation stream."""
+        u = self._gen.random((min(self.block_width, self.n - k * self.block_width), self.m))
+        codes = np.greater_equal(u, self._c1).view(np.uint8)
+        above = np.greater_equal(u, self._c2)
+        codes += above.view(np.uint8)
+        codes += np.greater_equal(u, self._c3, out=above).view(np.uint8)
+        return codes
 
     # -- raw access ------------------------------------------------------
 
@@ -104,13 +119,7 @@ class BigraphPair:
         """
         if not 1 <= first <= last <= self.n:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        self._ensure_columns(last)
-        k = bisect_right(self._starts, first - 1) - 1
-        start = self._starts[k]
-        if last - start <= len(self._blocks[k]):
-            return self._blocks[k][first - 1 - start : last - start]
-        joined = np.concatenate(self._blocks[k : bisect_right(self._starts, last - 1)])
-        return _read_only(joined[first - 1 - start : last - start])
+        return _read_rows(self._blocks, self.block_width, first, last, self._draw)
 
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
         """Groups first..last (1-based, inclusive) of every user, as a read-only m x w 0/1 matrix.

@@ -436,9 +436,7 @@ SWEEP_AXES = ("m", "noise", "zipf")
 
 
 def _user_count(point) -> int:
-    """An "m" sweep point as an int; a bool or a non-integral number is refused, not truncated."""
-    if isinstance(point, (bool, np.bool_)):
-        raise ValueError("a bool is not a user count")
+    """An "m" sweep point as an int; a non-integral number is refused, not truncated."""
     count = int(point)
     if not isinstance(point, str) and count != point:
         raise ValueError("a user count must be integral")
@@ -465,6 +463,8 @@ def run_sweep(
         raise ConfigError("points", "need at least one sweep point")
     overrides = []
     for point in points:
+        if isinstance(point, (bool, np.bool_)):
+            raise ConfigError("points", f"{point!r} is a bool, not a {axis} value")
         try:
             if axis == "m":
                 overrides.append({"users": _user_count(point)})

@@ -14,13 +14,21 @@ ordinal reproduces the identical response bit, so a block of consecutive
 queries can be answered in one call and its unused tail asked again later.
 The block reader is the one place the channel is applied; a single answer is
 a block of one query.
+
+Query ordinal t takes uniform t of the noise stream. The uniforms are kept
+by the graph's lazy reader (``graph._read_rows``), drawn in blocks of the
+pair's ``block_width``: the attack asks group k with ordinal k, so a scan
+aligned to the graph's blocks reads exactly one noise block, as a view. The
+stream is drawn in ordinal order whatever the block width, so the width
+changes no answer; it must be set before the first read, since the block
+offsets are derived from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import BigraphPair
+from .graph import BigraphPair, _read_rows
 from .stochastics import QueryChannel
 
 
@@ -36,20 +44,13 @@ class VictimInstance:
             raise ValueError(f"victim index {victim} outside [1, {pair.m}]")
         self.pair = pair
         self.victim = victim
-        self.gm_channel = gm_channel
         self._p_one = gm_channel.p_one_by_code
         self._gen = np.random.default_rng(noise_seed)
-        self._uniforms = np.empty(0, dtype=np.float64)
+        self._noise = []  # blocks of pair.block_width uniforms, in ordinal order
 
-    def _uniforms_through(self, ordinal: int) -> np.ndarray:
-        """The cached noise stream, drawn at least up to the ordinal-th uniform."""
-        if ordinal < 1:
-            raise ValueError("query ordinal must be at least 1")
-        if ordinal > self._uniforms.size:
-            # Grow geometrically so long transcripts stay linear overall.
-            count = max(256, self._uniforms.size, ordinal - self._uniforms.size)
-            self._uniforms = np.concatenate([self._uniforms, self._gen.random(count)])
-        return self._uniforms
+    def _draw(self, k: int) -> np.ndarray:
+        """The k-th block of noise uniforms (from 0); blocks are drawn in order."""
+        return self._gen.random(self.pair.block_width)
 
     def noisy_gm_response(self, group: int, query_ordinal: int) -> int:
         """Received answer for the group-membership query with this ordinal."""
@@ -66,8 +67,8 @@ class VictimInstance:
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
         codes = self.pair.block_codes(first_group, first_group + count - 1)[:, self.victim - 1]
-        stream = self._uniforms_through(first_ordinal + count - 1)
-        u = stream[first_ordinal - 1 : first_ordinal - 1 + count]
+        last = first_ordinal + count - 1
+        u = _read_rows(self._noise, self.pair.block_width, first_ordinal, last, self._draw)
         return (u < self._p_one.take(codes)).view(np.uint8)
 
     def uid_response(self, candidate: int) -> int:

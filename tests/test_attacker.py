@@ -492,7 +492,8 @@ class TestRunIts:
         transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(0.1, 4))
         last = max(t for kind, t, _ in transcript.queries if kind == "GM")
         assert pair.block_width == 128
-        assert last <= pair._ready <= -(-last // 128) * 128
+        stored = sum(len(block) for block in pair._blocks)
+        assert last <= stored <= -(-last // 128) * 128
 
     # Seeds 17, 20 and 29 run out of groups after one step (n=45), so their
     # fallback follows the unfinished step's group queries; in seeds 20, 77

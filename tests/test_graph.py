@@ -149,7 +149,7 @@ def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     pair = generate_cprb(203, 11, edge, seed=17)
     assert pair.block_width == block
     column(pair, "true", 9)
-    assert pair._ready == -(-9 // block) * block
+    assert sum(len(stored) for stored in pair._blocks) == -(-9 // block) * block
     assert np.array_equal(pair.sig0, full0)
     assert np.array_equal(pair.sig1, full1)
 
@@ -303,8 +303,9 @@ def test_block_bits_equal_matrix_slices(first, last):
 
 def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
     # With 8-column blocks most of these ranges span two or more stored
-    # blocks, which a read joins; a pair wrapped from its matrices stores one
-    # block. Every read must equal the slice of the full matrices.
+    # blocks, which a read joins; a pair wrapped from its matrices is split
+    # into the same aligned blocks, as views of its one code array. Every read
+    # must equal the slice of the full matrices.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
     full0, full1 = full.sig0, full.sig1

@@ -417,6 +417,21 @@ class TestSweep:
         assert info.value.field == "points"
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "axis, point",
+        [("m", True), ("m", np.True_), ("noise", True), ("noise", False),
+         ("noise", np.False_), ("zipf", True), ("zipf", np.True_)],
+        ids=lambda v: f"np.{v}" if isinstance(v, np.bool_) else str(v),
+    )
+    def test_every_axis_refuses_bool_points(self, axis, point, monkeypatch):
+        # float() would read True as 1.0 and False as 0.0.
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(trials=2), axis, [0.5 if axis != "m" else 16, point])
+        assert info.value.field == "points"
+        assert ran == []
+
     def test_user_axis_accepts_integral_points_of_any_type(self):
         sweep = run_sweep(small_config(trials=2), "m", [16.0, np.int64(8), "12"])
         assert [s.config.users for s in sweep] == [16, 8, 12]
