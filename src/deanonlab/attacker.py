@@ -260,12 +260,13 @@ def run_its(
     identity scan over all users in the fallback order.
 
     Each threshold step scans from the group cursor to the end of the graph's
-    materialization block (``pair.block_width`` aligned columns, so the scan
-    never generates a column the one-query walk would not): one read of the
-    block's codes as a (w, m) grid of w groups by m candidates, one vector
-    of w received answers, and the densities of the grid, looked up by code
-    and answer, summed down its group axis in place by :func:`_accumulate`,
-    the first row seeded with the running sums. The first row where a live
+    materialization block (``pair.block_width`` aligned columns, a width
+    fixed when the pair is built, so the scan never generates a column the
+    one-query walk would not): one read of the block's codes as a (w, m)
+    grid of w groups by m candidates, one vector of w received answers, and
+    the densities of the grid, looked up by code and answer, summed down its
+    group axis in place by :func:`_accumulate`, the first row seeded with
+    the running sums. The first row where a live
     candidate's sum reaches its crossing limit ends the step (the first
     crossing of the flattened grid, divided by m); struck candidates carry
     a NaN limit, so they never cross. The adds are those of one update per

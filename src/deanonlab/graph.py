@@ -17,18 +17,16 @@ layout, ``code = (u >= c1) + (u >= c2) + (u >= c3)`` for the law's cut
 points (``EdgeJointDistribution.generation_cuts``). Rows are not
 individually re-derivable: row i's codes are spread over the whole stream.
 
-One reader, :func:`_read_rows`, keeps every lazily drawn table of a trial:
-the pair's group rows here, and the victim's response noise in
-``oracle.VictimInstance``, which draws it in blocks of the pair's width so
-that a scan aligned to the graph's blocks reads one noise block too. Rows
-live in read-only blocks of ``block_width`` rows, block k starting at row
-``k * block_width + 1``; blocks are drawn in order on demand and never
-copied. A block is ``max(32, 2048 // m)`` columns wide: a small-m attack
-asking dozens of cheap queries reads one block, and one touching the first
-few dozen groups of a wide graph never pays for the rest. The width is not
-part of the layout, since materialized codes are identical whichever
-access pattern triggered them, but block offsets are derived from it, so
-``block_width`` may only be set before the first read.
+Every lazily drawn table of a trial lives in one private store,
+:class:`_LazyRows`: the pair's group rows here, and the victim's response
+noise in ``oracle.VictimInstance``. A store keeps its rows in read-only
+blocks of a width fixed when it is built, block k starting at row
+``k * width + 1``; blocks are drawn in order on demand and never copied. A
+pair's width is ``_block_width(m)``, the one place the rule lives, and
+``BigraphPair.block_width`` reads it back; the noise store of a victim takes
+the same width, so a scan aligned to the graph's blocks reads one noise
+block too. The width is not part of the layout: materialized codes are
+identical whichever access pattern triggered them.
 """
 
 from __future__ import annotations
@@ -37,78 +35,84 @@ import numpy as np
 
 from .stochastics import CODE_BITS, EdgeJointDistribution, _read_only
 
-# A block of columns materialized per extension holds at least _BLOCK
-# columns and about _BLOCK_POSITIONS positions; any width gives the same codes.
-_BLOCK = 32
-_BLOCK_POSITIONS = 2048
 
+def _block_width(m: int) -> int:
+    """Group columns per materialization block of an m-user pair.
 
-def _read_rows(blocks: list, width: int, first: int, last: int, draw) -> np.ndarray:
-    """Rows first..last (1-based, inclusive) of a lazy store of blocks of ``width`` rows.
-
-    Block k of ``blocks`` holds rows k * width + 1 onward; ``draw(k)`` makes
-    it, and the blocks up to the one holding ``last`` are drawn in order and
-    kept read-only. A range inside one block is a view of it, a range across
-    blocks a read-only concatenated copy.
+    At least 32 columns and about 2048 positions up to m = 512, so a
+    small-m attack asking dozens of cheap queries reads one block; above it
+    about 16384 positions, down to one column, so a wide graph whose attack
+    reads a few dozen groups does not pay for a block of columns it never
+    reads. Any width gives the same codes.
     """
-    k, j = (first - 1) // width, (last - 1) // width
-    while len(blocks) <= j:
-        blocks.append(_read_only(draw(len(blocks))))
-    start = k * width
-    if k == j:
-        return blocks[k][first - 1 - start : last - start]
-    return _read_only(np.concatenate(blocks[k : j + 1])[first - 1 - start : last - start])
+    return max(32, 2048 // m) if m <= 512 else max(1, 16384 // m)
+
+
+class _LazyRows:
+    """A table drawn on demand in read-only blocks of ``width`` rows.
+
+    Block k holds rows k * width + 1 onward; ``draw(k)`` makes it, and the
+    blocks up to the one holding a read's last row are drawn in order.
+    """
+
+    __slots__ = ("width", "_draw", "blocks")
+
+    def __init__(self, width: int, draw):
+        self.width = width
+        self._draw = draw
+        self.blocks = []
+
+    def read(self, first: int, last: int) -> np.ndarray:
+        """Rows first..last (1-based, inclusive).
+
+        A range inside one block is a view of it, a range across blocks a
+        read-only concatenated copy.
+        """
+        width, blocks = self.width, self.blocks
+        k, j = (first - 1) // width, (last - 1) // width
+        while len(blocks) <= j:
+            blocks.append(_read_only(self._draw(len(blocks))))
+        start = k * width
+        if k == j:
+            return blocks[k][first - 1 - start : last - start]
+        return _read_only(np.concatenate(blocks[k : j + 1])[first - 1 - start : last - start])
 
 
 class BigraphPair:
     """True and scanned membership graphs over m users and n groups.
 
-    Construct through :func:`generate_cprb` or :meth:`from_matrices`. The
-    pair is logically immutable: every read of the same position yields the
-    same code. Lazy generation appends blocks left to right, which is safe
-    for the intended one-trial-per-instance usage; share an instance across
-    threads only after it is fully materialized.
+    Construct through :func:`generate_cprb`. The pair is logically
+    immutable: every read of the same position yields the same code. Lazy
+    generation appends blocks left to right, which is safe for the intended
+    one-trial-per-instance usage; share an instance across threads only
+    after it is fully materialized.
     """
 
-    __slots__ = ("n", "m", "block_width", "_blocks", "_gen", "_c1", "_c2", "_c3")
+    __slots__ = ("n", "m", "_codes")
 
-    def __init__(self, n: int, m: int, gen=None, cuts=(0.0, 0.0, 0.0)):
+    def __init__(self, n: int, m: int, gen: np.random.Generator, cuts):
         self.n = n
         self.m = m
-        # Columns per materialization block; readers align their scans to it.
-        self.block_width = max(_BLOCK, _BLOCK_POSITIONS // m)
-        self._blocks = []
-        self._gen = gen
-        self._c1, self._c2, self._c3 = cuts
+        width = _block_width(m)
+        c1, c2, c3 = cuts
 
-    @classmethod
-    def from_matrices(cls, sig0, sig1) -> "BigraphPair":
-        """Wrap two explicit m x n 0/1 matrices (fully materialized)."""
-        a0, a1 = np.asarray(sig0), np.asarray(sig1)
-        if a0.ndim != 2 or a0.shape != a1.shape:
-            raise ValueError("sig0 and sig1 must be 2-D with identical shapes")
-        m, n = a0.shape
-        if m < 1 or n < 1:
-            raise ValueError("user and group counts must be positive")
-        for name, a in (("sig0", a0), ("sig1", a1)):
-            if not np.isin(a, (0, 1)).all():
-                raise ValueError(f"{name} entries must be 0 or 1")
-        code_of = np.empty((2, 2), dtype=np.uint8)
-        code_of[CODE_BITS["true"], CODE_BITS["scanned"]] = range(4)
-        pair = cls(n, m)
-        codes = _read_only(code_of[a0.astype(np.intp), a1.astype(np.intp)].T.copy())
-        width = pair.block_width
-        pair._blocks = [codes[start : start + width] for start in range(0, n, width)]
-        return pair
+        # A closure, not a method: the store holds it, and a bound method
+        # would tie pair and store into a cycle that only the collector frees.
+        def draw(k: int) -> np.ndarray:
+            """Codes of the k-th block of group columns (from 0), from the generation stream."""
+            u = gen.random((min(width, n - k * width), m))
+            codes = np.greater_equal(u, c1).view(np.uint8)
+            above = np.greater_equal(u, c2)
+            codes += above.view(np.uint8)
+            codes += np.greater_equal(u, c3, out=above).view(np.uint8)
+            return codes
 
-    def _draw(self, k: int) -> np.ndarray:
-        """Codes of the k-th block of group columns (from 0), drawn from the generation stream."""
-        u = self._gen.random((min(self.block_width, self.n - k * self.block_width), self.m))
-        codes = np.greater_equal(u, self._c1).view(np.uint8)
-        above = np.greater_equal(u, self._c2)
-        codes += above.view(np.uint8)
-        codes += np.greater_equal(u, self._c3, out=above).view(np.uint8)
-        return codes
+        self._codes = _LazyRows(width, draw)
+
+    @property
+    def block_width(self) -> int:
+        """Group columns per materialization block; readers align their scans to it."""
+        return self._codes.width
 
     # -- raw access ------------------------------------------------------
 
@@ -119,7 +123,7 @@ class BigraphPair:
         """
         if not 1 <= first <= last <= self.n:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
-        return _read_rows(self._blocks, self.block_width, first, last, self._draw)
+        return self._codes.read(first, last)
 
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
         """Groups first..last (1-based, inclusive) of every user, as a read-only m x w 0/1 matrix.
@@ -181,4 +185,4 @@ def generate_cprb(n: int, m: int, edge_joint: EdgeJointDistribution, seed) -> Bi
         raise ValueError("user count m must be at least 1")
     if not isinstance(edge_joint, EdgeJointDistribution):
         raise TypeError("edge_joint must be an EdgeJointDistribution")
-    return BigraphPair(n, m, gen=np.random.default_rng(seed), cuts=edge_joint.generation_cuts)
+    return BigraphPair(n, m, np.random.default_rng(seed), edge_joint.generation_cuts)

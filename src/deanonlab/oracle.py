@@ -16,19 +16,18 @@ The block reader is the one place the channel is applied; a single answer is
 a block of one query.
 
 Query ordinal t takes uniform t of the noise stream. The uniforms are kept
-by the graph's lazy reader (``graph._read_rows``), drawn in blocks of the
-pair's ``block_width``: the attack asks group k with ordinal k, so a scan
-aligned to the graph's blocks reads exactly one noise block, as a view. The
-stream is drawn in ordinal order whatever the block width, so the width
-changes no answer; it must be set before the first read, since the block
-offsets are derived from it.
+in the graph module's lazy store (``graph._LazyRows``), built once per
+instance at the pair's ``block_width``: the attack asks group k with
+ordinal k, so a scan aligned to the graph's blocks reads exactly one noise
+block, as a view. The stream is drawn in ordinal order whatever the block
+width, so the width changes no answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import BigraphPair, _read_rows
+from .graph import BigraphPair, _LazyRows
 from .stochastics import QueryChannel
 
 
@@ -45,12 +44,9 @@ class VictimInstance:
         self.pair = pair
         self.victim = victim
         self._p_one = gm_channel.p_one_by_code
-        self._gen = np.random.default_rng(noise_seed)
-        self._noise = []  # blocks of pair.block_width uniforms, in ordinal order
-
-    def _draw(self, k: int) -> np.ndarray:
-        """The k-th block of noise uniforms (from 0); blocks are drawn in order."""
-        return self._gen.random(self.pair.block_width)
+        gen, width = np.random.default_rng(noise_seed), pair.block_width
+        # A closure over the generator, so the store does not hold the instance.
+        self._noise = _LazyRows(width, lambda k: gen.random(width))
 
     def noisy_gm_response(self, group: int, query_ordinal: int) -> int:
         """Received answer for the group-membership query with this ordinal."""
@@ -67,8 +63,7 @@ class VictimInstance:
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
         codes = self.pair.block_codes(first_group, first_group + count - 1)[:, self.victim - 1]
-        last = first_ordinal + count - 1
-        u = _read_rows(self._noise, self.pair.block_width, first_ordinal, last, self._draw)
+        u = self._noise.read(first_ordinal, first_ordinal + count - 1)
         return (u < self._p_one.take(codes)).view(np.uint8)
 
     def uid_response(self, candidate: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deanonlab import attacker
+from deanonlab import attacker, graph
 from deanonlab.attacker import (
     FINAL_PHASE_ORDERS,
     ITSConfig,
@@ -114,16 +114,24 @@ def replay_its_by_hand(pair, victim, edge, gm, noise_seed, prior, epsilon, steps
     raise AssertionError("replay failed to find the victim")
 
 
+def make_pair(n, m, edge, seed, block_width=None):
+    """A seeded pair whose materialization block, which the attack's scan
+    aligns to, is ``block_width`` columns wide; None keeps the default for m."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block_width is not None:
+            patch.setattr(graph, "_block_width", lambda m: block_width)
+        pair = generate_cprb(n, m, edge, seed=seed)
+    assert block_width in (None, pair.block_width)
+    return pair
+
+
 def attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l, block_width=None):
     """``run_its`` and its hand replay on one seeded graph pair and noise stream.
 
-    ``block_width`` overrides the pair's materialization block, which the
-    attack's scan aligns to; None keeps the default for the user count.
+    ``block_width`` overrides the pair's block, as in :func:`make_pair`.
     """
     edge, gm = model
-    pair = generate_cprb(n, prior.m, edge, seed=seed)
-    if block_width is not None:
-        pair.block_width = block_width
+    pair = make_pair(n, prior.m, edge, seed, block_width)
     inst = VictimInstance(pair, victim, gm, noise_seed=seed)
     transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(epsilon, steps_l))
     expected = replay_its_by_hand(
@@ -437,9 +445,7 @@ class TestRunIts:
         config = ITSConfig(epsilon, steps_l, final_phase_order=order)
 
         def attack(block_width):
-            pair = generate_cprb(n, m, edge, seed=seed)
-            if block_width is not None:
-                pair.block_width = block_width
+            pair = make_pair(n, m, edge, seed, block_width)
             inst = VictimInstance(pair, victim, gm, noise_seed=seed + 1)
             return run_its(pair, inst, prior, measures, config, order_seed=seed + 2)
 
@@ -492,7 +498,7 @@ class TestRunIts:
         transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(0.1, 4))
         last = max(t for kind, t, _ in transcript.queries if kind == "GM")
         assert pair.block_width == 128
-        stored = sum(len(block) for block in pair._blocks)
+        stored = sum(len(block) for block in pair._codes.blocks)
         assert last <= stored <= -(-last // 128) * 128
 
     # Seeds 17, 20 and 29 run out of groups after one step (n=45), so their

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from deanonlab import graph
-from deanonlab.graph import BigraphPair, generate_cprb
+from deanonlab.graph import generate_cprb
 from deanonlab.stochastics import EdgeJointDistribution
 
 ALL_ONES = EdgeJointDistribution.from_marginal_flip(1.0, 0.0)
@@ -143,13 +143,12 @@ def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
     reference = generate_cprb(203, 11, edge, seed=17)
     full0, full1 = reference.sig0, reference.sig1
-    # The position budget alone would give m=11 blocks of 186 columns.
-    monkeypatch.setattr(graph, "_BLOCK", block)
-    monkeypatch.setattr(graph, "_BLOCK_POSITIONS", 0)
+    # The rule alone would give m=11 blocks of 186 columns.
+    monkeypatch.setattr(graph, "_block_width", lambda m: block)
     pair = generate_cprb(203, 11, edge, seed=17)
     assert pair.block_width == block
     column(pair, "true", 9)
-    assert sum(len(stored) for stored in pair._blocks) == -(-9 // block) * block
+    assert sum(len(stored) for stored in pair._codes.blocks) == -(-9 // block) * block
     assert np.array_equal(pair.sig0, full0)
     assert np.array_equal(pair.sig1, full1)
 
@@ -163,7 +162,7 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
 
 
 def stored_bytes(pair):
-    return sum(block.nbytes for block in pair._blocks)
+    return sum(block.nbytes for block in pair._codes.blocks)
 
 
 def test_storage_grows_with_materialized_columns():
@@ -177,12 +176,13 @@ def test_storage_grows_with_materialized_columns():
     assert stored_bytes(pair) == m * n
 
 
-def test_scan_peak_does_not_grow_with_scan_length():
+def test_scan_peak_does_not_grow_with_scan_length(monkeypatch):
     # Reading a graph left to right block by block never holds more than one
     # block's temporaries on top of the stored blocks, however long the scan:
     # a store that grows by copying would hold its old and new arrays at once.
     edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.3)
     width, m = 32, 1024
+    monkeypatch.setattr(graph, "_block_width", lambda m: width)
 
     def peak_over_stored(blocks):
         tracemalloc.start()
@@ -303,20 +303,41 @@ def test_block_bits_equal_matrix_slices(first, last):
 
 def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
     # With 8-column blocks most of these ranges span two or more stored
-    # blocks, which a read joins; a pair wrapped from its matrices is split
-    # into the same aligned blocks, as views of its one code array. Every read
-    # must equal the slice of the full matrices.
+    # blocks, which a read joins. Every read, on a fresh pair, must equal the
+    # slice of the full matrices.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
     full0, full1 = full.sig0, full.sig1
-    monkeypatch.setattr(graph, "_BLOCK", 8)
-    monkeypatch.setattr(graph, "_BLOCK_POSITIONS", 0)
-    wrapped = BigraphPair.from_matrices(full0.astype(bool), full1)
+    monkeypatch.setattr(graph, "_block_width", lambda m: 8)
     for first, last in [(1, 45), (3, 11), (8, 9), (9, 16), (7, 25), (30, 37), (31, 45), (45, 45)]:
-        for pair in (generate_cprb(45, 11, edge, seed=23), wrapped):
-            assert np.array_equal(pair.block_bits("true", first, last), full0[:, first - 1 : last])
-            assert np.array_equal(pair.block_bits("scanned", first, last), full1[:, first - 1 : last])
-            assert np.array_equal(pair.user_bits("scanned", 4, first, last), full1[3, first - 1 : last])
+        pair = generate_cprb(45, 11, edge, seed=23)
+        assert pair.block_width == 8
+        assert np.array_equal(pair.block_bits("true", first, last), full0[:, first - 1 : last])
+        assert np.array_equal(pair.block_bits("scanned", first, last), full1[:, first - 1 : last])
+        assert np.array_equal(pair.user_bits("scanned", 4, first, last), full1[3, first - 1 : last])
+
+
+def test_block_width_is_fixed_when_the_pair_is_built():
+    # Block offsets derive from the width, so a width changed after a read
+    # would misplace every later block; assigning it must fail instead.
+    pair = generate_cprb(200, 8, FAIR_CORRELATED, seed=5)
+    pair.bit("true", 1, 1)
+    with pytest.raises(AttributeError):
+        pair.block_width = 16
+    assert pair.block_width == 256
+    fresh = generate_cprb(200, 8, FAIR_CORRELATED, seed=5)
+    for group in range(1, 201):
+        assert np.array_equal(column(pair, "true", group), fresh.sig0[:, group - 1])
+
+
+@pytest.mark.parametrize(
+    "m, width",
+    # The benchmark's noisy_small (m=16) and sandwich (m=256) widths, the
+    # last m with a 32-column block, and the narrower blocks of wide graphs.
+    [(1, 2048), (16, 128), (256, 32), (512, 32), (1024, 16), (4096, 4), (16384, 1), (65536, 1)],
+)
+def test_block_width_rule(m, width):
+    assert generate_cprb(3, m, FAIR_CORRELATED, seed=0).block_width == width
 
 
 class TestMembers:
@@ -366,9 +387,3 @@ def test_index_errors():
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
 
-
-def test_from_matrices_validation():
-    with pytest.raises(ValueError):
-        BigraphPair.from_matrices(np.array([[0, 2]]), np.array([[0, 1]]))
-    with pytest.raises(ValueError):
-        BigraphPair.from_matrices(np.array([[0, 1]]), np.array([[0, 1, 1]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deanonlab import graph
 from deanonlab.graph import generate_cprb
 from deanonlab.oracle import VictimInstance, expected_response_column
 from deanonlab.stochastics import EdgeJointDistribution, QueryChannel
@@ -95,16 +96,19 @@ class TestBlockResponses:
     # Noise is drawn in blocks of the pair's width, so at the narrow widths
     # the ranges cross noise-block edges; the default width is 256 at m=8.
     @pytest.mark.parametrize("width", [1, 3, 8, pytest.param(None, id="default")])
-    def test_equals_single_reads_in_either_order(self, width):
-        pair = make_pair(n=100, m=8, seed=3)
+    def test_equals_single_reads_in_either_order(self, monkeypatch, width):
+        default_pair = make_pair(n=100, m=8, seed=3)
         if width is not None:
-            pair.block_width = width
+            monkeypatch.setattr(graph, "_block_width", lambda m: width)
+        pair = make_pair(n=100, m=8, seed=3)
+        assert pair.block_width == (width or 256)
         channel = QueryChannel.bsc(0.3)
         for first_group, count, first_ordinal in self.RANGES:
             asks = [(first_group + k, first_ordinal + k) for k in range(count)]
             block_first = VictimInstance(pair, 6, channel, 55)
+            assert block_first._noise.width == pair.block_width
             block = block_first.noisy_gm_responses(first_group, count, first_ordinal).tolist()
-            default = VictimInstance(make_pair(n=100, m=8, seed=3), 6, channel, 55)
+            default = VictimInstance(default_pair, 6, channel, 55)
             assert default.noisy_gm_responses(first_group, count, first_ordinal).tolist() == block
             assert [block_first.noisy_gm_response(g, t) for g, t in asks] == block
             single_first = VictimInstance(pair, 6, channel, 55)
@@ -151,7 +155,7 @@ class TestUidResponse:
         inst = VictimInstance(pair, 4, QueryChannel.bsc(0.4), 3)
         for j in range(1, 7):
             inst.uid_response(j)
-        assert inst._noise == []
+        assert inst._noise.blocks == []
 
     def test_candidate_range_checked(self):
         inst = VictimInstance(make_pair(m=6), 4, NOISELESS, 0)
