@@ -162,7 +162,11 @@ class ITSState:
 
 
 def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
-    """Fresh state: zero accumulators, surprisal log2(1/P(j)), cursor at group 1."""
+    """Fresh state: zero accumulators, surprisal log2(1/P(j)), cursor at group 1.
+
+    ``config`` is not read. The parameter stays only because the acceptance
+    gate calls ``init_state(prior, config)``.
+    """
     m = prior.m
     return ITSState(
         info=np.zeros(m),

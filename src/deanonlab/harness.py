@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -370,7 +369,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one campaign and aggregate it into a summary.
 
     Trial k is fully determined by (master_seed, k); the worker count only
-    changes scheduling, never the numbers.
+    changes scheduling, never the numbers. A one-worker campaign (the
+    default) runs in this process and imports no process pool; the pool is
+    imported on the first multi-worker campaign.
     """
     config.validate()
     model = resolve_model(config)
@@ -394,6 +395,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     else:
         chunk = max(1, math.ceil(trials / (workers * 4)))
         starts = list(range(0, trials, chunk))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(
                 pool.map(

@@ -1,6 +1,6 @@
-import pytest
+import concurrent.futures
 
-from deanonlab import harness
+import pytest
 
 
 @pytest.fixture
@@ -24,5 +24,5 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return requested

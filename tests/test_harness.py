@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +344,30 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", cpu_count)
         run_experiment(small_config(trials=3, workers=1))
         run_experiment(small_config(trials=1, workers=4))
+
+    def test_one_worker_campaign_imports_no_process_pool(self):
+        # A fresh interpreter: pytest or hypothesis may have loaded the pool
+        # modules in this one already.
+        script = (
+            "import sys\n"
+            "import deanonlab\n"
+            "POOL = ('concurrent.futures', 'multiprocessing')\n"
+            "after_import = [m for m in POOL if m in sys.modules]\n"
+            "deanonlab.run_experiment(deanonlab.ExperimentConfig(\n"
+            "    users=8, groups=64, trials=2, workers=1))\n"
+            "after_campaign = [m for m in POOL if m in sys.modules]\n"
+            "print(after_import, after_campaign)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]", "[]"]
 
     def test_worker_count_is_capped_by_trials_and_cores(self, in_process_pool):
         capped = run_experiment(small_config(trials=3, workers=10**6))
