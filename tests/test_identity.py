@@ -32,6 +32,10 @@ CASES = {
         SANDWICH, users=16, groups=65536, edge_flip=0.15, gm_flip=0.25,
         prior="zipf:1.0", trials=25, master_seed=12,
     ),
+    "zipf_small": dict(
+        users=11, groups=4096, edge_flip=0.1, gm_flip=0.1, prior="zipf:1.5",
+        epsilon=0.3, steps=2, trials=40, master_seed=13,
+    ),
     "zipf_random": dict(
         users=11, groups=4096, edge_flip=0.1, gm_flip=0.1, prior="zipf:1.5",
         epsilon=0.3, steps=2, final_phase_order="random", trials=40, master_seed=13,
@@ -71,6 +75,11 @@ GOLDEN = {
         '14cbeb3b91eef58974b34dc6c69e4c8956e6949ed3dcc11dd38209c8e2781dc9',
         '3076f86441d49d7f0bcf9061e6580b9635f3e23aabcc2a9554ca7665aa22bcd9',
         '7bf95b1be9b3cbe8bd2fbfa92ca0838f1769396193bcff4ae3534e216e72990b',
+    ),
+    'zipf_small': (
+        '3cfd1610fd813499b80424cc43f616dd81b32cd1a3648d0f0ed004dffc80eac9',
+        '2acb155232a9b179f076a443efa0539b8a55ffbd2d56ebe0122ab8f04491f769',
+        'c0d73d55b0917273a857d11cf99a7b7c2e0e1909aa8536a95c307ba68e22d516',
     ),
     'zipf_random': (
         '024c3865432811c315c6784716002a36b24f4a7a425e6c187d49484d8903c59a',
