@@ -16,7 +16,7 @@ After ``steps_l - 1`` failed verifications (or if the graph runs out of
 groups), the attack falls back to exhaustive identity queries over the users
 not yet struck, so it always terminates with the victim found. With
 ``steps_l = 1`` there is no threshold step and the attack is that fallback
-alone: in the "random" order it is the naive identity-scan baseline.
+alone: asked in a random order, it is the naive identity-scan baseline.
 
 The walk is computed a block of groups at a time rather than one query at a
 time: the outcome codes of the block, the received answers to all its
@@ -83,8 +83,6 @@ from .graph import BigraphPair
 from .oracle import VictimInstance, expected_response_column  # noqa: F401
 from .stochastics import InfoMeasures, VictimPrior
 
-FINAL_PHASE_ORDERS = ("by_info_value_desc", "random", "by_prior_desc")
-
 # Grids at least this many candidates wide are accumulated row by row, narrower
 # even ones two candidates per add. Timed per 32-row block, the row-wise form
 # is slower at 448 columns (22.4 against 19.3 us) and faster at 512 (24.1
@@ -98,21 +96,17 @@ class ITSConfig:
 
     epsilon sets the stopping threshold log2(1/epsilon); steps_l caps the
     number of verify-and-retry rounds before the exhaustive fallback. Groups
-    are always consumed in increasing index order. ``final_phase_order``
-    picks the order of fallback identity queries.
+    are always consumed in increasing index order.
     """
 
     epsilon: float
     steps_l: int
-    final_phase_order: str = "by_info_value_desc"
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if self.steps_l < 1:
             raise ValueError("steps_l must be at least 1")
-        if self.final_phase_order not in FINAL_PHASE_ORDERS:
-            raise ValueError(f"final_phase_order must be one of {FINAL_PHASE_ORDERS}")
 
     @property
     def threshold_bits(self) -> float:
@@ -204,18 +198,18 @@ def select_candidate(state: ITSState) -> int:
     return int(state.scores().argmax()) + 1
 
 
-def _final_phase_order(state: ITSState, prior: VictimPrior, config: ITSConfig, order_seed) -> np.ndarray:
-    """Order of fallback identity queries over the not-yet-struck users."""
+def _fallback_order(state: ITSState, order_seed) -> np.ndarray:
+    """Order of fallback identity queries over the not-yet-struck users.
+
+    By score, highest first and ties to the lower index; with an
+    ``order_seed``, in the permutation drawn from it instead.
+    """
     remaining = np.flatnonzero(~state.eliminated)
-    if config.final_phase_order == "by_info_value_desc":
-        keys = state.scores()[remaining]
-    elif config.final_phase_order == "by_prior_desc":
-        keys = prior.probs[remaining]
-    else:
+    if order_seed is not None:
         rng = np.random.default_rng(order_seed)
         return remaining[rng.permutation(remaining.size)] + 1
-    # Stable sort on the negated key: descending value, ascending index on ties.
-    return remaining[np.argsort(-keys, kind="stable")] + 1
+    # Stable sort on the negated score: descending value, ascending index on ties.
+    return remaining[np.argsort(-state.scores()[remaining], kind="stable")] + 1
 
 
 def _accumulate(grid: np.ndarray) -> None:
@@ -258,10 +252,12 @@ def run_its(
     ``measures`` must be derived from the same model parameters that
     generated ``pair`` and drive ``inst``; the attack consumes the scanned
     graph through blocks of group columns and the victim only through oracle
-    responses. ``order_seed`` (an int seed or a ``numpy.random.Generator``)
-    drives the "random" fallback order, which requires it; the other orders
-    ignore it. ``steps_l = 1`` runs no threshold step: the attack is the
-    identity scan over all users in the fallback order.
+    responses. The exhaustive fallback asks the users not yet struck by
+    score, highest first, ties to the lower index. Given an ``order_seed``
+    (an int seed or a ``numpy.random.Generator``), it asks them in the
+    random permutation drawn from it instead. ``steps_l = 1`` runs no
+    threshold step: the attack is the identity scan over all users in the
+    fallback order.
 
     Each threshold step scans from the group cursor to the end of the graph's
     materialization block (``pair.block_width`` aligned columns, a width
@@ -283,8 +279,6 @@ def run_its(
         raise ValueError("oracle instance is bound to a different graph pair")
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
-    if config.final_phase_order == "random" and order_seed is None:
-        raise ValueError("the random fallback order needs an order_seed")
     n, m, block = pair.n, pair.m, pair.block_width
     density = measures.density_by_code  # entry code + 4y is i(u; y)
     # Wide grids are taken into one buffer per trial: a fresh grid per block
@@ -333,7 +327,7 @@ def run_its(
         state.eliminated[guess - 1] = True
         limits = np.where(state.eliminated, np.nan, limits)
 
-    for candidate in _final_phase_order(state, prior, config, order_seed).tolist():
+    for candidate in _fallback_order(state, order_seed).tolist():
         response = inst.uid_response(candidate)
         uid_queries.append((candidate, response))
         if response == 1:

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 
-from .attacker import FINAL_PHASE_ORDERS
 from .harness import (
     OUTPUT_FORMATS,
     STRATEGIES,
@@ -52,8 +51,6 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--strategy", choices=(*STRATEGIES, "uid-scan"),
                         help="attack strategy")
     parser.add_argument("--workers", type=int, help="parallel worker processes")
-    parser.add_argument("--final-phase-order", dest="final_phase_order",
-                        choices=FINAL_PHASE_ORDERS)
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
 
@@ -97,8 +94,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"not valid JSON: {exc}") from None
     for key in ("users", "groups", "p0", "edge_flip", "gm_flip", "prior",
-                "trials", "master_seed", "workers", "final_phase_order",
-                "out", "format"):
+                "trials", "master_seed", "workers", "out", "format"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value

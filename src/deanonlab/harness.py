@@ -1,16 +1,18 @@
 """Reproducible Monte Carlo campaigns: config, trial driver, statistics, output.
 
 Trial k draws from four substreams of one PCG64 stream seeded by master_seed:
-stream s (0 graph, 1 victim, 2 noise, 3 fallback or scan order) is
+stream s (0 graph, 1 victim, 2 noise, 3 identity-scan order) is
 ``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not depend on
 execution order or on how trials are distributed over worker processes. A
-block of trials builds one generator per stream once. Its first trial
-advances each generator from the master state to its jump offset; each later
-trial steps the previous trial's state by four jumps, an affine map of the
-128-bit PCG64 state computed once per block, and assigns it. Stream 3 is
-positioned only when the block reads it: with the random fallback order,
-which the identity scan uses. Aggregation is a single pass over the per-trial
-arrays in trial order, which keeps repeated runs byte-identical.
+block of trials builds one generator per stream once, all from one seed
+sequence. Its first trial advances each generator from the master state to
+its jump offset; each later trial steps the previous trial's state by four
+jumps, an affine map of the 128-bit PCG64 state whose constants are pure
+integers computed once, and assigns it. Stream 3 is read only by the identity
+scan, which asks its users in a random order; the threshold attack's
+fallback goes by score, so its blocks never position that stream.
+Aggregation is a single pass over the per-trial arrays in trial order, which
+keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
-from .attacker import (
-    FINAL_PHASE_ORDERS,
-    ITSConfig,
-    auto_epsilon_steps,
-    run_its,
-)
+from .attacker import ITSConfig, auto_epsilon_steps, run_its
 from .graph import generate_cprb
 from .oracle import VictimInstance
 from .stochastics import (
@@ -87,7 +84,6 @@ class ExperimentConfig:
     trials: int = 2000
     master_seed: int = 0
     strategy: str = "its"
-    final_phase_order: str = "by_info_value_desc"
     workers: int = 1
     allow_degenerate: bool = False
     out: str | None = None
@@ -117,10 +113,6 @@ class ExperimentConfig:
             raise ConfigError("steps", "must be 'auto' or an integer >= 1")
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}")
-        if self.final_phase_order not in FINAL_PHASE_ORDERS:
-            raise ConfigError(
-                "final_phase_order", f"must be one of {FINAL_PHASE_ORDERS}"
-            )
         if self.format not in OUTPUT_FORMATS:
             raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
         if not isinstance(self.allow_degenerate, bool):
@@ -156,7 +148,6 @@ class _ResolvedModel:
     measures: InfoMeasures
     epsilon: float
     steps: int
-    final_phase_order: str
 
     def bound_report(self, n: int) -> bounds_mod.BoundReport:
         """The analytic bound report for this model over n groups."""
@@ -181,16 +172,26 @@ def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
         auto_eps, auto_steps = auto_epsilon_steps(config.users)
     eps = auto_eps if config.epsilon == "auto" else float(config.epsilon)
     steps = auto_steps if config.steps == "auto" else int(config.steps)
-    if config.strategy == "uid_scan":  # the attack with no threshold step, in a random order
-        return _ResolvedModel(edge_joint, gm, prior, measures, eps, 1, "random")
-    return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps, config.final_phase_order)
+    if config.strategy == "uid_scan":  # the attack with no threshold step
+        steps = 1
+    return _ResolvedModel(edge_joint, gm, prior, measures, eps, steps)
 
 
+# One PCG64 step maps the 128-bit state s to (_PCG_MUL*s + inc) mod 2**128.
+_PCG_MUL = 0x2360ED051FC65DA44385DF649FCCF645
 # PCG64.jumped(j) advances the state by j times this step, mod 2**128.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-# Substreams per trial: graph, victim, noise, fallback or scan order.
+# Substreams per trial: graph, victim, noise, identity-scan order.
 _STREAMS = 4
 _MASK = (1 << 128) - 1
+# Moving a stream from trial k to trial k + 1 advances it d = _TRIAL_STEPS
+# steps, which maps s to (_TRIAL_MUL*s + inc*_TRIAL_INC) mod 2**128, with
+# M = _PCG_MUL, _TRIAL_MUL = M**d and _TRIAL_INC = (M**d - 1)/(M - 1), the sum
+# 1 + M + ... + M**(d-1). Taking the power mod (M - 1)*2**128 keeps that
+# quotient exact mod 2**128.
+_TRIAL_STEPS = _STREAMS * _JUMP & _MASK
+_TRIAL_MUL = pow(_PCG_MUL, _TRIAL_STEPS, 1 << 128)
+_TRIAL_INC = (pow(_PCG_MUL, _TRIAL_STEPS, (_PCG_MUL - 1) << 128) - 1) // (_PCG_MUL - 1)
 
 
 class TrialStreams:
@@ -199,30 +200,23 @@ class TrialStreams:
     Stream s of every trial has its own generator. Moving it from trial k to
     trial k + 1 advances its PCG64 state by ``_STREAMS`` jumps, and an advance
     by a fixed distance is an affine map of the 128-bit state,
-    ``s -> (a*s + b) mod 2**128``, for the ``inc`` that every jump of one
-    master stream keeps. The map is read off two ``advance`` probes, from
-    state 0 (giving b) and from state 1 (giving a + b).
+    ``s -> (_TRIAL_MUL*s + b) mod 2**128``, where b = ``inc * _TRIAL_INC``
+    for the ``inc`` that every jump of one master stream keeps. All
+    generators are built from one seed sequence, so the seed is hashed once.
     """
 
-    __slots__ = ("generators", "master_state", "_inc", "_mul", "_add", "_states", "_next")
+    __slots__ = ("generators", "master_state", "_inc", "_add", "_states", "_next")
 
     def __init__(self, master_seed: int, count: int = _STREAMS):
         if not 1 <= count <= _STREAMS:
             raise ValueError(f"count must lie in [1, {_STREAMS}]")
+        seq = np.random.SeedSequence(master_seed)
         self.generators = tuple(
-            np.random.Generator(np.random.PCG64(master_seed)) for _ in range(count)
+            np.random.Generator(np.random.PCG64(seq)) for _ in range(count)
         )
         self.master_state = self.generators[0].bit_generator.state
         self._inc = self.master_state["state"]["inc"]
-        probe = self.generators[0].bit_generator
-        images = []
-        for start in (0, 1):
-            probe.state = self._state(start)
-            probe.advance(_STREAMS * _JUMP & _MASK)
-            images.append(probe.state["state"]["state"])
-        probe.state = self.master_state
-        self._add = images[0]
-        self._mul = (images[1] - images[0]) & _MASK
+        self._add = self._inc * _TRIAL_INC & _MASK
         self._states: list[int] = []
         self._next = None  # the trial index one step of the map reaches
 
@@ -246,8 +240,8 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
     multiply-add; otherwise each generator advances from the master state.
     """
     if trial_index == streams._next:
-        mul, add = streams._mul, streams._add
-        streams._states = [(mul * state + add) & _MASK for state in streams._states]
+        add = streams._add
+        streams._states = [(_TRIAL_MUL * state + add) & _MASK for state in streams._states]
         for gen, state in zip(streams.generators, streams._states):
             gen.bit_generator.state = streams._state(state)
     else:
@@ -281,10 +275,10 @@ def _trial_block(
     """
     if model is None:
         model = resolve_model(config)
-    its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
-    # Only the random fallback order, which the identity scan uses, reads stream 3.
+    its = ITSConfig(model.epsilon, model.steps)
+    # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
-        config.master_seed, _STREAMS if its.final_phase_order == "random" else _STREAMS - 1
+        config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1
     )
     qs = np.empty(count, dtype=np.int64)
     successes = np.empty(count, dtype=bool)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from deanonlab import attacker, graph
 from deanonlab.attacker import (
-    FINAL_PHASE_ORDERS,
     ITSConfig,
     auto_epsilon_steps,
     gm_update,
@@ -428,11 +427,11 @@ class TestRunIts:
         alpha=st.floats(0.3, 5.0),
         epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
         steps_l=st.integers(1, 4),
-        order=st.sampled_from(FINAL_PHASE_ORDERS),
+        order_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_transcript_does_not_depend_on_the_block_width(
-        self, data, m, n, p0, edge_flip, gm_flip, alpha, epsilon, steps_l, order, seed
+        self, data, m, n, p0, edge_flip, gm_flip, alpha, epsilon, steps_l, order_seed, seed
     ):
         # The width decides both which columns one generation call draws and
         # where each scan of run_its stops; neither may show in the transcript.
@@ -442,12 +441,12 @@ class TestRunIts:
         victim = data.draw(st.integers(1, m), label="victim")
         width = data.draw(st.sampled_from([1, 3, 8, 32, 128, n]), label="width")
         measures = measures_for(edge, gm)
-        config = ITSConfig(epsilon, steps_l, final_phase_order=order)
+        config = ITSConfig(epsilon, steps_l)
 
         def attack(block_width):
             pair = make_pair(n, m, edge, seed, block_width)
             inst = VictimInstance(pair, victim, gm, noise_seed=seed + 1)
-            return run_its(pair, inst, prior, measures, config, order_seed=seed + 2)
+            return run_its(pair, inst, prior, measures, config, order_seed=order_seed)
 
         default, narrowed = attack(None), attack(width)
         assert narrowed.queries == default.queries
@@ -464,17 +463,17 @@ class TestRunIts:
         gm_flip=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
         epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
         steps_l=st.integers(1, 4),
-        order=st.sampled_from(FINAL_PHASE_ORDERS),
+        order_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_transcript_does_not_depend_on_the_accumulate_form(
-        self, data, m, n, p0, edge_flip, gm_flip, epsilon, steps_l, order, seed
+        self, data, m, n, p0, edge_flip, gm_flip, epsilon, steps_l, order_seed, seed
     ):
         edge, gm = EdgeJointDistribution.from_marginal_flip(p0, edge_flip), QueryChannel.bsc(gm_flip)
         prior = make_prior("zipf:1.0", m)
         victim = data.draw(st.integers(1, m), label="victim")
         measures = measures_for(edge, gm)
-        config = ITSConfig(epsilon, steps_l, final_phase_order=order)
+        config = ITSConfig(epsilon, steps_l)
 
         # Row by row against two candidates per add (even m) or the plain
         # accumulate (odd m), through whole attacks.
@@ -483,7 +482,7 @@ class TestRunIts:
                 patch.setattr(attacker, "_ROWWISE_FROM", rowwise_from)
                 pair = generate_cprb(n, m, edge, seed=seed)
                 inst = VictimInstance(pair, victim, gm, noise_seed=seed + 1)
-                return run_its(pair, inst, prior, measures, config, order_seed=seed + 2)
+                return run_its(pair, inst, prior, measures, config, order_seed=order_seed)
 
         assert attack(1) == attack(2**62)
 
@@ -646,14 +645,14 @@ class TestDrift:
 
 class TestUidScan:
     # With no threshold step (steps_l = 1) the attack is the identity scan:
-    # in the "random" order it asks users default_rng(seed).permutation(m) + 1.
+    # given an order_seed it asks users default_rng(seed).permutation(m) + 1.
     ORDER = (np.random.default_rng(404).permutation(7) + 1).tolist()
 
     def scan(self, victim, m=7, seed=404):
         edge, gm = NOISELESS_MODEL
         pair = generate_cprb(4, m, edge, 1)
         inst = VictimInstance(pair, victim, gm, 0)
-        config = ITSConfig(0.5, 1, "random")
+        config = ITSConfig(0.5, 1)
         return run_its(pair, inst, make_prior("uniform", m), measures_for(edge, gm), config, seed)
 
     def test_victim_first(self):
@@ -683,8 +682,9 @@ class TestUidScan:
 
 
 class TestFinalPhaseOrders:
-    def exhaust_config(self, order):
-        return ITSConfig(1e-6, 2, final_phase_order=order)
+    # Two groups never reach log2(1e6) bits, so the one step runs out of
+    # groups and every user is left to the fallback.
+    EXHAUST = ITSConfig(1e-6, 2)
 
     def base(self, seed=50):
         edge, gm = NOISY_MODEL
@@ -692,14 +692,26 @@ class TestFinalPhaseOrders:
         prior = make_prior("zipf:1.0", 6)
         return edge, gm, pair, prior
 
-    def test_by_prior_desc_walks_down_the_prior(self):
-        edge, gm, pair, prior = self.base()
-        inst = VictimInstance(pair, 6, gm, noise_seed=1)
-        transcript = run_its(
-            pair, inst, prior, measures_for(edge, gm), self.exhaust_config("by_prior_desc")
-        )
-        uid_targets = [t for kind, t, _ in transcript.queries if kind == "UID"]
-        assert uid_targets == [1, 2, 3, 4, 5, 6]
+    @pytest.mark.parametrize("prior_spec", ["zipf:1.0", "uniform"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_order_walks_down_the_final_scores(self, prior_spec, seed):
+        # A uniform prior over 6 users and 2 groups forces ties, which go to
+        # the lower index.
+        edge, gm = NOISY_MODEL
+        prior = make_prior(prior_spec, 6)
+        measures = measures_for(edge, gm)
+        for victim in range(1, 7):
+            pair = generate_cprb(2, 6, edge, seed=seed)
+            inst = VictimInstance(pair, victim, gm, noise_seed=seed + 10)
+            transcript = run_its(pair, inst, prior, measures, self.EXHAUST)
+            assert transcript.tau_star_per_step == [] and len(transcript.gm_answers) == 2
+            state = init_state(prior, self.EXHAUST)
+            for group, y in enumerate(transcript.gm_answers, start=1):
+                gm_update(state, pair.block_bits("scanned", group, group)[:, 0], y, measures)
+            scores = state.scores().tolist()
+            order = sorted(range(1, 7), key=lambda j: (-scores[j - 1], j))
+            targets = [t for kind, t, _ in transcript.queries if kind == "UID"]
+            assert targets == order[: order.index(victim) + 1]
 
     def test_random_order_is_a_permutation_and_reproducible(self):
         edge, gm, pair, prior = self.base()
@@ -709,8 +721,7 @@ class TestFinalPhaseOrders:
             inst = VictimInstance(pair_r, 6, gm, noise_seed=1)
             runs.append(
                 run_its(
-                    pair_r, inst, prior, measures_for(edge, gm), self.exhaust_config("random"),
-                    order_seed=7,
+                    pair_r, inst, prior, measures_for(edge, gm), self.EXHAUST, order_seed=7,
                 )
             )
         targets = [t for kind, t, _ in runs[0].queries if kind == "UID"]
@@ -721,12 +732,6 @@ class TestFinalPhaseOrders:
         order = (np.random.default_rng(7).permutation(6) + 1).tolist()
         assert targets == order[: order.index(6) + 1]
 
-    def test_random_order_needs_an_order_seed(self):
-        edge, gm, pair, prior = self.base()
-        inst = VictimInstance(pair, 6, gm, noise_seed=1)
-        with pytest.raises(ValueError, match="order_seed"):
-            run_its(pair, inst, prior, measures_for(edge, gm), self.exhaust_config("random"))
-
 
 class TestConfigAndDefaults:
     def test_config_validation(self):
@@ -736,8 +741,6 @@ class TestConfigAndDefaults:
             ITSConfig(1.0, 2)
         with pytest.raises(ValueError):
             ITSConfig(0.5, 0)
-        with pytest.raises(ValueError):
-            ITSConfig(0.5, 2, final_phase_order="alphabetical")
 
     def test_auto_small_m_clamp(self):
         assert auto_epsilon_steps(2) == (0.25, 3)

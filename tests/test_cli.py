@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deanonlab import cli, harness
-from deanonlab.attacker import FINAL_PHASE_ORDERS
 from deanonlab.cli import main
 from deanonlab.harness import CSV_COLUMNS, OUTPUT_FORMATS, STRATEGIES
 
@@ -131,6 +130,8 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("prior", [1e308] * 4),
         ("prior", [True, 1, 1, 1]),
         ("prior", [1, 1, 1, "2"]),
+        # The fallback order follows from the strategy; it is not a field.
+        ("final_phase_order", "by_info_value_desc"),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -299,7 +300,6 @@ MALFORMED = {
         st.integers(max_value=0), st.floats(), _NON_NUMBERS.filter(lambda value: value != "auto")
     ),
     "strategy": _none_of(STRATEGIES),
-    "final_phase_order": _none_of(FINAL_PHASE_ORDERS),
     "format": _none_of(OUTPUT_FORMATS),
     "allow_degenerate": _ANY.filter(lambda value: not isinstance(value, bool)),
     "out": st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(max_size=3), max_size=2)),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deanonlab import harness
-from deanonlab.attacker import FINAL_PHASE_ORDERS, ITSConfig, run_its
+from deanonlab.attacker import ITSConfig, run_its
 from deanonlab.graph import generate_cprb
 from deanonlab.harness import (
     CSV_COLUMNS,
@@ -92,20 +92,20 @@ class TestTrialSeeds:
         with pytest.raises(ValueError, match="count"):
             TrialStreams(1, count)
 
-    @pytest.mark.parametrize("order", FINAL_PHASE_ORDERS)
     @pytest.mark.parametrize("strategy", ["its", "uid_scan"])
     def test_trial_draws_graph_victim_noise_and_order_from_streams_0_to_3(
-        self, strategy, order, monkeypatch
+        self, strategy, monkeypatch
     ):
         # 12 groups are too few to cross log2(1/0.01) bits, so each its
-        # trial ends in the fallback order. The trials run as one campaign
-        # block, which positions stream 3 only for the random order.
+        # trial ends in the fallback, which goes by score. The trials run as
+        # one campaign block, which positions stream 3 only for the identity
+        # scan's random order.
         config = small_config(
             users=9, groups=12, prior="zipf:1.0", epsilon=0.01, steps=2,
-            final_phase_order=order, strategy=strategy, master_seed=77,
+            strategy=strategy, master_seed=77,
         )
         model = harness.resolve_model(config)
-        its = ITSConfig(model.epsilon, model.steps, model.final_phase_order)
+        its = ITSConfig(model.epsilon, model.steps)
         transcripts = []
 
         def recording_run_its(*args):
@@ -119,9 +119,7 @@ class TestTrialSeeds:
             victim = sample_victim(model.prior, jumped(77, 4 * k + 1))
             inst = VictimInstance(pair, victim, model.gm, jumped(77, 4 * k + 2))
             if strategy == "its":
-                expected = run_its(
-                    pair, inst, model.prior, model.measures, its, jumped(77, 4 * k + 3)
-                ).queries
+                expected = run_its(pair, inst, model.prior, model.measures, its).queries
             else:
                 # Stream 3's permutation of the users, up to the victim.
                 order_rng = np.random.default_rng(jumped(77, 4 * k + 3))
@@ -141,13 +139,12 @@ class TestTrialSeeds:
     epsilon=st.floats(0.05, 0.6),
     steps=st.integers(1, 4),
     strategy=st.sampled_from(["its", "uid_scan"]),
-    order=st.sampled_from(["by_info_value_desc", "random", "by_prior_desc"]),
     master_seed=st.integers(0, 2**63),
     start=st.integers(0, 10**6),
     count=st.integers(1, 6),
 )
 def test_trial_block_is_the_concatenation_of_one_trial_blocks(
-    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy, order,
+    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy,
     master_seed, start, count,
 ):
     # A block reuses one set of generators for all its trials; no draw of one
@@ -155,7 +152,7 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     config = ExperimentConfig(
         users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
         prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
-        final_phase_order=order, master_seed=master_seed, allow_degenerate=True,
+        master_seed=master_seed, allow_degenerate=True,
     )
     block = harness._trial_block(config, start, count)
     singles = [harness._trial_block(config, start + i, 1) for i in range(count)]
@@ -174,19 +171,17 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     epsilon=st.floats(0.05, 0.6),
     steps=st.integers(1, 4),
     strategy=st.sampled_from(harness.STRATEGIES),
-    order=st.sampled_from(FINAL_PHASE_ORDERS),
     trials=st.integers(2, 24),
     master_seed=st.integers(0, 2**63),
 )
 def test_output_does_not_depend_on_the_worker_count(
-    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy, order,
+    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy,
     trials, master_seed,
 ):
     config = ExperimentConfig(
         users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
         prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
-        final_phase_order=order, trials=trials, master_seed=master_seed,
-        allow_degenerate=True,
+        trials=trials, master_seed=master_seed, allow_degenerate=True,
     )
     with pytest.MonkeyPatch.context() as patch:
         # Two cores on any machine, so workers=2 runs a real pool of two processes.
@@ -214,7 +209,6 @@ class TestConfigValidation:
             ("trials", 0),
             ("master_seed", -3),
             ("strategy", "tss"),
-            ("final_phase_order", "alphabetical"),
             ("workers", 0),
             ("format", "xml"),
             ("users", True),
@@ -267,18 +261,16 @@ class TestRunExperiment:
         assert summary.per_step_failure_rates == []
 
     def test_uid_scan_ignores_steps_and_fallback_order(self):
-        # The scan is the attack with no threshold step, always in the random
-        # order: the configured retry budget and fallback order play no part.
+        # The scan is the attack with no threshold step, always in a random
+        # order, never the threshold attack's score order: the configured
+        # retry budget plays no part.
         base = ExperimentConfig(
             users=30, groups=8, strategy="uid_scan", trials=200, master_seed=23,
         )
         reference = run_experiment(base)
         for steps in (1, 2, 5):
-            for order in FINAL_PHASE_ORDERS:
-                summary = run_experiment(
-                    dataclasses.replace(base, steps=steps, final_phase_order=order)
-                )
-                assert summary.to_json() == reference.to_json()
+            summary = run_experiment(dataclasses.replace(base, steps=steps))
+            assert summary.to_json() == reference.to_json()
 
     @pytest.mark.parametrize(
         "overrides",

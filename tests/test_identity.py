@@ -9,10 +9,11 @@ stream records new digests.
 
 The cases cover both benchmark workloads at one and two workers, the three
 accumulate forms of the block scan (even m below 512, odd m, m from 512 up),
-the random and by-prior fallback orders, the identity scan, a noiseless
-model whose candidates drop out and fail verification, a graph smaller than
-one block, more steps than users, and long scans of a wide graph that cross
-dozens of graph and noise blocks per trial.
+a zipf prior on a small m whose failed verifications fall back by score, the
+identity scan in its random order, a noiseless model whose candidates drop
+out and fail verification, a graph smaller than one block, more steps than
+users, and long scans of a wide graph that cross dozens of graph and noise
+blocks per trial.
 """
 
 import hashlib
@@ -35,14 +36,6 @@ CASES = {
     "zipf_small": dict(
         users=11, groups=4096, edge_flip=0.1, gm_flip=0.1, prior="zipf:1.5",
         epsilon=0.3, steps=2, trials=40, master_seed=13,
-    ),
-    "zipf_random": dict(
-        users=11, groups=4096, edge_flip=0.1, gm_flip=0.1, prior="zipf:1.5",
-        epsilon=0.3, steps=2, final_phase_order="random", trials=40, master_seed=13,
-    ),
-    "zipf_by_prior": dict(
-        users=11, groups=4096, edge_flip=0.1, gm_flip=0.1, prior="zipf:1.5",
-        epsilon=0.3, steps=2, final_phase_order="by_prior_desc", trials=40, master_seed=13,
     ),
     "uid_scan": dict(users=40, groups=64, strategy="uid_scan", trials=30, master_seed=14),
     "m513": dict(users=513, groups=2048, edge_flip=0.05, gm_flip=0.05, trials=6, master_seed=15),
@@ -80,16 +73,6 @@ GOLDEN = {
         '3cfd1610fd813499b80424cc43f616dd81b32cd1a3648d0f0ed004dffc80eac9',
         '2acb155232a9b179f076a443efa0539b8a55ffbd2d56ebe0122ab8f04491f769',
         'c0d73d55b0917273a857d11cf99a7b7c2e0e1909aa8536a95c307ba68e22d516',
-    ),
-    'zipf_random': (
-        '024c3865432811c315c6784716002a36b24f4a7a425e6c187d49484d8903c59a',
-        '31b7735a73974582001a2d8c8891be696d26f994f289da22157d9b9b3d3d91d7',
-        'f7feec478f6f03b53ba7968efb84e3ff57a149a9ae1e20fa1eb874744740c569',
-    ),
-    'zipf_by_prior': (
-        'a960f34c10e510e1e0474820b3bbc2df4f10d546167353f76157827fbecb0fc8',
-        '896acacd3da4a15e6d3f581b485a54e886cc19c56bf30eae328ca7d8c11ecf2f',
-        'df0e5debb4fa1f7b5f0d5e3cc7542e97efb734ec501f07c560be634057a1bd94',
     ),
     'uid_scan': (
         'c6932bec7fa9e299da3bab70f1279d035329100bc15c893f83eb4cc489c15baa',
