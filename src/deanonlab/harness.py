@@ -8,9 +8,10 @@ block of trials builds one generator per stream once, all from one seed
 sequence. Its first trial advances each generator from the master state to
 its jump offset; each later trial steps the previous trial's state by four
 jumps, an affine map of the 128-bit PCG64 state whose constants are pure
-integers computed once, and assigns it. Stream 3 is read only by the identity
-scan, which asks its users in a random order; the threshold attack's
-fallback goes by score, so its blocks never position that stream.
+integers computed once, and assigns it through the one state dict the
+stream keeps. Stream 3 is read only by the identity scan, which asks its
+users in a random order; the threshold attack's fallback goes by score, so
+its blocks never position that stream.
 Aggregation is a single pass over the per-trial arrays in trial order, which
 keeps repeated runs byte-identical.
 """
@@ -203,9 +204,11 @@ class TrialStreams:
     ``s -> (_TRIAL_MUL*s + b) mod 2**128``, where b = ``inc * _TRIAL_INC``
     for the ``inc`` that every jump of one master stream keeps. All
     generators are built from one seed sequence, so the seed is hashed once.
+    Each stream keeps one PCG64 state dict, whose 128-bit state is updated
+    and assigned to its generator, so a trial builds no dict.
     """
 
-    __slots__ = ("generators", "master_state", "_inc", "_add", "_states", "_next")
+    __slots__ = ("generators", "master_state", "_add", "_states", "_next")
 
     def __init__(self, master_seed: int, count: int = _STREAMS):
         if not 1 <= count <= _STREAMS:
@@ -215,19 +218,18 @@ class TrialStreams:
             np.random.Generator(np.random.PCG64(seq)) for _ in range(count)
         )
         self.master_state = self.generators[0].bit_generator.state
-        self._inc = self.master_state["state"]["inc"]
-        self._add = self._inc * _TRIAL_INC & _MASK
-        self._states: list[int] = []
+        inc = self.master_state["state"]["inc"]
+        self._add = inc * _TRIAL_INC & _MASK
+        self._states = tuple(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": 0, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            for _ in range(count)
+        )
         self._next = None  # the trial index one step of the map reaches
-
-    def _state(self, state: int) -> dict:
-        """A PCG64 state dict at this 128-bit state, with the campaign's inc."""
-        return {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": self._inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
 
 def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Generator, ...]:
@@ -241,27 +243,18 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
     """
     if trial_index == streams._next:
         add = streams._add
-        streams._states = [(_TRIAL_MUL * state + add) & _MASK for state in streams._states]
         for gen, state in zip(streams.generators, streams._states):
-            gen.bit_generator.state = streams._state(state)
+            inner = state["state"]
+            inner["state"] = (_TRIAL_MUL * inner["state"] + add) & _MASK
+            gen.bit_generator.state = state
     else:
-        for s, gen in enumerate(streams.generators):
+        for s, (gen, state) in enumerate(zip(streams.generators, streams._states)):
             bit_gen = gen.bit_generator
             bit_gen.state = streams.master_state
             bit_gen.advance((_STREAMS * trial_index + s) * _JUMP & _MASK)
-        streams._states = [gen.bit_generator.state["state"]["state"] for gen in streams.generators]
+            state["state"]["state"] = bit_gen.state["state"]["state"]
     streams._next = trial_index + 1
     return streams.generators
-
-
-def _run_one_trial(
-    config: ExperimentConfig, model: _ResolvedModel, its: ITSConfig, streams: TrialStreams, k: int
-):
-    graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, k)
-    pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
-    victim = sample_victim(model.prior, victim_rng)
-    inst = VictimInstance(pair, victim, model.gm, noise_rng)
-    return run_its(pair, inst, model.prior, model.measures, its, *order_rng)
 
 
 def _trial_block(
@@ -283,10 +276,17 @@ def _trial_block(
     qs = np.empty(count, dtype=np.int64)
     successes = np.empty(count, dtype=bool)
     verify = np.full((count, min(model.steps - 1, config.users)), -1, dtype=np.int8)
+    groups, users = config.groups, config.users
+    edge_joint, gm, prior, measures = model.edge_joint, model.gm, model.prior, model.measures
     for i in range(count):
-        transcript = _run_one_trial(config, model, its, streams, start + i)
+        graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, start + i)
+        pair = generate_cprb(groups, users, edge_joint, graph_rng)
+        inst = VictimInstance(pair, sample_victim(prior, victim_rng), gm, noise_rng)
+        transcript = run_its(pair, inst, prior, measures, its, *order_rng)
         qs[i] = transcript.q_count
         successes[i] = transcript.success
+        # Most trials verify once: a loop of scalar writes beats converting
+        # a one-element list for a slice.
         for s, response in enumerate(transcript.step_uid_responses()):
             verify[i, s] = response
     return qs, successes, verify

@@ -12,7 +12,10 @@ Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
 ordinal reproduces the identical response bit, so a block of consecutive
 queries can be answered in one call and its unused tail asked again later.
-The block reader is the one place the channel is applied; a single answer is
+The channel is applied in one place, a private method that answers a block
+of queries from the graph codes its caller has already read: the threshold
+attack reads each block's codes once and passes them in, and the block
+reader ``noisy_gm_responses`` reads them for its caller. A single answer is
 a block of one query.
 
 Query ordinal t takes uniform t of the noise stream. The uniforms are kept
@@ -62,9 +65,18 @@ class VictimInstance:
         """
         if first_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
-        codes = self.pair.block_codes(first_group, first_group + count - 1)[:, self.victim - 1]
-        u = self._noise.read(first_ordinal, first_ordinal + count - 1)
-        return (u < self._p_one.take(codes)).view(np.uint8)
+        codes = self.pair.block_codes(first_group, first_group + count - 1)
+        return self._answers(codes, first_ordinal)
+
+    def _answers(self, codes: np.ndarray, first_ordinal: int) -> np.ndarray:
+        """Received answers to w consecutive group queries, the first with ``first_ordinal``.
+
+        ``codes`` is the (w, m) code grid of the queried groups. The channel
+        acts here only, on the grid's victim column and the noise uniforms
+        of the w ordinals.
+        """
+        u = self._noise.read(first_ordinal, first_ordinal + len(codes) - 1)
+        return (u < self._p_one.take(codes[:, self.victim - 1])).view(np.uint8)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -499,6 +500,45 @@ class TestRunIts:
         assert pair.block_width == 128
         stored = sum(len(block) for block in pair._codes.blocks)
         assert last <= stored <= -(-last // 128) * 128
+
+    # The benchmark's noisy_small model at m=16, whose steps mostly end in
+    # their first block, and at wide m, whose blocks of 27 and 16 groups
+    # make most steps scan several blocks.
+    @pytest.mark.parametrize("m, n, seed", [
+        (16, 65536, 0), (16, 65536, 5), (16, 65536, 9), (600, 3000, 1), (1024, 3000, 2),
+    ])
+    def test_each_scan_reads_the_block_codes_and_its_noise_once(self, m, n, seed, monkeypatch):
+        edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.15)
+        gm = QueryChannel.bsc(0.25)
+        prior = make_prior("zipf:1.0", m)
+        pair = generate_cprb(n, m, edge, seed=seed)
+        inst = VictimInstance(pair, 1 + 7 * seed % m, gm, noise_seed=seed)
+        reads, scans = Counter(), []
+        read, accumulate = graph._LazyRows.read, attacker._accumulate
+
+        def counting_read(store, first, last):
+            reads[id(store)] += 1
+            return read(store, first, last)
+
+        def counting_accumulate(grid):  # called once per scan of a block
+            scans.append(len(grid))
+            accumulate(grid)
+
+        monkeypatch.setattr(graph._LazyRows, "read", counting_read)
+        monkeypatch.setattr(attacker, "_accumulate", counting_accumulate)
+        transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(0.1, 4))
+        # One scan per block each step touches: the steps cover groups
+        # 1..len(gm_answers) in order, the last one possibly unfinished.
+        width, first, spans = pair.block_width, 1, 0
+        taus = transcript.tau_star_per_step
+        asked = len(transcript.gm_answers)
+        for tau in taus + ([asked - sum(taus)] if sum(taus) < asked else []):
+            spans += (first + tau - 2) // width - (first - 1) // width + 1
+            first += tau
+        assert len(scans) == spans and max(scans) <= width
+        assert reads == {id(pair._codes): spans, id(inst._noise): spans}
+        if m >= 512:
+            assert spans > len(taus)  # some step read more than one block
 
     # Seeds 17, 20 and 29 run out of groups after one step (n=45), so their
     # fallback follows the unfinished step's group queries; in seeds 20, 77

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,40 @@ class TestTrialSeeds:
                 scan = (order_rng.permutation(9) + 1).tolist()
                 expected = [("UID", j, int(j == victim)) for j in scan[: scan.index(victim) + 1]]
             assert transcripts[k].queries == expected
+
+
+@pytest.mark.parametrize("strategy", harness.STRATEGIES)
+def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch):
+    # The benchmark's tracer times a trial's layers by patching these names
+    # on the harness module, and identity queries on VictimInstance, so an
+    # inlined trial must still call each through them, once per trial.
+    calls, transcripts = Counter(), []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("trial_seeds", "generate_cprb", "sample_victim"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+
+    def recording_run_its(*args, **kwargs):
+        transcripts.append(run_its(*args, **kwargs))
+        return transcripts[-1]
+
+    monkeypatch.setattr(harness, "run_its", counted("run_its", recording_run_its))
+    monkeypatch.setattr(
+        VictimInstance, "uid_response", counted("uid_response", VictimInstance.uid_response)
+    )
+    trials = 30
+    harness._trial_block(small_config(prior="zipf:1.0", strategy=strategy), 4, trials)
+    identity_queries = sum(t.uid_count() for t in transcripts)
+    assert identity_queries >= trials
+    assert calls == {
+        "trial_seeds": trials, "generate_cprb": trials, "sample_victim": trials,
+        "run_its": trials, "uid_response": identity_queries,
+    }
 
 
 @settings(max_examples=40, deadline=None)

@@ -426,3 +426,38 @@ def test_crossing_limit_compare_equals_the_threshold_test(prior, eps):
     struck = np.full(m, np.nan)
     for s in sums:
         assert not (s >= struck).any()
+
+
+
+class _FixedUniform(np.random.Generator):
+    """A generator whose ``random()`` returns a chosen uniform."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, *args, **kwargs):
+        return self.u
+
+
+@settings(max_examples=150, deadline=None)
+@given(prior=_priors(), seed=st.integers(0, 2**63))
+def test_sample_victim_is_the_right_side_searchsorted_of_its_uniform(prior, seed):
+    # sample_victim bisects a list of the cdf; a right-side searchsorted of
+    # the same uniform in the cdf array must give the same index. Seeded
+    # uniforms almost never hit a cdf entry or pass the last one, so those
+    # are asked for directly: every entry, its neighbouring doubles, 0 and
+    # the largest double below 1.
+    gen = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    m, cdf = prior.m, prior.cdf
+    for _ in range(50):
+        u = twin.random()
+        assert sample_victim(prior, gen) == min(int(cdf.searchsorted(u, "right")), m - 1) + 1
+    edges = [0.0, np.nextafter(1.0, 0.0)]
+    for entry in cdf[:100].tolist() + cdf[-3:].tolist():
+        edges += [entry, np.nextafter(entry, 0.0), np.nextafter(entry, 1.0)]
+    for u in edges:
+        if 0.0 <= u < 1.0:
+            expected = min(int(cdf.searchsorted(u, "right")), m - 1) + 1
+            assert sample_victim(prior, _FixedUniform(float(u))) == expected
