@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,10 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self):
+        self._checked_prior()
+
+    def _checked_prior(self) -> VictimPrior:
+        """Check every field, and return the victim prior that checking ``prior`` builds."""
         for name in ("users", "groups", "trials", "workers"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -121,7 +126,7 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", "must be a file path")
         try:
-            make_prior(self.prior, self.users)
+            return make_prior(self.prior, self.users)
         except (TypeError, ValueError) as exc:
             raise ConfigError("prior", str(exc)) from exc
 
@@ -164,9 +169,13 @@ class _ResolvedModel:
 
 
 def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
+    return _build_model(config, make_prior(config.prior, config.users))
+
+
+def _build_model(config: ExperimentConfig, prior: VictimPrior) -> _ResolvedModel:
+    """The model of ``config``, whose victim prior ``prior`` is already built."""
     edge_joint = EdgeJointDistribution.from_marginal_flip(config.p0, config.edge_flip)
     gm = QueryChannel.bsc(config.gm_flip)
-    prior = make_prior(config.prior, config.users)
     joint = build_joint_uyz(edge_joint, gm)
     measures = InfoMeasures.from_joint(joint)
     if config.epsilon == "auto" or config.steps == "auto":
@@ -203,7 +212,8 @@ class TrialStreams:
     by a fixed distance is an affine map of the 128-bit state,
     ``s -> (_TRIAL_MUL*s + b) mod 2**128``, where b = ``inc * _TRIAL_INC``
     for the ``inc`` that every jump of one master stream keeps. All
-    generators are built from one seed sequence, so the seed is hashed once.
+    generators are seeded from the state words of one seed sequence, which
+    are drawn once (``_seeding.SeedWords``).
     Each stream keeps one PCG64 state dict, whose 128-bit state is updated
     and assigned to its generator, so a trial builds no dict.
     """
@@ -213,9 +223,11 @@ class TrialStreams:
     def __init__(self, master_seed: int, count: int = _STREAMS):
         if not 1 <= count <= _STREAMS:
             raise ValueError(f"count must lie in [1, {_STREAMS}]")
-        seq = np.random.SeedSequence(master_seed)
+        from ._seeding import SeedWords
+
+        words = SeedWords(np.random.SeedSequence(master_seed))
         self.generators = tuple(
-            np.random.Generator(np.random.PCG64(seq)) for _ in range(count)
+            np.random.Generator(np.random.PCG64(words)) for _ in range(count)
         )
         self.master_state = self.generators[0].bit_generator.state
         inc = self.master_state["state"]["inc"]
@@ -359,6 +371,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one, else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one campaign and aggregate it into a summary.
 
@@ -367,8 +386,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     default) runs in this process and imports no process pool; the pool is
     imported on the first multi-worker campaign.
     """
-    config.validate()
-    model = resolve_model(config)
+    model = _build_model(config, config._checked_prior())
     if (
         config.strategy == "its"
         and model.measures.mutual_info <= 0.0
@@ -380,12 +398,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             "set allow_degenerate to run it anyway",
         )
     trials = config.trials
-    # More processes than trials or cores would only add start-up cost.
+    # More processes than trials or usable CPUs would only add start-up cost.
     workers = min(config.workers, trials)
     if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
+        workers = min(workers, _usable_cpus())
     if workers == 1:
-        blocks = [_trial_block(config, 0, trials, model)]
+        qs, successes, verify = _trial_block(config, 0, trials, model)
     else:
         chunk = max(1, math.ceil(trials / (workers * 4)))
         starts = list(range(0, trials, chunk))
@@ -400,18 +418,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     [min(chunk, trials - s) for s in starts],
                 )
             )
-    qs = np.concatenate([b[0] for b in blocks])
-    successes = np.concatenate([b[1] for b in blocks])
-    verify = np.vstack([b[2] for b in blocks])
+        qs, successes, verify = (np.concatenate(parts) for parts in zip(*blocks))
 
-    mean_q = float(qs.mean())
-    std_q = float(qs.std(ddof=1)) if trials > 1 else 0.0
+    # The statistics equal numpy's mean, std(ddof=1) and unique, from fewer
+    # calls: the integer sum is exact, the squared deviations go through the
+    # pairwise add.reduce that np.std uses, and the histogram counts each
+    # query count from the smallest up instead of sorting.
+    mean_q = int(np.add.reduce(qs)) / trials
+    deviations = qs - mean_q
+    deviations *= deviations
+    std_q = math.sqrt(float(np.add.reduce(deviations)) / (trials - 1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_q / math.sqrt(trials)
-    attempts = (verify >= 0).sum(axis=0).tolist()
-    failures = (verify == 0).sum(axis=0).tolist()
-    rates = [f / a if a else None for f, a in zip(failures, attempts)]
-    values, counts = np.unique(qs, return_counts=True)
-    histogram = [[int(v), int(c)] for v, c in zip(values, counts)]
+    # Per step, a trial's slot is -1 when the step never verified, else the answer.
+    rates = []
+    for step in verify.T.tolist():
+        attempts = trials - step.count(-1)
+        rates.append(step.count(0) / attempts if attempts else None)
+    low = int(np.minimum.reduce(qs))
+    counts = np.bincount(qs - low)
+    values = counts.nonzero()[0]
+    histogram = [
+        [value, count] for value, count in zip((values + low).tolist(), counts[values].tolist())
+    ]
     report = model.bound_report(config.groups)
     return ExperimentSummary(
         config=config,
@@ -422,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         std_q=std_q,
         ci95_lo=mean_q - half,
         ci95_hi=mean_q + half,
-        success_rate=float(successes.mean()),
+        success_rate=int(np.count_nonzero(successes)) / trials,
         per_step_failure_rates=rates,
         q_histogram=histogram,
         bound_report=report,
@@ -480,16 +508,32 @@ def run_sweep(
 
 
 def open_output(path: str | None):
-    """The output target opened for writing: the file at ``path``, or standard output when None.
+    """A context manager giving the output stream: the file at ``path``, or standard output when None.
 
-    A path that cannot be opened raises a ``ConfigError`` naming ``out``.
+    The path is checked now, as writing it would be, and one that cannot be
+    written raises a ``ConfigError`` naming ``out``. The file itself is
+    written only when the block completes, from what the block wrote, so a
+    run that fails leaves an existing file as it was and creates none.
     """
     if path is None:
         return nullcontext(sys.stdout)
+    existed = os.path.lexists(path)
     try:
-        return open(path, "w", newline="")
+        # Append mode checks the path as writing does and truncates nothing.
+        open(path, "a").close()
     except OSError as exc:
         raise ConfigError("out", f"cannot write the file: {exc}") from None
+    if not existed:
+        os.remove(path)
+    return _written_on_success(path)
+
+
+@contextmanager
+def _written_on_success(path: str):
+    buffer = io.StringIO()
+    yield buffer
+    with open(path, "w", newline="") as handle:
+        handle.write(buffer.getvalue())
 
 
 def write_results(summaries, format: str, handle):

@@ -17,12 +17,16 @@ The module also owns the outcome code layout. A (true, scanned) bit pair is
 stored as one code k, the k-th of the outcomes (0,0), (0,1), (1,1), (1,0):
 ``EdgeJointDistribution.generation_cuts`` lays them end to end on [0, 1) in
 that order, and ``CODE_BITS`` decodes a code into either bit. The tables a
-scan reads by code are derived from that layout once per model object and
-cached read-only: ``InfoMeasures.density_by_code`` (the density of a
+scan reads by code are derived from that layout when each model object is
+built, and are read-only: ``InfoMeasures.density_by_code`` (the density of a
 candidate whose scanned bit has code k, given answer y, at entry k + 4y) and
-``QueryChannel.p_one_by_code`` (P(answer 1 | the true bit of code k)). The
-threshold attack's per-candidate crossing limits are cached on the
-``VictimPrior`` the same way (``VictimPrior.crossing_limits``).
+``QueryChannel.p_one_by_code`` (P(answer 1 | the true bit of code k)). A
+``VictimPrior`` likewise builds its surprisals and the cumulative list that
+``sample_victim`` bisects, and caches the threshold attack's per-candidate
+crossing limits for the last threshold asked for
+(``VictimPrior.crossing_limits``). The 2x2 laws are checked and combined
+as Python floats, adding and multiplying in the order numpy does, so each
+value equals numpy's to the bit; logarithms still come from ``np.log2``.
 
 Every logarithm in this package is base 2, so entropies, densities, mutual
 information and decision thresholds all share the same unit (bits).
@@ -30,8 +34,9 @@ information and decision thresholds all share the same unit (bits).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,14 +62,20 @@ CODE_BITS = {
 }
 
 
-def _as_table(values, shape, name: str) -> np.ndarray:
+def _as_table(values, shape, name: str) -> tuple[np.ndarray, list[float]]:
+    """``values`` as a read-only float64 table of ``shape``, and its entries as a flat list.
+
+    The tables are small, so the range and sum checks run on the list.
+    """
     table = np.array(values, dtype=np.float64)
     if table.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-    if not np.all((table >= 0.0) & (table <= 1.0)):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
+    entries = table.ravel().tolist()
+    for p in entries:
+        if not 0.0 <= p <= 1.0:  # NaN fails too
+            raise ValueError(f"{name} entries must lie in [0, 1]")
     table.setflags(write=False)
-    return table
+    return table, entries
 
 
 @dataclass(frozen=True)
@@ -74,48 +85,49 @@ class EdgeJointDistribution:
     ``table[a, b]`` is the probability that the true graph has edge bit ``a``
     and the scanned graph has edge bit ``b`` at the same position. Distinct
     positions are drawn independently.
+
+    ``generation_cuts`` holds the cut points (c1, c2, c3) between the
+    outcomes (0,0), (0,1), (1,1), (1,0) of the (true, scanned) bit pair,
+    laid end to end on [0, 1): a uniform u falls in outcome
+    ``(u >= c1) + (u >= c2) + (u >= c3)``. The cumulative masses are divided
+    by their total, so a zero-mass tail ends exactly at 1 and p0 in {0, 1}
+    gives constant true bits.
     """
 
     table: np.ndarray
+    generation_cuts: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = _as_table(self.table, (2, 2), "edge joint table")
-        if abs(float(table.sum()) - 1.0) > SUM_TOL:
+        table, entries = _as_table(self.table, (2, 2), "edge joint table")
+        if abs(math.fsum(entries) - 1.0) > SUM_TOL:
             raise ValueError("edge joint table must sum to 1")
         object.__setattr__(self, "table", table)
+        # Running sums over the outcomes in layout order, as np.cumsum adds them.
+        t00, t01, t10, t11 = entries
+        c1 = t00
+        c2 = c1 + t01
+        c3 = c2 + t11
+        total = c3 + t10
+        object.__setattr__(self, "generation_cuts", (c1 / total, c2 / total, c3 / total))
 
     @property
     def p0(self) -> float:
         """Marginal edge probability of the true graph."""
-        return float(self.table[1, 0] + self.table[1, 1])
+        return self.table.item(1, 0) + self.table.item(1, 1)
 
     @property
     def p1(self) -> float:
         """Marginal edge probability of the scanned graph."""
-        return float(self.table[0, 1] + self.table[1, 1])
+        return self.table.item(0, 1) + self.table.item(1, 1)
 
     def scanned_given_true(self) -> np.ndarray:
         """Conditional P(scanned bit = u | true bit = z) as a (z, u) table."""
-        marg = self.table.sum(axis=1)
-        if np.any(marg <= 0.0):
+        rows = self.table.tolist()
+        if min(a + b for a, b in rows) <= 0.0:
             raise ValueError(
                 "conditional undefined: true-edge marginal has a zero-mass value"
             )
-        return self.table / marg[:, None]
-
-    @cached_property
-    def generation_cuts(self) -> tuple[float, float, float]:
-        """Cut points (c1, c2, c3) between the outcomes (0,0), (0,1), (1,1),
-        (1,0) of the (true, scanned) bit pair, laid end to end on [0, 1).
-
-        A uniform u falls in outcome ``(u >= c1) + (u >= c2) + (u >= c3)``.
-        The cumulative masses are divided by their total, so a zero-mass tail
-        ends exactly at 1 and p0 in {0, 1} gives constant true bits.
-        """
-        t = self.table
-        cdf = np.cumsum([t[0, 0], t[0, 1], t[1, 1], t[1, 0]])
-        c1, c2, c3 = (cdf[:3] / cdf[3]).tolist()
-        return c1, c2, c3
+        return np.array([[a / (a + b), b / (a + b)] for a, b in rows])
 
     @classmethod
     def from_marginal_flip(cls, p0: float, flip: float) -> "EdgeJointDistribution":
@@ -124,42 +136,42 @@ class EdgeJointDistribution:
             raise ValueError("p0 must lie in [0, 1]")
         if not 0.0 <= flip <= 1.0:
             raise ValueError("flip must lie in [0, 1]")
-        table = np.array(
+        return cls(
             [
                 [(1.0 - p0) * (1.0 - flip), (1.0 - p0) * flip],
                 [p0 * flip, p0 * (1.0 - flip)],
             ]
         )
-        return cls(table)
 
 
 @dataclass(frozen=True)
 class QueryChannel:
-    """Row-stochastic response noise: ``table[z, y]`` = P(received y | correct z)."""
+    """Row-stochastic response noise: ``table[z, y]`` = P(received y | correct z).
+
+    ``p_one_by_code`` is P(received 1 | correct z) at entry k, for z the true
+    bit of outcome code k.
+    """
 
     table: np.ndarray
+    p_one_by_code: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = _as_table(self.table, (2, 2), "query channel table")
-        if np.any(np.abs(table.sum(axis=1) - 1.0) > SUM_TOL):
+        table, (p00, p01, p10, p11) = _as_table(self.table, (2, 2), "query channel table")
+        if abs(p00 + p01 - 1.0) > SUM_TOL or abs(p10 + p11 - 1.0) > SUM_TOL:
             raise ValueError("query channel rows must each sum to 1")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "p_one_by_code", _read_only(table[CODE_BITS["true"], 1]))
 
     @classmethod
     def bsc(cls, flip: float) -> "QueryChannel":
         """Binary symmetric noise with the given flip probability."""
         if not 0.0 <= flip <= 1.0:
             raise ValueError("flip must lie in [0, 1]")
-        return cls(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
+        return cls([[1.0 - flip, flip], [flip, 1.0 - flip]])
 
     @classmethod
     def identity(cls) -> "QueryChannel":
         return cls(np.eye(2))
-
-    @cached_property
-    def p_one_by_code(self) -> np.ndarray:
-        """P(received 1 | correct z) at entry k, for z the true bit of outcome code k."""
-        return _read_only(self.table[CODE_BITS["true"], 1])
 
 
 @dataclass(frozen=True)
@@ -168,20 +180,27 @@ class VictimPrior:
 
     Entries must be strictly positive: a zero-probability user would carry an
     infinite prior surprisal and can simply be dropped from the index set.
+    ``surprisal`` is each user's prior surprisal log2(1 / P(j)), in bits;
+    ``_cdf_list`` holds the cumulative probabilities as a list of floats,
+    which ``sample_victim`` bisects without a numpy call.
     """
 
     probs: np.ndarray
+    surprisal: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf_list: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("prior must be a nonempty 1-D vector")
-        if not np.all(probs > 0.0):
+        if not np.minimum.reduce(probs) > 0.0:  # NaN fails too
             raise ValueError("prior entries must be strictly positive")
-        if not abs(float(probs.sum()) - 1.0) <= SUM_TOL:
+        if not abs(float(np.add.reduce(probs)) - 1.0) <= SUM_TOL:
             raise ValueError("prior must sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "surprisal", _read_only(-np.log2(probs)))
+        object.__setattr__(self, "_cdf_list", np.add.accumulate(probs).tolist())
 
     @property
     def m(self) -> int:
@@ -189,22 +208,8 @@ class VictimPrior:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative probabilities, the inverse-CDF table of ``sample_victim``."""
-        cdf = np.cumsum(self.probs)
-        cdf.setflags(write=False)
-        return cdf
-
-    @cached_property
-    def _cdf_list(self) -> list[float]:
-        """``cdf`` as a list of floats, which ``bisect`` searches without a numpy call."""
-        return self.cdf.tolist()
-
-    @cached_property
-    def surprisal(self) -> np.ndarray:
-        """Prior surprisal log2(1 / P(j)) of each user, in bits."""
-        surprisal = -np.log2(self.probs)
-        surprisal.setflags(write=False)
-        return surprisal
+        """The cumulative probabilities ``sample_victim`` bisects, as an array."""
+        return _read_only(np.array(self._cdf_list))
 
     def crossing_limits(self, threshold: float) -> np.ndarray:
         """Per user j, the smallest double L_j with ``L_j - surprisal[j] >= threshold``.
@@ -214,23 +219,31 @@ class VictimPrior:
         ``s - surprisal[j] >= threshold`` does: one compare tests a running
         sum against the threshold, with no subtraction. The search starts at
         the rounded ``threshold + surprisal[j]`` and moves by single ulps.
-        The limits of the last threshold asked for are cached read-only on
-        the prior, so a campaign computes them once.
+        The threshold must be positive, as log2(1/eps) is for every eps in
+        (0, 1): below 0 a limit near 0 could be billions of ulps from its
+        start, and the search would not end. The limits of the last
+        threshold asked for are cached read-only on the prior, so a
+        campaign computes them once.
         """
         cached = self.__dict__.get("_crossing_limits")
         if cached is not None and cached[0] == threshold:
             return cached[1]
+        if not threshold > 0.0:
+            raise ValueError("threshold must be a positive number of bits")
         surprisal = self.surprisal
         limits = threshold + surprisal
         while True:
             short = limits - surprisal < threshold
-            if not short.any():
+            if not np.count_nonzero(short):
                 break
             limits[short] = np.nextafter(limits[short], np.inf)
         while True:
-            below = np.nextafter(limits, -np.inf)
+            # Each limit lies above its surprisal, which is at least 0, so it
+            # is a positive double: the next double down has integer bits one
+            # lower.
+            below = (limits.view(np.int64) - 1).view(np.float64)
             reach = below - surprisal >= threshold
-            if not reach.any():
+            if not np.count_nonzero(reach):
                 break
             limits[reach] = below[reach]
         self.__dict__["_crossing_limits"] = (threshold, _read_only(limits))
@@ -254,7 +267,7 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
             if not s >= 0.0:
                 raise ValueError("zipf exponent must be a nonnegative number")
             weights = np.arange(1, m + 1, dtype=np.float64) ** (-s)
-            return VictimPrior(weights / weights.sum())
+            return VictimPrior(weights / np.add.reduce(weights))
         raise ValueError(f"unknown prior kind {kind!r}")
     # A float conversion would read True as 1 and "2" as 2; neither is a weight.
     entries = np.asarray(kind, dtype=object).ravel()
@@ -272,9 +285,9 @@ def make_prior(kind, m: int | None = None) -> VictimPrior:
 
 def entropy(prior: VictimPrior) -> float:
     """Shannon entropy of the victim index, in bits."""
-    p = prior.probs
-    # Adding 0.0 turns the -0.0 of a one-user prior into +0.0.
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    # The sum of P(j) log2(1 / P(j)); adding 0.0 turns the -0.0 of a one-user
+    # prior into +0.0.
+    return float(np.add.reduce(prior.probs * prior.surprisal)) + 0.0
 
 
 def sample_victim(prior: VictimPrior, seed) -> int:
@@ -303,8 +316,8 @@ class JointUYZ:
     table: np.ndarray
 
     def __post_init__(self):
-        table = _as_table(self.table, (2, 2, 2), "joint u,y,z table")
-        if abs(float(table.sum()) - 1.0) > SUM_TOL:
+        table, entries = _as_table(self.table, (2, 2, 2), "joint u,y,z table")
+        if abs(math.fsum(entries) - 1.0) > SUM_TOL:
             raise ValueError("joint u,y,z table must sum to 1")
         object.__setattr__(self, "table", table)
 
@@ -323,9 +336,14 @@ def build_joint_uyz(edge_joint: EdgeJointDistribution, gm: QueryChannel) -> Join
     p0 = edge_joint.p0
     if not 0.0 < p0 < 1.0:
         raise ValueError("degenerate model: true-edge marginal p0 must lie in (0, 1)")
-    p_z = np.array([1.0 - p0, p0])
-    u_given_z = edge_joint.scanned_given_true()
-    table = np.einsum("z,zu,zy->uyz", p_z, u_given_z, gm.table)
+    (u00, u01), (u10, u11) = edge_joint.scanned_given_true().tolist()  # P(u | z) by (z, u)
+    (y00, y01), (y10, y11) = gm.table.tolist()  # P(y | z) by (z, y)
+    q0, q1 = 1.0 - p0, p0  # P(z)
+    # Entry [u][y][z], multiplied left to right as np.einsum multiplies its operands.
+    table = [
+        [[q0 * u00 * y00, q1 * u10 * y10], [q0 * u00 * y01, q1 * u10 * y11]],
+        [[q0 * u01 * y00, q1 * u11 * y10], [q0 * u01 * y01, q1 * u11 * y11]],
+    ]
     return JointUYZ(table)
 
 
@@ -337,35 +355,48 @@ class InfoMeasures:
     impossible (u, y) pairs carried as the -inf sentinel. ``mutual_info`` is
     its expectation under P(u, y); ``i_max`` the largest finite entry.
     Possible pairs have finite densities, however small their masses.
+    ``density_by_code`` is i(u; y) at entry k + 4y, for u the scanned bit of
+    outcome code k (length 8).
     """
 
     density: np.ndarray
     mutual_info: float
     i_max: float
+    density_by_code: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_code = np.asarray(self.density)[CODE_BITS["scanned"]].T.ravel()
+        object.__setattr__(self, "density_by_code", _read_only(by_code))
 
     @classmethod
     def from_joint(cls, joint: JointUYZ) -> "InfoMeasures":
-        p_uy = joint.p_uy()
-        p_u = p_uy.sum(axis=1)
-        p_y = p_uy.sum(axis=0)
-        density = np.full((2, 2), NEG_INF)
-        mask = p_uy > 0.0
-        u, y = np.nonzero(mask)
-        outer = p_u[u] * p_y[y]
+        # The marginals add two entries each, as numpy's sums do, and the
+        # mutual information adds its terms in row-major order, as a numpy
+        # sum of four or fewer entries does.
+        ((a, b), (c, d)), ((e, f), (g, h)) = joint.table.tolist()  # [u][y][z]
+        p_uy = ((a + b, c + d), (e + f, g + h))
+        p_u = (p_uy[0][0] + p_uy[0][1], p_uy[1][0] + p_uy[1][1])
+        p_y = (p_uy[0][0] + p_uy[1][0], p_uy[0][1] + p_uy[1][1])
+        pairs = [(u, y) for u, y in ((0, 0), (0, 1), (1, 0), (1, 1)) if p_uy[u][y] > 0.0]
         # A product of two tiny marginals can underflow to 0; its log is then
         # the sum of their logs, which leaves every other entry as it was.
-        tiny = outer == 0.0
-        outer[tiny] = 1.0
-        log_outer = np.log2(outer)
-        log_outer[tiny] = np.log2(p_u[u[tiny]]) + np.log2(p_y[y[tiny]])
-        density[mask] = np.log2(p_uy[mask]) - log_outer
-        mutual = float((p_uy[mask] * density[mask]).sum())
+        # One np.log2 call over a float64 array takes every logarithm, four
+        # per possible pair.
+        args = []
+        for u, y in pairs:
+            outer = p_u[u] * p_y[y]
+            args += (p_uy[u][y], outer if outer > 0.0 else 1.0, p_u[u], p_y[y])
+        logs = np.log2(args).tolist()
+        density = [[NEG_INF, NEG_INF], [NEG_INF, NEG_INF]]
+        mutual = 0.0
+        for n, (u, y) in enumerate(pairs):
+            log_uy, log_outer, log_u, log_y = logs[4 * n : 4 * n + 4]
+            if p_u[u] * p_y[y] == 0.0:
+                log_outer = log_u + log_y
+            density[u][y] = log_uy - log_outer
+            mutual += p_uy[u][y] * density[u][y]
         # Exact arithmetic gives a nonnegative value; guard rounding residue.
         mutual = max(mutual, 0.0)
-        density.setflags(write=False)
-        return cls(density=density, mutual_info=mutual, i_max=float(density[mask].max()))
+        i_max = max(density[u][y] for u, y in pairs)
+        return cls(density=_read_only(np.array(density)), mutual_info=mutual, i_max=i_max)
 
-    @cached_property
-    def density_by_code(self) -> np.ndarray:
-        """i(u; y) at entry k + 4y, for u the scanned bit of outcome code k (length 8)."""
-        return _read_only(self.density[CODE_BITS["scanned"]].T.ravel())

@@ -187,6 +187,34 @@ def test_sweep_output_that_cannot_be_written_exits_2_before_any_point_runs(tmp_p
     assert capsys.readouterr().err.startswith("error: out: cannot write the file")
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "noise", "--points", "x"],
+    ["simulate", "--p0", "0.5", "--edge-flip", "0.5", "--gm-flip", "0.5"],
+], ids=["unparseable-point", "zero-information"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "no-file"])
+def test_refused_run_leaves_the_output_path_as_it_was(tmp_path, capsys, command, existing):
+    # The path is checked before the run, but written only once results exist.
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_text("earlier results\n")
+    code = run_cli([*command, "--users", "8", "--groups", "32", "--trials", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if existing:
+        assert out.read_text() == "earlier results\n"
+    else:
+        assert not out.exists()
+
+
+def test_output_over_an_existing_file_is_replaced_by_the_results(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier results, longer than the new header and row put together\n" * 20)
+    code = run_cli(["simulate", "--users", "8", "--groups", "32", "--trials", "2", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 2
+
+
 @pytest.mark.parametrize("axis, points", [("zipf", "0,abc"), ("m", "2.5"), ("noise", "x"), ("zipf", ",")])
 def test_unparseable_sweep_point_exits_2(capsys, axis, points):
     code = run_cli([
@@ -317,8 +345,8 @@ def _malformed_field(draw):
 @given(case=_malformed_field())
 def test_config_file_fuzzer_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, in_process_pool, case):
     field, value = case
-    # Two trials on two reported cores: a config that got through would start a pool.
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # Two trials on two usable CPUs: a config that got through would start a pool.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     config = {"users": 4, "groups": 8, "trials": 2, "workers": 2, field: value}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deanonlab import harness
+from deanonlab._seeding import SeedWords
 from deanonlab.attacker import ITSConfig, run_its
 from deanonlab.graph import generate_cprb
 from deanonlab.harness import (
@@ -87,6 +88,13 @@ class TestTrialSeeds:
             for s, gen in enumerate(generators):
                 assert gen.bit_generator.state == jumped(master_seed, 4 * k + s).bit_generator.state
                 gen.random(1 + s)  # a trial draws from its streams before the next call
+
+    def test_seed_words_seed_a_pcg64_as_their_seed_sequence_does(self):
+        seq = np.random.SeedSequence(2024)
+        words = SeedWords(seq)
+        assert np.random.PCG64(words).state == np.random.PCG64(seq).state
+        with pytest.raises(ValueError):
+            words.generate_state(8)
 
     @pytest.mark.parametrize("count", [0, 5])
     def test_stream_count_outside_one_to_four_is_rejected(self, count):
@@ -219,8 +227,8 @@ def test_output_does_not_depend_on_the_worker_count(
         trials=trials, master_seed=master_seed, allow_degenerate=True,
     )
     with pytest.MonkeyPatch.context() as patch:
-        # Two cores on any machine, so workers=2 runs a real pool of two processes.
-        patch.setattr(harness.os, "cpu_count", lambda: 2)
+        # Two usable CPUs on any machine, so workers=2 runs a real pool of two processes.
+        patch.setattr(harness, "_usable_cpus", lambda: 2)
         serial = run_experiment(config)
         parallel = run_experiment(dataclasses.replace(config, workers=2))
     assert serial.to_json() == parallel.to_json()
@@ -365,10 +373,10 @@ class TestRunExperiment:
         assert serial.to_json() == parallel.to_json()
 
     def test_one_worker_campaign_does_not_ask_for_the_core_count(self, monkeypatch):
-        def cpu_count():
+        def usable_cpus():
             raise AssertionError("a one-worker campaign asked for the core count")
 
-        monkeypatch.setattr(harness.os, "cpu_count", cpu_count)
+        monkeypatch.setattr(harness, "_usable_cpus", usable_cpus)
         run_experiment(small_config(trials=3, workers=1))
         run_experiment(small_config(trials=1, workers=4))
 
@@ -398,8 +406,70 @@ class TestRunExperiment:
 
     def test_worker_count_is_capped_by_trials_and_cores(self, in_process_pool):
         capped = run_experiment(small_config(trials=3, workers=10**6))
-        assert all(count <= min(3, os.cpu_count() or 1) for count in in_process_pool)
+        assert all(count <= min(3, harness._usable_cpus()) for count in in_process_pool)
         assert capped.to_json() == run_experiment(small_config(trials=3)).to_json()
+
+    @pytest.mark.parametrize("affinity", [{0}, {0, 5, 9}])
+    def test_worker_cap_counts_the_cpus_this_process_may_run_on(
+        self, affinity, monkeypatch, in_process_pool
+    ):
+        # The host reports 64 CPUs; the process may run on fewer.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        run_experiment(small_config(trials=8, workers=4))
+        assert in_process_pool == ([] if len(affinity) == 1 else [3])
+        assert harness._usable_cpus() == len(affinity)
+
+    def test_worker_cap_falls_back_to_the_host_count_without_affinity(
+        self, monkeypatch, in_process_pool
+    ):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_experiment(small_config(trials=8, workers=4))
+        assert in_process_pool == [2]
+        assert harness._usable_cpus() == 2
+
+    def test_a_campaign_builds_its_prior_and_model_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("make_prior", "build_joint_uyz"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        monkeypatch.setattr(
+            harness.InfoMeasures, "from_joint",
+            classmethod(counted("from_joint", harness.InfoMeasures.from_joint.__func__)),
+        )
+        run_experiment(small_config(prior="zipf:1.0", trials=5))
+        assert calls == {"make_prior": 1, "build_joint_uyz": 1, "from_joint": 1}
+
+    @pytest.mark.parametrize("prior", ["zipf:x", [1.0] * 15, [0.0] + [1.0] * 15])
+    def test_a_malformed_prior_is_refused_naming_prior(self, prior):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(small_config(prior=prior))
+        assert err.value.field == "prior"
+
+    def test_single_and_multi_block_campaigns_aggregate_alike(self, monkeypatch, in_process_pool):
+        # An identity scan over 150 users: the query counts spread over far
+        # more than 64 values with gaps between them, and a trial never
+        # verifies, so the per-step table has no column.
+        config = ExperimentConfig(
+            users=150, groups=8, strategy="uid_scan", trials=45, master_seed=11,
+        )
+        single = run_experiment(config)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        multi = run_experiment(dataclasses.replace(config, workers=3))
+        assert in_process_pool == [3]  # four-trial blocks, so 12 of them
+        assert single.to_json() == multi.to_json()
+        values = [value for value, _ in single.q_histogram]
+        assert values[-1] - values[0] > 64 and len(values) < values[-1] - values[0] + 1
+        qs, _, _ = harness._trial_block(config, 0, config.trials)
+        assert single.q_histogram == [list(pair) for pair in sorted(Counter(qs.tolist()).items())]
+        assert single.mean_q == float(qs.mean()) and single.std_q == float(qs.std(ddof=1))
 
     def test_noiseless_model_sandwiched_by_bounds(self):
         config = ExperimentConfig(

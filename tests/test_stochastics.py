@@ -428,6 +428,13 @@ def test_crossing_limit_compare_equals_the_threshold_test(prior, eps):
         assert not (s >= struck).any()
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.0, -2.0, float("nan")])
+def test_crossing_limits_refuse_a_threshold_that_is_not_positive(threshold):
+    # At -2 bits the uniform four-user limits start at 0, about 2**62 ulps
+    # above the smallest crossing double.
+    with pytest.raises(ValueError, match="threshold"):
+        make_prior("uniform", 4).crossing_limits(threshold)
+
 
 class _FixedUniform(np.random.Generator):
     """A generator whose ``random()`` returns a chosen uniform."""
