@@ -268,16 +268,14 @@ def run_its(
     no second read of the graph. The densities of the grid, looked up by
     code and answer, are summed down its group axis in place by
     :func:`_accumulate`, the first row seeded with the running sums. The
-    group cursor is a local during a step, written back to the attacker
-    state when the step ends; the running sums are the state's own array,
-    given the row where the block's scan stops. The first row where a live
-    candidate's sum reaches its crossing limit ends the step (the first
-    crossing of the flattened grid, divided by m); struck candidates carry
-    a NaN limit, so they never cross. The adds are those of one update per
-    query, in the same order, and each compare decides what the score's
-    threshold comparison decides, so the transcript is identical to the
-    one-query walk bit for bit, whichever form :func:`_accumulate` takes for
-    this m.
+    running sums are the state's own array, given the row where the block's
+    scan stops. The first row where a live candidate's sum reaches its
+    crossing limit ends the step (the first crossing of the flattened grid,
+    divided by m); struck candidates carry a NaN limit, so they never cross.
+    The adds are those of one update per query, in the same order, and each
+    compare decides what the score's threshold comparison decides, so the
+    transcript is identical to the one-query walk bit for bit, whichever
+    form :func:`_accumulate` takes for this m.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
@@ -293,7 +291,7 @@ def run_its(
     # limit, which no sum reaches.
     limits = prior.crossing_limits(config.threshold_bits)
     state = init_state(prior, config)
-    info, cursor = state.info, state.group_cursor  # the cursor is written back per step
+    info, cursor = state.info, state.group_cursor
     answers: list[bytes] = []
     uid_queries: list[tuple[int, int]] = []
     tau_star_per_step: list[int] = []
@@ -320,7 +318,6 @@ def run_its(
             info[:] = sums[width - 1]
             answers.append(ys[:width].tobytes())
             cursor += width
-        state.group_cursor = cursor
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
         tau_star_per_step.append(cursor - step_first)

@@ -14,6 +14,7 @@ flags win. Exits 0 on success, 2 with a diagnostic on a configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -93,23 +94,18 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"not valid JSON: {exc}") from None
-    for key in ("users", "groups", "p0", "edge_flip", "gm_flip", "prior",
-                "trials", "master_seed", "workers", "out", "format"):
+    for key in (field.name for field in dataclasses.fields(ExperimentConfig)):
         value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    for key in ("epsilon", "steps"):
-        value = getattr(args, key, None)
-        if value is not None:
-            if value != "auto":
-                try:
-                    value = float(value) if key == "epsilon" else int(value)
-                except ValueError:
-                    raise ConfigError(key, "must be 'auto' or a number") from None
-            data[key] = value
-    strategy = getattr(args, "strategy", None)
-    if strategy is not None:
-        data["strategy"] = strategy.replace("-", "_")
+        if value is None:
+            continue
+        if key in ("epsilon", "steps") and value != "auto":
+            try:
+                value = float(value) if key == "epsilon" else int(value)
+            except ValueError:
+                raise ConfigError(key, "must be 'auto' or a number") from None
+        elif key == "strategy":
+            value = value.replace("-", "_")
+        data[key] = value
     config = ExperimentConfig.from_dict(data)
     config.validate()
     return config

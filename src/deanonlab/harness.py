@@ -87,14 +87,10 @@ class ExperimentConfig:
     master_seed: int = 0
     strategy: str = "its"
     workers: int = 1
-    allow_degenerate: bool = False
     out: str | None = None
     format: str = "csv"
 
-    def validate(self):
-        self._checked_prior()
-
-    def _checked_prior(self) -> VictimPrior:
+    def validate(self) -> VictimPrior:
         """Check every field, and return the victim prior that checking ``prior`` builds."""
         for name in ("users", "groups", "trials", "workers"):
             value = getattr(self, name)
@@ -121,8 +117,6 @@ class ExperimentConfig:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}")
         if self.format not in OUTPUT_FORMATS:
             raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
-        if not isinstance(self.allow_degenerate, bool):
-            raise ConfigError("allow_degenerate", "must be true or false")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", "must be a file path")
         try:
@@ -169,11 +163,8 @@ class _ResolvedModel:
 
 
 def resolve_model(config: ExperimentConfig) -> _ResolvedModel:
-    return _build_model(config, make_prior(config.prior, config.users))
-
-
-def _build_model(config: ExperimentConfig, prior: VictimPrior) -> _ResolvedModel:
-    """The model of ``config``, whose victim prior ``prior`` is already built."""
+    """Check ``config`` and build its model, with the prior that checking builds."""
+    prior = config.validate()
     edge_joint = EdgeJointDistribution.from_marginal_flip(config.p0, config.edge_flip)
     gm = QueryChannel.bsc(config.gm_flip)
     joint = build_joint_uyz(edge_joint, gm)
@@ -269,17 +260,13 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
     return streams.generators
 
 
-def _trial_block(
-    config: ExperimentConfig, start: int, count: int, model: _ResolvedModel | None = None
-):
+def _trial_block(config: ExperimentConfig, start: int, count: int, model: _ResolvedModel):
     """Run trials [start, start + count) and return compact per-trial arrays.
 
-    ``model`` is ``resolve_model(config)``, resolved here when not given. A
-    trial verifies at most one candidate per user, so ``verify`` holds
-    ``min(steps - 1, users)`` slots per trial; later steps never happen.
+    ``model`` is ``resolve_model(config)``. A trial verifies at most one
+    candidate per user, so ``verify`` holds ``min(steps - 1, users)`` slots
+    per trial; later steps never happen.
     """
-    if model is None:
-        model = resolve_model(config)
     its = ITSConfig(model.epsilon, model.steps)
     # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
@@ -382,21 +369,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one campaign and aggregate it into a summary.
 
     Trial k is fully determined by (master_seed, k); the worker count only
-    changes scheduling, never the numbers. A one-worker campaign (the
+    changes scheduling, never the numbers. The model is built once, here,
+    and every block of trials runs on it. A one-worker campaign (the
     default) runs in this process and imports no process pool; the pool is
-    imported on the first multi-worker campaign.
+    imported on the first multi-worker campaign. The threshold attack is
+    refused on a model with zero mutual information, where no score moves.
     """
-    model = _build_model(config, config._checked_prior())
-    if (
-        config.strategy == "its"
-        and model.measures.mutual_info <= 0.0
-        and not config.allow_degenerate
-    ):
-        raise ConfigError(
-            "strategy",
-            "its needs a model with positive mutual information; "
-            "set allow_degenerate to run it anyway",
-        )
+    model = resolve_model(config)
+    if config.strategy == "its" and model.measures.mutual_info <= 0.0:
+        raise ConfigError("strategy", "its needs a model with positive mutual information")
     trials = config.trials
     # More processes than trials or usable CPUs would only add start-up cost.
     workers = min(config.workers, trials)
@@ -416,6 +397,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     [config] * len(starts),
                     starts,
                     [min(chunk, trials - s) for s in starts],
+                    [model] * len(starts),
                 )
             )
         qs, successes, verify = (np.concatenate(parts) for parts in zip(*blocks))

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -206,11 +205,6 @@ class VictimPrior:
     def m(self) -> int:
         return int(self.probs.size)
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """The cumulative probabilities ``sample_victim`` bisects, as an array."""
-        return _read_only(np.array(self._cdf_list))
-
     def crossing_limits(self, threshold: float) -> np.ndarray:
         """Per user j, the smallest double L_j with ``L_j - surprisal[j] >= threshold``.
 
@@ -297,8 +291,8 @@ def sample_victim(prior: VictimPrior, seed) -> int:
     from. Inverse-CDF sampling on a single uniform, so runs that share a seed
     but vary the prior produce positively coupled draws (useful for
     common-random-number sweeps). The index is the right-side
-    ``searchsorted`` of the uniform in ``prior.cdf``, found by bisecting the
-    same values as a list.
+    ``searchsorted`` of the uniform in the prior's cumulative probabilities,
+    found by bisecting them as a list.
     """
     cdf = prior._cdf_list
     return min(bisect_right(cdf, np.random.default_rng(seed).random()), len(cdf) - 1) + 1

@@ -123,15 +123,16 @@ def test_missing_required_size_exits_nonzero(capsys):
         ("workers", True),
         ("master_seed", True),
         ("steps", True),
+        # Removed knobs are unknown fields: the fallback order follows from
+        # the strategy, and its on a zero-information model has no override.
         ("allow_degenerate", "false"),
-        ("prior", "zipf:nan"),
+        ("final_phase_order", "by_info_value_desc"),
         ("prior", [float("nan"), 1, 1, 1]),
         ("prior", [1, 1, 1, float("inf")]),
         ("prior", [1e308] * 4),
         ("prior", [True, 1, 1, 1]),
         ("prior", [1, 1, 1, "2"]),
-        # The fallback order follows from the strategy; it is not a field.
-        ("final_phase_order", "by_info_value_desc"),
+        ("prior", "zipf:nan"),
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
@@ -239,9 +240,10 @@ def _reject_constant(token):
 def test_json_output_is_strict_for_unbounded_models(tmp_path, capsys, command):
     # m = 1 and a fully flipped scan: H = 0 and I = 0, so the upper bound is
     # unbounded and must come out as null, and the converse floor as +0.0.
+    # The identity scan runs on such a model; the threshold attack is refused.
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(
-        {"users": 1, "groups": 8, "edge_flip": 0.5, "allow_degenerate": True}
+        {"users": 1, "groups": 8, "edge_flip": 0.5, "strategy": "uid_scan"}
     ))
     code = run_cli([command[0], "--config", str(config_path), *command[1:]])
     assert code == 0
@@ -329,7 +331,6 @@ MALFORMED = {
     ),
     "strategy": _none_of(STRATEGIES),
     "format": _none_of(OUTPUT_FORMATS),
-    "allow_degenerate": _ANY.filter(lambda value: not isinstance(value, bool)),
     "out": st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(max_size=3), max_size=2)),
 }
 

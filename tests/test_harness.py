@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deanonlab import harness
@@ -122,7 +122,7 @@ class TestTrialSeeds:
             return transcripts[-1]
 
         monkeypatch.setattr(harness, "run_its", recording_run_its)
-        harness._trial_block(config, 0, 12)
+        harness._trial_block(config, 0, 12, model)
         for k in (0, 3, 11):
             pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
             victim = sample_victim(model.prior, jumped(77, 4 * k + 1))
@@ -162,7 +162,8 @@ def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch
         VictimInstance, "uid_response", counted("uid_response", VictimInstance.uid_response)
     )
     trials = 30
-    harness._trial_block(small_config(prior="zipf:1.0", strategy=strategy), 4, trials)
+    config = small_config(prior="zipf:1.0", strategy=strategy)
+    harness._trial_block(config, 4, trials, harness.resolve_model(config))
     identity_queries = sum(t.uid_count() for t in transcripts)
     assert identity_queries >= trials
     assert calls == {
@@ -186,6 +187,10 @@ def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch
     start=st.integers(0, 10**6),
     count=st.integers(1, 6),
 )
+@example(
+    users=5, groups=40, p0=0.5, edge_flip=0.5, gm_flip=0.0, prior="zipf:1.5", epsilon=0.2,
+    steps=3, strategy="its", master_seed=9, start=3, count=4,
+)
 def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy,
     master_seed, start, count,
@@ -195,10 +200,13 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     config = ExperimentConfig(
         users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
         prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
-        master_seed=master_seed, allow_degenerate=True,
+        master_seed=master_seed,
     )
-    block = harness._trial_block(config, start, count)
-    singles = [harness._trial_block(config, start + i, 1) for i in range(count)]
+    # A flip of 1/2 gives I = 0, where a campaign refuses its; a block still
+    # runs it, and the explicit example keeps such trials covered.
+    model = harness.resolve_model(config)
+    block = harness._trial_block(config, start, count, model)
+    singles = [harness._trial_block(config, start + i, 1, model) for i in range(count)]
     for part, joined in zip(block, zip(*singles)):
         assert np.array_equal(part, np.concatenate(joined))
 
@@ -224,8 +232,10 @@ def test_output_does_not_depend_on_the_worker_count(
     config = ExperimentConfig(
         users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
         prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
-        trials=trials, master_seed=master_seed, allow_degenerate=True,
+        trials=trials, master_seed=master_seed,
     )
+    # run_experiment refuses its on a model with zero mutual information.
+    assume(strategy == "uid_scan" or harness.resolve_model(config).measures.mutual_info > 0.0)
     with pytest.MonkeyPatch.context() as patch:
         # Two usable CPUs on any machine, so workers=2 runs a real pool of two processes.
         patch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -447,6 +457,20 @@ class TestRunExperiment:
         run_experiment(small_config(prior="zipf:1.0", trials=5))
         assert calls == {"make_prior": 1, "build_joint_uyz": 1, "from_joint": 1}
 
+    def test_a_pool_campaign_builds_its_model_once(self, monkeypatch, in_process_pool):
+        # 25 trials on 3 workers run as nine blocks, each on the campaign's model.
+        builds, real = [], harness.make_prior
+
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "make_prior", counted)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        run_experiment(small_config(prior="zipf:1.0", trials=25, workers=3))
+        assert in_process_pool == [3]
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("prior", ["zipf:x", [1.0] * 15, [0.0] + [1.0] * 15])
     def test_a_malformed_prior_is_refused_naming_prior(self, prior):
         with pytest.raises(ConfigError) as err:
@@ -467,7 +491,7 @@ class TestRunExperiment:
         assert single.to_json() == multi.to_json()
         values = [value for value, _ in single.q_histogram]
         assert values[-1] - values[0] > 64 and len(values) < values[-1] - values[0] + 1
-        qs, _, _ = harness._trial_block(config, 0, config.trials)
+        qs, _, _ = harness._trial_block(config, 0, config.trials, harness.resolve_model(config))
         assert single.q_histogram == [list(pair) for pair in sorted(Counter(qs.tolist()).items())]
         assert single.mean_q == float(qs.mean()) and single.std_q == float(qs.std(ddof=1))
 
@@ -595,7 +619,7 @@ class TestEmitResults:
 
     def test_unbounded_values_are_inf_in_csv_and_null_in_json(self):
         summary = run_experiment(ExperimentConfig(
-            users=1, groups=8, edge_flip=0.5, allow_degenerate=True, trials=3,
+            users=1, groups=8, edge_flip=0.5, strategy="uid_scan", trials=3,
         ))
         row = dict(zip(CSV_COLUMNS, summary.csv_row()))
         assert row["upper_bound_stated"] == row["upper_bound_certified"] == "inf"

@@ -3,14 +3,18 @@
 A name in ``deanonlab.__all__`` must be referred to by some line of the
 package outside ``__init__.py``, of a demo, or of the benchmark script; its
 own ``def``, ``class`` or assignment line does not count, and neither do the
-test suites. And every call site the benchmark's tracer patches still exists.
+test suites. Every call site the benchmark's tracer patches still exists. And
+every configuration field has a command-line flag, so no knob is hidden.
 """
 
+import argparse
+import dataclasses
 import re
 import types
 from pathlib import Path
 
 import deanonlab
+from deanonlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [
@@ -45,3 +49,12 @@ def test_every_tracer_call_site_resolves():
         if attr not in vars(layers._resolve(deanonlab, owner))
     ]
     assert not missing, f"tracer call sites that no longer resolve: {missing}"
+
+
+def test_every_config_field_is_a_simulate_flag():
+    # cli._load_config reads the fields of ExperimentConfig, so a field
+    # without a flag could be set only from a config file.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest for action in commands.choices["simulate"]._actions} - {"help", "config"}
+    assert flags == {field.name for field in dataclasses.fields(deanonlab.ExperimentConfig)}
