@@ -17,6 +17,7 @@ from deanonlab import (
     QueryChannel,
     VictimInstance,
     build_joint_uyz,
+    expected_response_column,
     generate_cprb,
     gm_update,
     init_state,
@@ -25,7 +26,6 @@ from deanonlab import (
     select_candidate,
     threshold_check,
 )
-from deanonlab.oracle import expected_response_column
 
 M, N = 8, 64
 EPSILON, STEPS = 0.25, 3
@@ -46,15 +46,15 @@ print(f"threshold: score >= log2(1/{EPSILON}) = {threshold:.2f} bits\n")
 state = init_state(prior, ITSConfig(EPSILON, STEPS))
 print("prior surprisal per user:", np.round(state.prior_surprisal, 2))
 
+# Query k asks group k, so one counter is both the ordinal and the group.
 ordinal = 0
 stop, crossers = threshold_check(state, EPSILON)
 while not stop:
-    group = state.group_cursor
-    column = expected_response_column(pair, group)
     ordinal += 1
+    group = ordinal
+    column = expected_response_column(pair, group)
     y = inst.noisy_gm_response(group, ordinal)
     gm_update(state, column, y, measures)
-    state.group_cursor += 1
     scores = state.info - state.prior_surprisal
     leader = int(np.argmax(scores)) + 1
     print(f"query {ordinal:2d}: group {group:2d} -> response {y} | "

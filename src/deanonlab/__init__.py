@@ -11,6 +11,7 @@ from .attacker import (
     ITSConfig,
     ITSState,
     auto_epsilon_steps,
+    expected_response_column,
     gm_update,
     init_state,
     run_its,
@@ -29,7 +30,7 @@ from .harness import (
     run_sweep,
     trial_seeds,
 )
-from .oracle import VictimInstance, expected_response_column
+from .oracle import VictimInstance
 from .stochastics import (
     EdgeJointDistribution,
     InfoMeasures,

@@ -6,12 +6,14 @@ The threshold attack keeps one running score per candidate user j:
                queries issued so far, minus the prior surprisal
                log2(1 / P(victim = j)),
 
-where u_t(j) is candidate j's scanned-graph bit for the queried group and
-y_t the received response. Group queries walk a shared cursor through fresh
-groups; the walk stops as soon as some candidate's score reaches the
-threshold log2(1/epsilon). The top-scoring candidate is then verified with a
-single noiseless identity query. On failure the candidate is struck from all
-later consideration, scores reset, and the walk resumes on the next groups.
+where u_t(j) is candidate j's scanned-graph bit for the queried group, the
+response the attacker expects if j is the victim (``expected_response_column``
+gives one group's column of them), and y_t the received response. Group
+queries walk a shared cursor through fresh groups; the walk stops as soon as
+some candidate's score reaches the threshold log2(1/epsilon). The
+top-scoring candidate is then verified with a single noiseless identity
+query. On failure the candidate is struck from all later consideration,
+scores reset, and the walk resumes on the next groups.
 After ``steps_l - 1`` failed verifications (or if the graph runs out of
 groups), the attack falls back to exhaustive identity queries over the users
 not yet struck, so it always terminates with the victim found. With
@@ -77,10 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BigraphPair
-# expected_response_column is the one-group form of the block read in
-# run_its; it stays importable here because the benchmark's tracer patches
-# the attack's call sites on this module.
-from .oracle import VictimInstance, expected_response_column  # noqa: F401
+from .oracle import VictimInstance
 from .stochastics import InfoMeasures, VictimPrior
 
 # Grids at least this many candidates wide are accumulated row by row, narrower
@@ -141,11 +140,12 @@ class ITSState:
     is out of the current step. ``eliminated`` marks candidates struck by a
     failed identity check; they stay struck across resets.
     ``prior_surprisal`` is the prior's own read-only ``VictimPrior.surprisal``.
+    The state holds no group cursor: group query k asks group k, so the
+    walk's position is its query count.
     """
 
     info: np.ndarray
     prior_surprisal: np.ndarray
-    group_cursor: int
     eliminated: np.ndarray
 
     def scores(self) -> np.ndarray:
@@ -156,7 +156,7 @@ class ITSState:
 
 
 def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
-    """Fresh state: zero accumulators, surprisal log2(1/P(j)), cursor at group 1.
+    """Fresh state: zero accumulators, surprisal log2(1/P(j)), nobody struck.
 
     ``config`` is not read. The parameter stays only because the acceptance
     gate calls ``init_state(prior, config)``.
@@ -165,9 +165,18 @@ def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
     return ITSState(
         info=np.zeros(m),
         prior_surprisal=prior.surprisal,
-        group_cursor=1,
         eliminated=np.zeros(m, dtype=bool),
     )
+
+
+def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
+    """Scanned-graph bits of one group for every candidate (length m).
+
+    Entry j-1 is the response the attacker would expect if candidate j were
+    the victim, i.e. candidate j's scanned-graph membership bit. This is the
+    one-group form of the block read in :func:`run_its`.
+    """
+    return pair.block_bits("scanned", group, group)[:, 0]
 
 
 def gm_update(state: ITSState, column: np.ndarray, y: int, measures: InfoMeasures) -> ITSState:
@@ -259,23 +268,23 @@ def run_its(
     threshold step: the attack is the identity scan over all users in the
     fallback order.
 
-    Each threshold step scans from the group cursor to the end of the graph's
-    materialization block (``pair.block_width`` aligned columns, a width
-    fixed when the pair is built, so the scan never generates a column the
-    one-query walk would not). The block's codes are read once, as a (w, m)
-    grid of w groups by m candidates. The victim's instance answers the w
-    queries from that same grid, so one vector of w received answers costs
-    no second read of the graph. The densities of the grid, looked up by
-    code and answer, are summed down its group axis in place by
-    :func:`_accumulate`, the first row seeded with the running sums. The
-    running sums are the state's own array, given the row where the block's
-    scan stops. The first row where a live candidate's sum reaches its
-    crossing limit ends the step (the first crossing of the flattened grid,
-    divided by m); struck candidates carry a NaN limit, so they never cross.
-    The adds are those of one update per query, in the same order, and each
-    compare decides what the score's threshold comparison decides, so the
-    transcript is identical to the one-query walk bit for bit, whichever
-    form :func:`_accumulate` takes for this m.
+    Each threshold step scans from the group cursor, which starts at group
+    1, to the end of the graph's materialization block (``pair.block_width``
+    aligned columns, a width fixed when the pair is built, so the scan never
+    generates a column the one-query walk would not). The block's codes are
+    read once, as a (w, m) grid of w groups by m candidates. The victim's
+    instance answers the w queries from that same grid, so one vector of w
+    received answers costs no second read of the graph. The densities of the
+    grid, looked up by code and answer, are summed down its group axis in
+    place by :func:`_accumulate`, the first row seeded with the running
+    sums. The running sums are the state's own array, given the row where
+    the block's scan stops. The first row where a live candidate's sum
+    reaches its crossing limit ends the step (the first crossing of the
+    flattened grid, divided by m); struck candidates carry a NaN limit, so
+    they never cross. The adds are those of one update per query, in the
+    same order, and each compare decides what the score's threshold
+    comparison decides, so the transcript is identical to the one-query walk
+    bit for bit, whichever form :func:`_accumulate` takes for this m.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
@@ -291,7 +300,7 @@ def run_its(
     # limit, which no sum reaches.
     limits = prior.crossing_limits(config.threshold_bits)
     state = init_state(prior, config)
-    info, cursor = state.info, state.group_cursor
+    info, cursor = state.info, 1
     answers: list[bytes] = []
     uid_queries: list[tuple[int, int]] = []
     tau_star_per_step: list[int] = []

@@ -24,7 +24,7 @@ package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,15 @@ class BoundReport:
     conditions_met: dict
 
     def to_json(self) -> dict:
-        """Plain dict of the report; an infinite value (unbounded) becomes None."""
-        return {
-            "upper_finite": _finite_or_none(self.upper_finite),
-            "upper_finite_stated": _finite_or_none(self.upper_finite_stated),
-            "lower_converse": _finite_or_none(self.lower_converse),
-            "groups_required_finite": _finite_or_none(self.groups_required_finite),
-            "groups_required_asymptotic": _finite_or_none(self.groups_required_asymptotic),
-            "params_used": {k: _finite_or_none(v) for k, v in self.params_used.items()},
-            "conditions_met": dict(self.conditions_met),
-        }
+        """Plain dict of the report, in field order; an infinite value (unbounded) becomes None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                out[f.name] = {k: _finite_or_none(v) for k, v in value.items()}
+            else:
+                out[f.name] = _finite_or_none(value)
+        return out
 
 
 def _finite_or_none(value):

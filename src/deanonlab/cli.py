@@ -106,14 +106,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         elif key == "strategy":
             value = value.replace("-", "_")
         data[key] = value
-    config = ExperimentConfig.from_dict(data)
-    config.validate()
-    return config
+    return ExperimentConfig.from_dict(data)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # The campaign or the model build checks the config, once.
         config = _load_config(args)
         if args.command in ("simulate", "sweep"):
             # Open the output first, so a path that cannot be written fails

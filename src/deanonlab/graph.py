@@ -156,11 +156,6 @@ class BigraphPair:
         return _read_only(CODE_BITS[which].take(codes))
 
     @property
-    def sig0(self) -> np.ndarray:
-        """True-graph signatures as an m x n 0/1 matrix (copy)."""
-        return self.block_bits("true", 1, self.n).copy()
-
-    @property
     def sig1(self) -> np.ndarray:
         """Scanned-graph signatures as an m x n 0/1 matrix (copy)."""
         return self.block_bits("scanned", 1, self.n).copy()

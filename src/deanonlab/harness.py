@@ -462,8 +462,10 @@ def run_sweep(
     "zipf" the prior exponent. Each point gets its own master seed offset
     unless common random numbers are requested, in which case all points
     share the base seed (and thereby graphs, victims and noise draws, up to
-    the model differences themselves).
+    the model differences themselves). The base is checked first, so a
+    malformed field is refused even where every point overrides it.
     """
+    base.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}")
     if not points:
@@ -492,13 +494,16 @@ def run_sweep(
 def open_output(path: str | None):
     """A context manager giving the output stream: the file at ``path``, or standard output when None.
 
-    The path is checked now, as writing it would be, and one that cannot be
-    written raises a ``ConfigError`` naming ``out``. The file itself is
-    written only when the block completes, from what the block wrote, so a
-    run that fails leaves an existing file as it was and creates none.
+    The path is checked now, as writing it would be: one that is not a
+    ``str`` or ``os.PathLike``, or cannot be written, raises a
+    ``ConfigError`` naming ``out``. The file itself is written only when the
+    block completes, from what the block wrote, so a run that fails leaves
+    an existing file as it was and creates none.
     """
     if path is None:
         return nullcontext(sys.stdout)
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError("out", "must be a file path")
     existed = os.path.lexists(path)
     try:
         # Append mode checks the path as writing does and truncates nothing.

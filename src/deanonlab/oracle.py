@@ -12,11 +12,10 @@ Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
 ordinal reproduces the identical response bit, so a block of consecutive
 queries can be answered in one call and its unused tail asked again later.
-The channel is applied in one place, a private method that answers a block
-of queries from the graph codes its caller has already read: the threshold
-attack reads each block's codes once and passes them in, and the block
-reader ``noisy_gm_responses`` reads them for its caller. A single answer is
-a block of one query.
+The channel acts in one place, the private ``_answers``, which answers a
+block of queries from the graph codes its caller has already read:
+``attacker.run_its`` passes the codes of each block it scans, and
+``noisy_gm_response`` a one-group read.
 
 Query ordinal t takes uniform t of the noise stream. The uniforms are kept
 in the graph module's lazy store (``graph._LazyRows``), built once per
@@ -52,21 +51,14 @@ class VictimInstance:
         self._noise = _LazyRows(width, lambda k: gen.random(width))
 
     def noisy_gm_response(self, group: int, query_ordinal: int) -> int:
-        """Received answer for the group-membership query with this ordinal."""
-        return int(self.noisy_gm_responses(group, 1, query_ordinal)[0])
+        """Received answer for the group-membership query with this ordinal.
 
-    def noisy_gm_responses(self, first_group: int, count: int, first_ordinal: int) -> np.ndarray:
-        """Received answers for ``count`` consecutive group queries, as a 0/1 vector.
-
-        Query k (from 0) asks group ``first_group + k`` with ordinal
-        ``first_ordinal + k``. The correct answer is the victim's true-graph
-        bit for the group, passed through the channel; replaying a query
-        ordinal reproduces its answer, whatever blocks it was read in.
+        The correct answer is the victim's true-graph bit for the group,
+        passed through the channel; replaying an ordinal reproduces its answer.
         """
-        if first_ordinal < 1:
+        if query_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
-        codes = self.pair.block_codes(first_group, first_group + count - 1)
-        return self._answers(codes, first_ordinal)
+        return int(self._answers(self.pair.block_codes(group, group), query_ordinal)[0])
 
     def _answers(self, codes: np.ndarray, first_ordinal: int) -> np.ndarray:
         """Received answers to w consecutive group queries, the first with ``first_ordinal``.
@@ -83,12 +75,3 @@ class VictimInstance:
         if not 1 <= candidate <= self.pair.m:
             raise ValueError(f"candidate index {candidate} outside [1, {self.pair.m}]")
         return int(candidate == self.victim)
-
-
-def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
-    """Scanned-graph bits of one group for every candidate (length m).
-
-    Entry j-1 is the response the attacker would expect if candidate j were
-    the victim, i.e. candidate j's scanned-graph membership bit.
-    """
-    return pair.block_bits("scanned", group, group)[:, 0]

@@ -119,15 +119,6 @@ class EdgeJointDistribution:
         """Marginal edge probability of the scanned graph."""
         return self.table.item(0, 1) + self.table.item(1, 1)
 
-    def scanned_given_true(self) -> np.ndarray:
-        """Conditional P(scanned bit = u | true bit = z) as a (z, u) table."""
-        rows = self.table.tolist()
-        if min(a + b for a, b in rows) <= 0.0:
-            raise ValueError(
-                "conditional undefined: true-edge marginal has a zero-mass value"
-            )
-        return np.array([[a / (a + b), b / (a + b)] for a, b in rows])
-
     @classmethod
     def from_marginal_flip(cls, p0: float, flip: float) -> "EdgeJointDistribution":
         """True bit ~ Bernoulli(p0); scanned bit flips it with probability ``flip``."""
@@ -330,7 +321,12 @@ def build_joint_uyz(edge_joint: EdgeJointDistribution, gm: QueryChannel) -> Join
     p0 = edge_joint.p0
     if not 0.0 < p0 < 1.0:
         raise ValueError("degenerate model: true-edge marginal p0 must lie in (0, 1)")
-    (u00, u01), (u10, u11) = edge_joint.scanned_given_true().tolist()  # P(u | z) by (z, u)
+    rows = edge_joint.table.tolist()
+    # p0 in (0, 1) can still leave a row without mass: the table sums to 1
+    # only within SUM_TOL.
+    if min(a + b for a, b in rows) <= 0.0:
+        raise ValueError("conditional undefined: true-edge marginal has a zero-mass value")
+    (u00, u01), (u10, u11) = ((a / (a + b), b / (a + b)) for a, b in rows)  # P(u | z) by (z, u)
     (y00, y01), (y10, y11) = gm.table.tolist()  # P(y | z) by (z, y)
     q0, q1 = 1.0 - p0, p0  # P(z)
     # Entry [u][y][z], multiplied left to right as np.einsum multiplies its operands.

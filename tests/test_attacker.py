@@ -145,7 +145,6 @@ class TestInitState:
         state = init_state(make_prior("uniform", 8), ITSConfig(0.5, 2))
         assert np.allclose(state.prior_surprisal, 3.0, atol=1e-12)
         assert not state.info.any()
-        assert state.group_cursor == 1
         assert not state.eliminated.any()
 
     def test_concentrated_prior(self):

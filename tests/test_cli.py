@@ -226,6 +226,44 @@ def test_unparseable_sweep_point_exits_2(capsys, axis, points):
     assert "points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, builds", [
+    (["simulate"], 1),
+    (["bounds"], 1),
+    (["sweep", "--axis", "zipf", "--points", "0,0.5,1"], 4),
+], ids=["simulate", "bounds", "sweep"])
+def test_a_command_builds_the_prior_once_per_check(capsys, monkeypatch, command, builds):
+    # A sweep checks its base, then each point's campaign checks its own config.
+    calls, real = [], harness.make_prior
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "make_prior", counted)
+    model = ["--users", "8", "--groups", "32", "--gm-flip", "0.1"]
+    runs = ["--trials", "2"] if command[0] != "bounds" else []
+    assert run_cli([*command, *model, *runs]) == 0
+    assert len(calls) == builds
+
+
+def test_sweep_refuses_a_malformed_base_field_the_axis_overrides(capsys):
+    code = run_cli([
+        "sweep", "--users", "-1", "--groups", "8", "--trials", "2", "--axis", "m", "--points", "4,8",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: users:")
+
+
+def test_an_unwritable_out_is_named_before_another_bad_field(tmp_path, capsys, monkeypatch):
+    refuse_campaigns(monkeypatch)
+    code = run_cli([
+        "simulate", "--users", "4", "--groups", "8", "--p0", "1.5", "--trials", "2",
+        "--out", str(tmp_path / "missing" / "run.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out: cannot write the file")
+
+
 def test_non_numeric_epsilon_flag_exits_2(capsys):
     code = run_cli(["bounds", "--users", "4", "--groups", "8", "--epsilon", "x"])
     assert code == 2

@@ -25,13 +25,13 @@ def members(pair, which, group):
 
 def test_degenerate_all_ones():
     pair = generate_cprb(5, 3, ALL_ONES, seed=1)
-    assert np.all(pair.sig0 == 1)
+    assert np.all(pair.block_bits("true", 1, pair.n) == 1)
     assert np.all(pair.sig1 == 1)
 
 
 def test_degenerate_all_zeros():
     pair = generate_cprb(5, 3, ALL_ZEROS, seed=1)
-    assert not pair.sig0.any()
+    assert not pair.block_bits("true", 1, pair.n).any()
     assert not pair.sig1.any()
 
 
@@ -44,20 +44,20 @@ def test_rejects_empty_dimensions():
 
 def test_fair_correlated_statistics():
     pair = generate_cprb(100, 100, FAIR_CORRELATED, seed=2024)
-    sig0 = pair.sig0
-    ones = int(sig0.sum())
-    total = sig0.size
+    true_bits = pair.block_bits("true", 1, pair.n)
+    ones = int(true_bits.sum())
+    total = true_bits.size
     # Ones count against Binomial(10^4, 0.5) at level 0.001.
     result = stats.chisquare([ones, total - ones], [total / 2, total / 2])
     assert result.pvalue > 0.001
     # Full correlation makes the two graphs agree everywhere.
-    assert np.array_equal(sig0, pair.sig1)
+    assert np.array_equal(true_bits, pair.sig1)
 
 
 def test_position_histogram_matches_edge_joint():
     edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.2)
     pair = generate_cprb(128, 128, edge, seed=7)
-    e0 = pair.sig0.ravel()
+    e0 = pair.block_bits("true", 1, pair.n).ravel()
     e1 = pair.sig1.ravel()
     counts = np.array(
         [
@@ -74,21 +74,21 @@ def test_position_histogram_matches_edge_joint():
 def test_bit_for_bit_reproducible():
     a = generate_cprb(77, 13, EdgeJointDistribution.from_marginal_flip(0.4, 0.1), seed=99)
     b = generate_cprb(77, 13, EdgeJointDistribution.from_marginal_flip(0.4, 0.1), seed=99)
-    assert np.array_equal(a.sig0, b.sig0)
+    assert np.array_equal(a.block_bits("true", 1, a.n), b.block_bits("true", 1, b.n))
     assert np.array_equal(a.sig1, b.sig1)
 
 
 def test_access_order_does_not_change_bits():
     edge = EdgeJointDistribution.from_marginal_flip(0.3, 0.15)
     eager = generate_cprb(200, 9, edge, seed=5)
-    full0, full1 = eager.sig0, eager.sig1
+    full0, full1 = eager.block_bits("true", 1, eager.n), eager.sig1
 
     lazy = generate_cprb(200, 9, edge, seed=5)
     # Touch columns out of order through the public readers first.
     assert np.array_equal(column(lazy, "scanned", 150), full1[:, 149])
     assert np.array_equal(column(lazy, "true", 3), full0[:, 2])
     assert members(lazy, "scanned", 77) == set((np.flatnonzero(full1[:, 76]) + 1).tolist())
-    assert np.array_equal(lazy.sig0, full0)
+    assert np.array_equal(lazy.block_bits("true", 1, lazy.n), full0)
     assert np.array_equal(lazy.sig1, full1)
 
 
@@ -131,7 +131,7 @@ def test_column_stream_oracle(edge):
 @pytest.mark.parametrize("flip", [0.3, 1.0])
 def test_degenerate_true_graph_under_a_noisy_scan(p0, flip):
     pair = generate_cprb(200, 33, EdgeJointDistribution.from_marginal_flip(p0, flip), seed=8)
-    assert np.all(pair.sig0 == p0)
+    assert np.all(pair.block_bits("true", 1, pair.n) == p0)
     if flip == 1.0:
         assert np.all(pair.sig1 == 1 - p0)
     else:
@@ -142,14 +142,14 @@ def test_degenerate_true_graph_under_a_noisy_scan(p0, flip):
 def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
     reference = generate_cprb(203, 11, edge, seed=17)
-    full0, full1 = reference.sig0, reference.sig1
+    full0, full1 = reference.block_bits("true", 1, reference.n), reference.sig1
     # The rule alone would give m=11 blocks of 186 columns.
     monkeypatch.setattr(graph, "_block_width", lambda m: block)
     pair = generate_cprb(203, 11, edge, seed=17)
     assert pair.block_width == block
     column(pair, "true", 9)
     assert sum(len(stored) for stored in pair._codes.blocks) == -(-9 // block) * block
-    assert np.array_equal(pair.sig0, full0)
+    assert np.array_equal(pair.block_bits("true", 1, pair.n), full0)
     assert np.array_equal(pair.sig1, full1)
 
 
@@ -157,7 +157,7 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
     edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.15)
     narrow = generate_cprb(40, 9, edge, seed=4242)
     wide = generate_cprb(300, 9, edge, seed=4242)
-    assert np.array_equal(wide.sig0[:, :40], narrow.sig0)
+    assert np.array_equal(wide.block_bits("true", 1, 40), narrow.block_bits("true", 1, 40))
     assert np.array_equal(wide.sig1[:, :40], narrow.sig1)
 
 
@@ -172,7 +172,7 @@ def test_storage_grows_with_materialized_columns():
     pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
     column(pair, "true", 1)
     assert stored_bytes(pair) == pair.block_width * m
-    assert pair.sig0.shape == (m, n)
+    assert pair.block_bits("true", 1, pair.n).shape == (m, n)
     assert stored_bytes(pair) == m * n
 
 
@@ -212,21 +212,20 @@ def test_scan_peak_does_not_grow_with_scan_length(monkeypatch):
         lambda pair: pair.user_bits("scanned", 6, 7, 7),
         lambda pair: pair.row_bits("scanned", 4),
         lambda pair: pair.row_bits("true", 1, upto=7),
-        lambda pair: pair.sig0,
         lambda pair: pair.sig1,
     ],
-    ids=["block", "block-all", "block-grid", "user", "user-one", "row", "row-prefix", "sig0", "sig1"],
+    ids=["block", "block-all", "block-grid", "user", "user-one", "row", "row-prefix", "sig1"],
 )
 def test_a_read_never_hands_out_writable_storage(read):
     pair = generate_cprb(40, 6, EdgeJointDistribution.from_marginal_flip(0.5, 0.1), seed=8)
     before = read(pair).copy()
-    full0, full1 = pair.sig0, pair.sig1
+    full0, full1 = pair.block_bits("true", 1, pair.n).copy(), pair.sig1
     try:
         read(pair)[...] = 1 - before
     except ValueError:
         pass
     assert np.array_equal(read(pair), before)
-    assert np.array_equal(pair.sig0, full0)
+    assert np.array_equal(pair.block_bits("true", 1, pair.n), full0)
     assert np.array_equal(pair.sig1, full1)
 
 
@@ -286,7 +285,7 @@ class TestSignatureSlices:
 def test_block_bits_equal_matrix_slices(first, last):
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
-    full0, full1 = full.sig0, full.sig1
+    full0, full1 = full.block_bits("true", 1, full.n), full.sig1
     lazy = generate_cprb(45, 11, edge, seed=23)
     block1 = lazy.block_bits("scanned", first, last)
     block0 = lazy.block_bits("true", first, last)
@@ -307,7 +306,7 @@ def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
     # slice of the full matrices.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
-    full0, full1 = full.sig0, full.sig1
+    full0, full1 = full.block_bits("true", 1, full.n), full.sig1
     monkeypatch.setattr(graph, "_block_width", lambda m: 8)
     for first, last in [(1, 45), (3, 11), (8, 9), (9, 16), (7, 25), (30, 37), (31, 45), (45, 45)]:
         pair = generate_cprb(45, 11, edge, seed=23)
@@ -325,9 +324,9 @@ def test_block_width_is_fixed_when_the_pair_is_built():
     with pytest.raises(AttributeError):
         pair.block_width = 16
     assert pair.block_width == 256
-    fresh = generate_cprb(200, 8, FAIR_CORRELATED, seed=5)
+    fresh = generate_cprb(200, 8, FAIR_CORRELATED, seed=5).block_bits("true", 1, 200)
     for group in range(1, 201):
-        assert np.array_equal(column(pair, "true", group), fresh.sig0[:, group - 1])
+        assert np.array_equal(column(pair, "true", group), fresh[:, group - 1])
 
 
 @pytest.mark.parametrize(

@@ -585,6 +585,14 @@ class TestSweep:
         assert [s.config.users for s in sweep] == [16, 8, 12]
         assert all(type(s.config.users) is int for s in sweep)
 
+    def test_a_malformed_base_is_refused_where_the_axis_overrides_it(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(users=-1, trials=2), "m", [8, 16])
+        assert info.value.field == "users"
+        assert ran == []
+
     def test_crn_shares_master_seed(self):
         base = small_config(trials=10)
         shared = run_sweep(base, "zipf", [0.5, 0.5], common_random_numbers=True)
@@ -626,6 +634,20 @@ class TestEmitResults:
         blob = summary.to_json()
         assert list(blob)[: len(CSV_COLUMNS)] == CSV_COLUMNS
         assert blob["upper_bound_stated"] is None and blob["upper_bound_certified"] is None
+
+    @pytest.mark.parametrize(
+        "path", [3, 2.5, True, b"out.csv", ["out.csv"]], ids=["int", "float", "bool", "bytes", "list"]
+    )
+    def test_a_path_that_is_not_a_path_is_refused_untouched(self, path, monkeypatch):
+        # An int is a file descriptor to os.path, so no file system call may see it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the file system was touched")
+
+        monkeypatch.setattr(harness.os.path, "lexists", refuse)
+        summary = run_experiment(small_config(trials=2))
+        with pytest.raises(ConfigError) as info:
+            emit_results([summary], "csv", path)
+        assert info.value.field == "out"
 
     def test_unknown_format_rejected(self, tmp_path):
         summary = run_experiment(small_config(trials=2))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from deanonlab import graph
+from deanonlab.attacker import expected_response_column
 from deanonlab.graph import generate_cprb
-from deanonlab.oracle import VictimInstance, expected_response_column
+from deanonlab.oracle import VictimInstance
 from deanonlab.stochastics import EdgeJointDistribution, QueryChannel
 
 NOISELESS = QueryChannel.identity()
@@ -11,6 +12,12 @@ NOISELESS = QueryChannel.identity()
 
 def make_pair(n=20, m=8, p0=0.5, flip=0.1, seed=17):
     return generate_cprb(n, m, EdgeJointDistribution.from_marginal_flip(p0, flip), seed)
+
+
+def block_answers(inst, first_group, count, first_ordinal):
+    """Answers to ``count`` consecutive group queries, read as the attack's block scan reads them."""
+    codes = inst.pair.block_codes(first_group, first_group + count - 1)
+    return inst._answers(codes, first_ordinal)
 
 
 class TestTrueResponse:
@@ -28,9 +35,9 @@ class TestTrueResponse:
     def test_matches_matrix_lookup(self):
         pair = make_pair()
         inst = VictimInstance(pair, 5, NOISELESS, 0)
-        sig0 = pair.sig0
+        true_bits = pair.block_bits("true", 1, pair.n)
         for g in range(1, pair.n + 1):
-            assert inst.noisy_gm_response(g, g) == sig0[4, g - 1]
+            assert inst.noisy_gm_response(g, g) == true_bits[4, g - 1]
 
     def test_group_range_checked(self):
         inst = VictimInstance(make_pair(n=10), 1, NOISELESS, 0)
@@ -107,14 +114,14 @@ class TestBlockResponses:
             asks = [(first_group + k, first_ordinal + k) for k in range(count)]
             block_first = VictimInstance(pair, 6, channel, 55)
             assert block_first._noise.width == pair.block_width
-            block = block_first.noisy_gm_responses(first_group, count, first_ordinal).tolist()
+            block = block_answers(block_first, first_group, count, first_ordinal).tolist()
             default = VictimInstance(default_pair, 6, channel, 55)
-            assert default.noisy_gm_responses(first_group, count, first_ordinal).tolist() == block
+            assert block_answers(default, first_group, count, first_ordinal).tolist() == block
             assert [block_first.noisy_gm_response(g, t) for g, t in asks] == block
             single_first = VictimInstance(pair, 6, channel, 55)
             singles = [single_first.noisy_gm_response(g, t) for g, t in asks]
             assert singles == block
-            again = single_first.noisy_gm_responses(first_group, count, first_ordinal)
+            again = block_answers(single_first, first_group, count, first_ordinal)
             assert again.tolist() == block
 
     def test_later_single_reads_are_unchanged(self):
@@ -125,22 +132,21 @@ class TestBlockResponses:
         expected = [fresh.noisy_gm_response(g, t) for g, t in asks]
         inst = VictimInstance(pair, 2, channel, 77)
         for first_group, count, first_ordinal in reversed(self.RANGES):
-            inst.noisy_gm_responses(first_group, count, first_ordinal)
+            block_answers(inst, first_group, count, first_ordinal)
         assert [inst.noisy_gm_response(g, t) for g, t in asks] == expected
 
     def test_identity_channel_reads_the_true_row(self):
         pair = make_pair(n=45)
         inst = VictimInstance(pair, 3, NOISELESS, 5)
-        assert np.array_equal(inst.noisy_gm_responses(7, 39, 1), pair.sig0[2, 6:45])
+        true_bits = pair.block_bits("true", 1, pair.n)
+        assert np.array_equal(block_answers(inst, 7, 39, 1), true_bits[2, 6:45])
 
     def test_range_checked(self):
         inst = VictimInstance(make_pair(n=10), 1, NOISELESS, 0)
-        with pytest.raises(ValueError):
-            inst.noisy_gm_responses(1, 3, 0)
         with pytest.raises(IndexError):
-            inst.noisy_gm_responses(9, 3, 1)
+            block_answers(inst, 9, 3, 1)
         with pytest.raises(IndexError):
-            inst.noisy_gm_responses(1, 0, 1)
+            block_answers(inst, 1, 0, 1)
 
 
 class TestUidResponse:

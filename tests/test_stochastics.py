@@ -116,6 +116,14 @@ class TestJointUYZ:
         with pytest.raises(ValueError, match="degenerate"):
             build_joint_uyz(edge, QueryChannel.bsc(0.2))
 
+    def test_rejects_a_true_bit_row_without_mass(self):
+        # The table sums to 1 within SUM_TOL, so p0 = 1 - 1e-13 lies in (0, 1)
+        # while the true-bit-0 row has no mass to condition on.
+        edge = EdgeJointDistribution([[0.0, 0.0], [0.5, 0.5 - 1e-13]])
+        assert 0.0 < edge.p0 < 1.0
+        with pytest.raises(ValueError, match="zero-mass"):
+            build_joint_uyz(edge, QueryChannel.bsc(0.2))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             JointUYZ(np.full((2, 2, 2), 0.2))

@@ -3,8 +3,10 @@
 A name in ``deanonlab.__all__`` must be referred to by some line of the
 package outside ``__init__.py``, of a demo, or of the benchmark script; its
 own ``def``, ``class`` or assignment line does not count, and neither do the
-test suites. Every call site the benchmark's tracer patches still exists. And
-every configuration field has a command-line flag, so no knob is hidden.
+test suites. Each public method or property of an exported class is named
+as an attribute by the same sources or by the acceptance gate. Every call
+site the benchmark's tracer patches still exists. And every configuration
+field has a command-line flag, so no knob is hidden.
 """
 
 import argparse
@@ -33,6 +35,30 @@ def test_every_exported_name_has_a_caller():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert not unused, f"exported without a caller outside the tests: {unused}"
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    # Dataclass fields are exempt: the output records emit them through
+    # generic code, not by name.
+    lines = [
+        line
+        for path in [*SOURCES, ROOT / "tests" / "test_acceptance.py"]
+        for line in path.read_text().splitlines()
+    ]
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    checked, unused = [], []
+    for cls in (getattr(deanonlab, name) for name in deanonlab.__all__):
+        if not isinstance(cls, type):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        for attr, value in vars(cls).items():
+            if attr.startswith("_") or attr in fields or not isinstance(value, kinds):
+                continue
+            checked.append(attr)
+            if not any(re.search(rf"\.{attr}\b", line) for line in lines):
+                unused.append(f"{cls.__name__}.{attr}")
+    assert checked
+    assert not unused, f"public members without a caller outside the tests: {unused}"
 
 
 def test_every_tracer_call_site_resolves():
