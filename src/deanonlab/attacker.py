@@ -107,10 +107,6 @@ class ITSConfig:
         if self.steps_l < 1:
             raise ValueError("steps_l must be at least 1")
 
-    @property
-    def threshold_bits(self) -> float:
-        return math.log2(1.0 / self.epsilon)
-
 
 def auto_epsilon_steps(m: int) -> tuple[float, int]:
     """Default (epsilon, steps_l) schedule as a function of the user count.
@@ -298,7 +294,7 @@ def run_its(
     grid = np.empty((block, m)) if m >= _ROWWISE_FROM else None
     # A live candidate's sum crosses at its limit; a struck one has a NaN
     # limit, which no sum reaches.
-    limits = prior.crossing_limits(config.threshold_bits)
+    limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
     state = init_state(prior, config)
     info, cursor = state.info, 1
     answers: list[bytes] = []

@@ -12,10 +12,13 @@ step-failure chain yields exponent ``steps``; a conservative variant uses
 ``steps - 1``. Both are computed, and the looser ``steps - 1`` variant is
 reported as the certified bound.
 
-Any strategy whatsoever needs at least H / I queries to leading order, so
-that ratio serves as the converse reference line. Its finite-size correction
-terms are not modeled: at small m the empirical mean may legitimately sit
-slightly below the ratio.
+H / I is the leading-order cost of group queries at fixed I as m grows
+without bound, and serves as the converse reference line. It is not a
+floor at finite m: identity queries carry information too, and a strategy
+that picks each next group by the current posterior can learn more than I
+bits per query, so either can beat it (an identity scan over 64 users
+averaged 32 queries against H / I = 50.5). Its finite-size correction terms
+are not modeled.
 
 All inputs and outputs use bits (base-2 logs), matching the rest of the
 package.

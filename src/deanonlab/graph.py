@@ -7,6 +7,8 @@ of the outcomes (true bit, scanned bit) = (0,0), (0,1), (1,1), (1,0), and
 ``stochastics.CODE_BITS`` decodes it into either bit. Codes are stored group-major,
 group g's row holding users 1..m, so the attack reads a block of groups as a
 contiguous (groups, users) grid and the victim's answers as one column of it.
+``BigraphPair.block_bits`` is the one decoder: a user's signature, a single
+bit and the scanned matrix are each a slice of a block it decodes.
 
 Generation draws the outcome of every position i.i.d. from an
 ``EdgeJointDistribution`` out of a single random stream per pair,
@@ -81,7 +83,9 @@ class _LazyRows:
 class BigraphPair:
     """True and scanned membership graphs over m users and n groups.
 
-    Construct through :func:`generate_cprb`. The pair is logically
+    Construct through :func:`generate_cprb`. ``block_codes`` reads the
+    stored codes and ``block_bits`` decodes them; ``row_bits``, ``bit`` and
+    ``sig1`` are slices of a ``block_bits`` read. The pair is logically
     immutable: every read of the same position yields the same code. Lazy
     generation appends blocks left to right, which is safe for the intended
     one-trial-per-instance usage; share an instance across threads only
@@ -128,32 +132,28 @@ class BigraphPair:
     def block_bits(self, which: str, first: int, last: int) -> np.ndarray:
         """Groups first..last (1-based, inclusive) of every user, as a read-only m x w 0/1 matrix.
 
-        ``.T`` gives the decoded contiguous (groups, users) grid without a copy.
+        The pair's one decoder: every bit reader goes through it. ``.T``
+        gives the decoded contiguous (groups, users) grid without a copy.
         """
-        return self._decode(which, self.block_codes(first, last)).T
+        codes = self.block_codes(first, last)
+        if which not in CODE_BITS:
+            raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
+        return _read_only(CODE_BITS[which].take(codes)).T
 
-    def user_bits(self, which: str, user: int, first: int, last: int) -> np.ndarray:
-        """Groups first..last (1-based, inclusive) of one user, as a read-only 0/1 vector."""
-        if not 1 <= user <= self.m:
-            raise IndexError(f"user index {user} outside [1, {self.m}]")
-        return self._decode(which, self.block_codes(first, last)[:, user - 1])
-
-    def row_bits(self, which: str, user: int, upto: int | None = None) -> np.ndarray:
-        """The first ``upto`` signature bits of one user (defaults to all n)."""
-        count = self.n if upto is None else upto
-        if not 0 <= count <= self.n:
-            raise IndexError(f"upto {count} outside [0, {self.n}]")
-        return self.user_bits(which, user, 1, max(count, 1))[:count]
+    def row_bits(self, which: str, user: int) -> np.ndarray:
+        """All n signature bits of one user, as a read-only 0/1 vector."""
+        self._check_user(user)
+        return self.block_bits(which, 1, self.n)[user - 1]
 
     def bit(self, which: str, user: int, group: int) -> int:
         """Single membership bit at (user, group), both 1-based."""
-        return int(self.user_bits(which, user, group, group)[0])
+        self._check_user(user)
+        return int(self.block_bits(which, group, group)[user - 1, 0])
 
-    @staticmethod
-    def _decode(which: str, codes: np.ndarray) -> np.ndarray:
-        if which not in CODE_BITS:
-            raise ValueError(f"graph selector must be 'true' or 'scanned', got {which!r}")
-        return _read_only(CODE_BITS[which].take(codes))
+    def _check_user(self, user: int) -> None:
+        # Checked before any read, so user 0 never wraps to the last row.
+        if not 1 <= user <= self.m:
+            raise IndexError(f"user index {user} outside [1, {self.m}]")
 
     @property
     def sig1(self) -> np.ndarray:

@@ -208,13 +208,12 @@ def test_scan_peak_does_not_grow_with_scan_length(monkeypatch):
         lambda pair: pair.block_bits("scanned", 3, 9),
         lambda pair: pair.block_bits("true", 1, pair.n),
         lambda pair: pair.block_bits("scanned", 5, 5).T,
-        lambda pair: pair.user_bits("true", 2, 1, 20),
-        lambda pair: pair.user_bits("scanned", 6, 7, 7),
+        lambda pair: pair.block_bits("true", 1, 20)[1],
+        lambda pair: pair.block_bits("scanned", 7, 7)[5],
         lambda pair: pair.row_bits("scanned", 4),
-        lambda pair: pair.row_bits("true", 1, upto=7),
         lambda pair: pair.sig1,
     ],
-    ids=["block", "block-all", "block-grid", "user", "user-one", "row", "row-prefix", "sig1"],
+    ids=["block", "block-all", "block-grid", "user", "user-one", "row", "sig1"],
 )
 def test_a_read_never_hands_out_writable_storage(read):
     pair = generate_cprb(40, 6, EdgeJointDistribution.from_marginal_flip(0.5, 0.1), seed=8)
@@ -236,7 +235,7 @@ def test_generated_reads_are_read_only_bytes_of_0_or_1(m):
     pair = generate_cprb(300, m, EdgeJointDistribution.from_marginal_flip(0.5, 0.3), seed=m)
     reads = [
         pair.block_bits("scanned", 1, 300), pair.block_bits("true", 5, 40),
-        pair.user_bits("true", m, 1, 300), pair.user_bits("scanned", 1, 250, 250),
+        pair.row_bits("true", m), pair.block_bits("scanned", 250, 250)[0],
     ]
     for read in reads:
         assert read.dtype == np.uint8
@@ -293,11 +292,8 @@ def test_block_bits_equal_matrix_slices(first, last):
     assert np.array_equal(block0, full0[:, first - 1 : last])
     assert np.array_equal(block1, full1[:, first - 1 : last])
     for user in (1, 8, 9, 11):
-        row0 = lazy.user_bits("true", user, first, last)
-        row1 = lazy.user_bits("scanned", user, first, last)
-        assert np.array_equal(row0, full0[user - 1, first - 1 : last])
-        assert np.array_equal(row1, full1[user - 1, first - 1 : last])
         assert lazy.bit("true", user, last) == full0[user - 1, last - 1]
+        assert lazy.bit("scanned", user, first) == full1[user - 1, first - 1]
 
 
 def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
@@ -313,7 +309,7 @@ def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
         assert pair.block_width == 8
         assert np.array_equal(pair.block_bits("true", first, last), full0[:, first - 1 : last])
         assert np.array_equal(pair.block_bits("scanned", first, last), full1[:, first - 1 : last])
-        assert np.array_equal(pair.user_bits("scanned", 4, first, last), full1[3, first - 1 : last])
+        assert pair.bit("scanned", 4, last) == full1[3, last - 1]
 
 
 def test_block_width_is_fixed_when_the_pair_is_built():
@@ -374,15 +370,15 @@ def test_index_errors():
         pair.row_bits("true", 6)
     with pytest.raises(IndexError):
         column(pair, "true", 11)
-    # upto must lie in [0, n]: no phantom groups past n, no negative counts.
-    with pytest.raises(IndexError):
-        pair.row_bits("true", 1, upto=15)
-    with pytest.raises(IndexError):
-        pair.row_bits("true", 1, upto=-3)
-    assert pair.row_bits("true", 1, upto=0).size == 0
-    for user, first, last in [(0, 1, 2), (6, 1, 2), (1, 0, 2), (1, 3, 2), (1, 1, 11)]:
+    # A bad user is refused before any read: user 0 must not wrap to row m.
+    for user, group in [(0, 1), (-1, 1), (6, 1), (1, 0), (1, 11)]:
         with pytest.raises(IndexError):
-            pair.user_bits("true", user, first, last)
+            pair.bit("true", user, group)
+    with pytest.raises(IndexError, match=r"user index 0 outside \[1, 5\]"):
+        pair.row_bits("guessed", 0)
+    assert stored_bytes(pair) == 0
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
+    with pytest.raises(ValueError):
+        pair.bit("guessed", 1, 1)
 

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -95,6 +97,15 @@ class TestTrialSeeds:
         assert np.random.PCG64(words).state == np.random.PCG64(seq).state
         with pytest.raises(ValueError):
             words.generate_state(8)
+
+    def test_a_negative_trial_index_is_refused(self):
+        # Jump 4k + s wraps mod 2**128 for k < 0, to no trial's stream.
+        streams = TrialStreams(5)
+        trial_seeds(streams, 0)
+        with pytest.raises(ValueError, match="-1"):
+            trial_seeds(streams, -1)
+        for s, gen in enumerate(trial_seeds(streams, 1)):
+            assert gen.bit_generator.state == jumped(5, 4 + s).bit_generator.state
 
     @pytest.mark.parametrize("count", [0, 5])
     def test_stream_count_outside_one_to_four_is_rejected(self, count):
@@ -280,6 +291,11 @@ class TestConfigValidation:
         assert err.value.field == field
         assert field in str(err.value)
 
+    def test_a_path_like_out_is_accepted(self, tmp_path):
+        summary = run_experiment(small_config(trials=2, out=tmp_path / "r.csv"))
+        emit_results([summary], "csv", summary.config.out)
+        assert (tmp_path / "r.csv").read_text().startswith("m,n,")
+
     def test_zero_information_model_rejected_for_its(self):
         config = small_config(gm_flip=0.5)
         with pytest.raises(ConfigError):
@@ -376,6 +392,30 @@ class TestRunExperiment:
         rates = summary.per_step_failure_rates
         assert len(rates) == 8
         assert any(rates[:8])  # some verifications failed
+
+    def test_failure_rates_cost_no_list_per_verification_slot(self):
+        # 8 groups are too few to cross 1 + log2(256) bits, so no trial
+        # verifies and every slot stays -1. A budget of a million steps holds
+        # (trials, m) one-byte slots; counting them per step must not copy
+        # them, as a list of 8-byte entries would.
+        def traced_peak(steps):
+            config = small_config(
+                users=256, groups=8, edge_flip=0.0, gm_flip=0.0, epsilon=0.5, steps=steps,
+                trials=500, master_seed=1,
+            )
+            tracemalloc.start()
+            try:
+                summary = run_experiment(config)
+                return tracemalloc.get_traced_memory()[1], summary
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(4)  # first-campaign caches are not part of the comparison
+        (small, few), (large, many) = traced_peak(4), traced_peak(10**6)
+        assert few.per_step_failure_rates == [None] * 3
+        assert many.per_step_failure_rates == [None] * 256
+        assert few.mean_q == many.mean_q
+        assert large - small < 2 * 500 * 256
 
     def test_parallel_workers_change_nothing(self):
         serial = run_experiment(small_config(trials=60, workers=1))
@@ -514,7 +554,7 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
 
     def recording_run_its(pair, inst, prior, measures, its, *rest):
         transcript = run_its(pair, inst, prior, measures, its, *rest)
-        limits = prior.crossing_limits(its.threshold_bits)
+        limits = prior.crossing_limits(math.log2(1.0 / its.epsilon))
         seen.append((measures.density_by_code, inst._p_one, limits, prior, measures))
         return transcript
 
