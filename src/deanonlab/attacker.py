@@ -21,18 +21,25 @@ not yet struck, so it always terminates with the victim found. With
 alone: asked in a random order, it is the naive identity-scan baseline.
 
 The walk is computed a block of groups at a time rather than one query at a
-time: the outcome codes of the block, the received answers to all its
-queries, every candidate's running sum after each of them (a cumulative sum
-along the block), and the first query after which some score reaches the
-threshold. The queries past that crossing are dropped. This is exact, not an
-approximation: the running sum after query k is ((info + d_1) + d_2) + ... +
-d_k, the same floating-point adds in the same order as folding one answer at
-a time, and the stop test decides exactly what its subtraction and
-comparison decide (see below), so the transcript is bit-identical to the
-one-query walk. Dropped answers cost
+time, in one loop, ``_block_scan``: the outcome codes of the block, the
+received answers to all its queries, every candidate's running sum after
+each of them (a cumulative sum along the block), and the first query after
+which some score reaches the threshold. The queries past that crossing are
+dropped. This is exact, not an approximation: the running sum after query
+k is ((info + d_1) + d_2) + ... + d_k, the same floating-point adds in the
+same order as folding one answer at a time, and the stop test decides
+exactly what its subtraction and comparison decide (see below), so the
+transcript is bit-identical to the one-query walk. Dropped answers cost
 nothing either: noise is indexed by query ordinal, and every group query
 asks the next unused group, so a query's ordinal is its group index and the
 next step reads the same answers again.
+
+The scan asks its caller for each block of codes and answers once, in block
+order, and answers identity queries through a callable, so it never reads
+the victim index. A campaign trial gives it blocks drawn straight from the
+trial's streams; ``run_its``, the public one-trial API, gives it blocks read
+from a graph pair and a victim instance, and wraps its three results in an
+``AttackTranscript``.
 
 The cumulative sum runs in place down the block's (queries, candidates) grid
 in one of three forms, chosen by the candidate count m, and each makes
@@ -58,14 +65,15 @@ A candidate whose expected bit makes the received response impossible
 (density -inf) drops out of the running step but is revived by the next
 reset; only failed identity checks eliminate permanently.
 
-A transcript stores what the walk cannot reproduce and nothing else: its
-queries. Group query k always asks group k, so its group queries are one
-``bytes`` of answers, one byte per query, built from each block's answers up
-to the crossing and joined once per attack; its identity queries are a list
-of (target, response) pairs; and the group queries of each completed step
-are counted. Everything else is derived from these three on demand: the
-full (kind, target, response) list (``AttackTranscript.queries``), the
-query counts the campaign reads, and the outcome. The attack stops at the
+The scan returns what the walk cannot reproduce and nothing else, a
+transcript's fields: its queries. Group query k always asks group k, so its
+group queries are one ``bytes`` of answers, one byte per query, built from
+each block's answers up to the crossing and joined once per attack; its
+identity queries are a list of (target, response) pairs; and the group
+queries of each completed step are counted. Everything else is derived
+from these three on demand: the full (kind, target, response) list
+(``AttackTranscript.queries``), the query counts the campaign reads, and
+the outcome. The attack stops at the
 identity query that answers 1, so success is the last identity answer, the
 identified user its target, and the steps used the completed steps plus
 one if the fallback ran.
@@ -146,9 +154,14 @@ class ITSState:
 
     def scores(self) -> np.ndarray:
         """Candidate scores: accumulated density minus prior surprisal."""
-        out = self.info - self.prior_surprisal
-        out[self.eliminated] = -np.inf
-        return out
+        return _scores(self.info, self.prior_surprisal, self.eliminated)
+
+
+def _scores(info: np.ndarray, surprisal: np.ndarray, eliminated: np.ndarray) -> np.ndarray:
+    """Accumulated density minus prior surprisal, -inf for the struck candidates."""
+    out = info - surprisal
+    out[eliminated] = -np.inf
+    return out
 
 
 def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
@@ -170,7 +183,7 @@ def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
 
     Entry j-1 is the response the attacker would expect if candidate j were
     the victim, i.e. candidate j's scanned-graph membership bit. This is the
-    one-group form of the block read in :func:`run_its`.
+    one-group form of the block read in :func:`_block_scan`.
     """
     return pair.block_bits("scanned", group, group)[:, 0]
 
@@ -178,7 +191,7 @@ def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
 def gm_update(state: ITSState, column: np.ndarray, y: int, measures: InfoMeasures) -> ITSState:
     """Fold one group-membership response into every candidate's accumulator.
 
-    This is the one-query form of the block scan in :func:`run_its`.
+    This is the one-query form of :func:`_block_scan`.
     ``column`` holds each candidate's expected bit for the queried group.
     Candidates whose expected bit makes ``y`` impossible pick up the -inf
     sentinel and thereby leave the current step. Struck candidates already
@@ -203,18 +216,19 @@ def select_candidate(state: ITSState) -> int:
     return int(state.scores().argmax()) + 1
 
 
-def _fallback_order(state: ITSState, order_seed) -> np.ndarray:
+def _fallback_order(info, surprisal, eliminated, order_seed) -> np.ndarray:
     """Order of fallback identity queries over the not-yet-struck users.
 
     By score, highest first and ties to the lower index; with an
     ``order_seed``, in the permutation drawn from it instead.
     """
-    remaining = np.flatnonzero(~state.eliminated)
+    remaining = np.flatnonzero(~eliminated)
     if order_seed is not None:
         rng = np.random.default_rng(order_seed)
         return remaining[rng.permutation(remaining.size)] + 1
     # Stable sort on the negated score: descending value, ascending index on ties.
-    return remaining[np.argsort(-state.scores()[remaining], kind="stable")] + 1
+    scores = _scores(info, surprisal, eliminated)
+    return remaining[np.argsort(-scores[remaining], kind="stable")] + 1
 
 
 def _accumulate(grid: np.ndarray) -> None:
@@ -244,6 +258,74 @@ def _accumulate(grid: np.ndarray) -> None:
         np.add.accumulate(cells, axis=0, out=cells)
 
 
+def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
+    """Run the threshold attack on one graph and victim, a block of groups at a time.
+
+    The attack's one loop. ``read(k)`` gives block k (from 0) of the graph:
+    the (w, m) outcome codes of groups k * ``width`` + 1 onward, w =
+    ``width`` except at group ``n``, and the victim's w received answers to
+    them as uint8. The scan calls it once per block, in block order.
+    ``density`` is ``InfoMeasures.density_by_code``, ``limits`` the prior's
+    ``crossing_limits`` of the threshold, ``surprisal`` its surprisal, and
+    ``identify(j)`` answers the identity query for candidate j. Returns the
+    three fields of an :class:`AttackTranscript`: (gm_answers, uid_queries,
+    tau_star_per_step).
+    """
+    m = surprisal.size
+    # Wide grids are taken into one buffer per trial: a fresh grid per block
+    # costs more in page faults than the lookup itself.
+    grid = np.empty((width, m)) if m >= _ROWWISE_FROM else None
+    info = np.zeros(m)
+    eliminated = np.zeros(m, dtype=bool)
+    answers: list[bytes] = []
+    uid_queries: list[tuple[int, int]] = []
+    tau_star_per_step: list[int] = []
+    cursor, k, end = 1, -1, 0  # groups up to ``end`` are in block k, in hand
+
+    for _ in range(1, steps_l):
+        info.fill(0.0)
+        stop = False
+        step_first = cursor
+        while not stop and cursor <= n:
+            if cursor > end:
+                k += 1
+                codes, ys = block = read(k)  # (w, m) contiguous, (w,)
+                end += len(ys)
+            else:  # the rest of the block in hand, after a crossing inside it
+                first = cursor - 1 - k * width
+                codes, ys = block[0][first:], block[1][first:]
+            # Every index lies in [0, 8), so "clip" moves none; with a uint8
+            # index it is the faster mode (2.9 against 5.1 us at (128, 16)).
+            out = None if grid is None else grid[: len(ys)]
+            sums = density.take(codes + (ys << 2)[:, None], out=out, mode="clip")
+            sums[0] += info
+            _accumulate(sums)
+            crossed = (sums >= limits).ravel()
+            hit = int(crossed.argmax())
+            stop = bool(crossed[hit])
+            rows = hit // m + 1 if stop else len(ys)
+            info[:] = sums[rows - 1]
+            answers.append(ys[:rows].tobytes())
+            cursor += rows
+        if not stop:
+            break  # groups exhausted; fall through to exhaustive identity queries
+        tau_star_per_step.append(cursor - step_first)
+        guess = int(_scores(info, surprisal, eliminated).argmax()) + 1
+        response = identify(guess)
+        uid_queries.append((guess, response))
+        if response == 1:
+            return b"".join(answers), uid_queries, tau_star_per_step
+        eliminated[guess - 1] = True
+        limits = np.where(eliminated, np.nan, limits)
+
+    for candidate in _fallback_order(info, surprisal, eliminated, order_seed).tolist():
+        response = identify(candidate)
+        uid_queries.append((candidate, response))
+        if response == 1:
+            return b"".join(answers), uid_queries, tau_star_per_step
+    raise AssertionError("unreachable: exhaustive identity phase covers the victim")
+
+
 def run_its(
     pair: BigraphPair,
     inst: VictimInstance,
@@ -264,82 +346,39 @@ def run_its(
     threshold step: the attack is the identity scan over all users in the
     fallback order.
 
-    Each threshold step scans from the group cursor, which starts at group
-    1, to the end of the graph's materialization block (``pair.block_width``
-    aligned columns, a width fixed when the pair is built, so the scan never
-    generates a column the one-query walk would not). The block's codes are
-    read once, as a (w, m) grid of w groups by m candidates. The victim's
-    instance answers the w queries from that same grid, so one vector of w
-    received answers costs no second read of the graph. The densities of the
-    grid, looked up by code and answer, are summed down its group axis in
-    place by :func:`_accumulate`, the first row seeded with the running
-    sums. The running sums are the state's own array, given the row where
-    the block's scan stops. The first row where a live candidate's sum
-    reaches its crossing limit ends the step (the first crossing of the
-    flattened grid, divided by m); struck candidates carry a NaN limit, so
-    they never cross. The adds are those of one update per query, in the
-    same order, and each compare decides what the score's threshold
-    comparison decides, so the transcript is identical to the one-query walk
-    bit for bit, whichever form :func:`_accumulate` takes for this m.
+    The attack is :func:`_block_scan` over the pair's blocks of
+    ``pair.block_width`` aligned group columns, a width fixed when the pair
+    is built, so the scan never generates a column past the block of its
+    last query. Each block's codes are read once, as a (w, m) grid of w
+    groups by m candidates, and the instance answers the w queries from that
+    same grid. A scan of the grid looks its densities up by code and answer
+    and sums them down its group axis in place (:func:`_accumulate`), the
+    first row seeded with the running sums. The first row where a live
+    candidate's sum reaches its crossing limit ends the step (the first
+    crossing of the flattened grid, divided by m); struck candidates carry a
+    NaN limit, so they never cross. The adds are those of one update per
+    query, in the same order, and each compare decides what the score's
+    threshold comparison decides, so the transcript is identical to the
+    one-query walk bit for bit, whichever form :func:`_accumulate` takes for
+    this m.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
-    n, m, block = pair.n, pair.m, pair.block_width
-    density = measures.density_by_code  # entry code + 4y is i(u; y)
-    read_codes, respond = pair.block_codes, inst._answers
-    # Wide grids are taken into one buffer per trial: a fresh grid per block
-    # costs more in page faults than the lookup itself.
-    grid = np.empty((block, m)) if m >= _ROWWISE_FROM else None
-    # A live candidate's sum crosses at its limit; a struck one has a NaN
-    # limit, which no sum reaches.
+    n, width = pair.n, pair.block_width
+
+    def read(k: int):
+        first = k * width + 1
+        codes = pair.block_codes(first, min(first + width - 1, n))
+        return codes, inst._answers(codes, first)
+
     limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
-    state = init_state(prior, config)
-    info, cursor = state.info, 1
-    answers: list[bytes] = []
-    uid_queries: list[tuple[int, int]] = []
-    tau_star_per_step: list[int] = []
-
-    for step in range(1, config.steps_l):
-        info.fill(0.0)
-        stop = False
-        step_first = cursor
-        while not stop and cursor <= n:
-            last = min((cursor - 1) // block * block + block, n)
-            codes = read_codes(cursor, last)  # (w, m), contiguous
-            # Query k asks group k, so the block's first ordinal is its first group.
-            ys = respond(codes, cursor)
-            # Every index lies in [0, 8), so "clip" moves none; with a uint8
-            # index it is the faster mode (2.9 against 5.1 us at (128, 16)).
-            out = None if grid is None else grid[: last - cursor + 1]
-            sums = density.take(codes + (ys << 2)[:, None], out=out, mode="clip")
-            sums[0] += info
-            _accumulate(sums)
-            crossed = (sums >= limits).ravel()
-            hit = int(crossed.argmax())
-            stop = bool(crossed[hit])
-            width = hit // m + 1 if stop else last - cursor + 1
-            info[:] = sums[width - 1]
-            answers.append(ys[:width].tobytes())
-            cursor += width
-        if not stop:
-            break  # groups exhausted; fall through to exhaustive identity queries
-        tau_star_per_step.append(cursor - step_first)
-        guess = select_candidate(state)
-        response = inst.uid_response(guess)
-        uid_queries.append((guess, response))
-        if response == 1:
-            return AttackTranscript(b"".join(answers), uid_queries, tau_star_per_step)
-        state.eliminated[guess - 1] = True
-        limits = np.where(state.eliminated, np.nan, limits)
-
-    for candidate in _fallback_order(state, order_seed).tolist():
-        response = inst.uid_response(candidate)
-        uid_queries.append((candidate, response))
-        if response == 1:
-            return AttackTranscript(b"".join(answers), uid_queries, tau_star_per_step)
-    raise AssertionError("unreachable: exhaustive identity phase covers the victim")
+    fields = _block_scan(
+        read, n, width, measures.density_by_code, limits, prior.surprisal,
+        config.steps_l, inst.uid_response, order_seed,
+    )
+    return AttackTranscript(*fields)
 
 
 @dataclass

@@ -19,16 +19,20 @@ layout, ``code = (u >= c1) + (u >= c2) + (u >= c3)`` for the law's cut
 points (``EdgeJointDistribution.generation_cuts``). Rows are not
 individually re-derivable: row i's codes are spread over the whole stream.
 
-Every lazily drawn table of a trial lives in one private store,
-:class:`_LazyRows`: the pair's group rows here, and the victim's response
-noise in ``oracle.VictimInstance``. A store keeps its rows in read-only
-blocks of a width fixed when it is built, block k starting at row
-``k * width + 1``; blocks are drawn in order on demand and never copied. A
-pair's width is ``_block_width(m)``, the one place the rule lives, and
-``BigraphPair.block_width`` reads it back; the noise store of a victim takes
-the same width, so a scan aligned to the graph's blocks reads one noise
-block too. The width is not part of the layout: materialized codes are
-identical whichever access pattern triggered them.
+Codes are drawn a block of group columns at a time, and ``_draw_codes`` is
+the one code draw: a campaign trial calls it directly on its graph stream
+as the attack's block scan asks for each block, and a pair's store calls it
+to fill its blocks. The width of a block is ``_block_width(m)``, the one
+place the rule lives. The width is not part of the layout: the codes are
+identical whichever width or access pattern drew them.
+
+A pair keeps its codes in a private store, :class:`_LazyRows`, as does
+``oracle.VictimInstance`` its response noise. A store keeps its rows in
+read-only blocks of a width fixed when it is built, block k starting at row
+``k * width + 1``; blocks are drawn in order on demand and never copied.
+``BigraphPair.block_width`` reads the pair's width back; the noise store of
+a victim takes the same width, so the scan's block k of the graph is
+answered from block k of the noise.
 """
 
 from __future__ import annotations
@@ -80,6 +84,22 @@ class _LazyRows:
         return _read_only(np.concatenate(blocks[k : j + 1])[first - 1 - start : last - start])
 
 
+def _draw_codes(gen: np.random.Generator, rows: int, m: int, cuts) -> np.ndarray:
+    """The next ``rows`` group columns of m users' codes from the generation stream, as (rows, m).
+
+    The one code draw: one uniform per position, row by row, each picking
+    its outcome by ``(u >= c1) + (u >= c2) + (u >= c3)`` for ``cuts`` =
+    (c1, c2, c3).
+    """
+    c1, c2, c3 = cuts
+    u = gen.random((rows, m))
+    codes = np.greater_equal(u, c1).view(np.uint8)
+    above = np.greater_equal(u, c2)
+    codes += above.view(np.uint8)
+    codes += np.greater_equal(u, c3, out=above).view(np.uint8)
+    return codes
+
+
 class BigraphPair:
     """True and scanned membership graphs over m users and n groups.
 
@@ -98,20 +118,11 @@ class BigraphPair:
         self.n = n
         self.m = m
         width = _block_width(m)
-        c1, c2, c3 = cuts
-
         # A closure, not a method: the store holds it, and a bound method
         # would tie pair and store into a cycle that only the collector frees.
-        def draw(k: int) -> np.ndarray:
-            """Codes of the k-th block of group columns (from 0), from the generation stream."""
-            u = gen.random((min(width, n - k * width), m))
-            codes = np.greater_equal(u, c1).view(np.uint8)
-            above = np.greater_equal(u, c2)
-            codes += above.view(np.uint8)
-            codes += np.greater_equal(u, c3, out=above).view(np.uint8)
-            return codes
-
-        self._codes = _LazyRows(width, draw)
+        self._codes = _LazyRows(
+            width, lambda k: _draw_codes(gen, min(width, n - k * width), m, cuts)
+        )
 
     @property
     def block_width(self) -> int:

@@ -12,8 +12,19 @@ integers computed once, and assigns it through the one state dict the
 stream keeps. Stream 3 is read only by the identity scan, which asks its
 users in a random order; the threshold attack's fallback goes by score, so
 its blocks never position that stream.
-Aggregation is a single pass over the per-trial arrays in trial order, which
-keeps repeated runs byte-identical.
+
+A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
+block scan (``attacker._block_scan``) on blocks of codes drawn from the
+graph stream (``graph._draw_codes``) and answered through the channel from
+the noise stream (``oracle._channel``) as the scan asks for them. It builds
+no graph pair, victim instance, attacker state or transcript; what depends
+only on the campaign (the cut points, the block width, the density and
+channel tables, the crossing limits) is looked up once per block of trials.
+The draws and the adds are those of ``attacker.run_its`` on a pair and an
+instance built from the same streams, so a trial's queries are the same.
+Aggregation is a single pass over the per-trial arrays in trial order, and
+over the per-step verification counts in block order, which keeps repeated
+runs byte-identical.
 """
 
 from __future__ import annotations
@@ -27,14 +38,16 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
-from .attacker import ITSConfig, auto_epsilon_steps, run_its
-from .graph import generate_cprb
-from .oracle import VictimInstance
+from .attacker import _block_scan, auto_epsilon_steps
+from .graph import _block_width, _draw_codes
+from .oracle import _channel, identity_answer
 from .stochastics import (
     EdgeJointDistribution,
     InfoMeasures,
@@ -45,6 +58,10 @@ from .stochastics import (
     make_prior,
     sample_victim,
 )
+
+# Not called here: the benchmark's tracer patches these two names on this module.
+from .attacker import run_its  # noqa: F401
+from .graph import generate_cprb  # noqa: F401
 
 STRATEGIES = ("its", "uid_scan")
 OUTPUT_FORMATS = ("csv", "json")
@@ -66,6 +83,11 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so an error raised in a pool worker reaches the caller.
+        return type(self), (self.field, self.message)
 
 
 @dataclass
@@ -125,6 +147,8 @@ class ExperimentConfig:
             return make_prior(self.prior, self.users)
         except (TypeError, ValueError) as exc:
             raise ConfigError("prior", str(exc)) from exc
+        except MemoryError:
+            raise ConfigError("users", "too many users: the prior does not fit in memory") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -266,34 +290,60 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int, model: _ResolvedModel):
-    """Run trials [start, start + count) and return compact per-trial arrays.
+    """Run trials [start, start + count) and return their results.
 
-    ``model`` is ``resolve_model(config)``. A trial verifies at most one
-    candidate per user, so ``verify`` holds ``min(steps - 1, users)`` slots
-    per trial; later steps never happen.
+    ``model`` is ``resolve_model(config)``. Everything a trial reads that
+    depends only on the campaign is looked up once, here. A trial is then
+    one pass: ``trial_seeds``, ``sample_victim``, and the attack's block
+    scan, which draws each block of codes from the trial's graph stream and
+    answers it through the channel from its noise stream as the scan asks
+    for it. No pair, instance, state or transcript is built.
+
+    Returns the per-trial query counts and successes as arrays, then the
+    per-step verification attempts and failures: entry s of each list counts
+    the trials whose step s + 1 verified, and of those the ones that failed.
+    The lists reach only as far as the steps some trial verified.
     """
-    its = ITSConfig(model.epsilon, model.steps)
     # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
         config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1
     )
-    qs = np.empty(count, dtype=np.int64)
-    successes = np.empty(count, dtype=bool)
-    verify = np.full((count, min(model.steps - 1, config.users)), -1, dtype=np.int8)
-    groups, users = config.groups, config.users
-    edge_joint, gm, prior, measures = model.edge_joint, model.gm, model.prior, model.measures
+    try:
+        qs = np.empty(count, dtype=np.int64)
+        successes = np.empty(count, dtype=bool)
+    except MemoryError:
+        raise ConfigError("trials", "too many trials: the results do not fit in memory") from None
+    attempts: list[int] = []
+    failures: list[int] = []
+    n, m, steps, prior = config.groups, config.users, model.steps, model.prior
+    width, cuts = _block_width(m), model.edge_joint.generation_cuts
+    density, p_one = model.measures.density_by_code, model.gm.p_one_by_code
+    limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
+    surprisal = prior.surprisal
     for i in range(count):
         graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, start + i)
-        pair = generate_cprb(groups, users, edge_joint, graph_rng)
-        inst = VictimInstance(pair, sample_victim(prior, victim_rng), gm, noise_rng)
-        transcript = run_its(pair, inst, prior, measures, its, *order_rng)
-        qs[i] = transcript.q_count
-        successes[i] = transcript.success
-        # Most trials verify once: a loop of scalar writes beats converting
-        # a one-element list for a slice.
-        for s, response in enumerate(transcript.step_uid_responses()):
-            verify[i, s] = response
-    return qs, successes, verify
+        victim = sample_victim(prior, victim_rng)
+
+        def read(k: int):
+            rows = min(width, n - k * width)
+            codes = _draw_codes(graph_rng, rows, m, cuts)
+            u = noise_rng.random(width)  # a whole noise block, as a pair's instance draws it
+            return codes, _channel(p_one, codes[:, victim - 1], u[:rows])
+
+        gm_answers, uid_queries, taus = _block_scan(
+            read, n, width, density, limits, surprisal, steps,
+            partial(identity_answer, victim), *order_rng,
+        )
+        qs[i] = len(gm_answers) + len(uid_queries)
+        successes[i] = uid_queries[-1][1] == 1
+        # Step s + 1's verification is identity query s.
+        for s in range(len(taus)):
+            if s == len(attempts):
+                attempts.append(0)
+                failures.append(0)
+            attempts[s] += 1
+            failures[s] += 1 - uid_queries[s][1]
+    return qs, successes, attempts, failures
 
 
 # The output fields, in column order: (name, raw value of a summary). CSV
@@ -389,7 +439,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers == 1:
-        qs, successes, verify = _trial_block(config, 0, trials, model)
+        qs, successes, attempts, failures = _trial_block(config, 0, trials, model)
     else:
         chunk = max(1, math.ceil(trials / (workers * 4)))
         starts = list(range(0, trials, chunk))
@@ -405,7 +455,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     [model] * len(starts),
                 )
             )
-        qs, successes, verify = (np.concatenate(parts) for parts in zip(*blocks))
+        qs_parts, success_parts, attempt_parts, failure_parts = zip(*blocks)
+        qs, successes = np.concatenate(qs_parts), np.concatenate(success_parts)
+        # The per-step counts are summed step by step, over the blocks in order.
+        attempts, failures = (
+            [sum(step) for step in zip_longest(*parts, fillvalue=0)]
+            for parts in (attempt_parts, failure_parts)
+        )
 
     # The statistics equal numpy's mean, std(ddof=1) and unique, from fewer
     # calls: the integer sum is exact, the squared deviations go through the
@@ -416,13 +472,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     deviations *= deviations
     std_q = math.sqrt(float(np.add.reduce(deviations)) / (trials - 1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_q / math.sqrt(trials)
-    # Per step, a trial's slot is -1 when the step never verified, else the
-    # answer. Each column is counted in place: a list copy of the matrix
-    # would take 8 bytes per slot, and a reduction along an axis allocates
-    # a cast buffer that raises the peak RSS of a small campaign.
-    attempts = [int(np.count_nonzero(step >= 0)) for step in verify.T]
-    failures = [int(np.count_nonzero(step == 0)) for step in verify.T]
-    rates = [fail / tried if tried else None for fail, tried in zip(failures, attempts)]
+    # A trial verifies at most one candidate per user, so min(steps - 1,
+    # users) steps can verify; a step that no trial verified has no rate.
+    rates = [fail / tried for fail, tried in zip(failures, attempts)]
+    rates += [None] * (min(model.steps - 1, config.users) - len(rates))
     low = int(np.minimum.reduce(qs))
     counts = np.bincount(qs - low)
     values = counts.nonzero()[0]

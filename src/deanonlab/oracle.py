@@ -1,28 +1,28 @@
 """Victim-side query answering.
 
-A ``VictimInstance`` binds one trial together: the graph pair, the victim's
-index, the group-membership noise channel, and a private noise stream. It
-answers the two query kinds the attacker may issue:
+The oracle answers the two query kinds the attacker may issue:
 
 * group membership, noisy: the correct answer is the victim's true-graph bit
   for the group, passed through the channel;
 * user identity, noiseless: exact equality with the victim index.
 
+Each kind is answered in one place. ``_channel`` answers a block of group
+queries from the victim's column of the block's outcome codes and one noise
+uniform per query; ``identity_answer`` answers an identity query. A
+campaign trial calls both directly on the blocks it draws, and a
+``VictimInstance`` binds one victim of a graph pair to them for the public
+one-trial API (``attacker.run_its``).
+
 Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
 ordinal reproduces the identical response bit, so a block of consecutive
 queries can be answered in one call and its unused tail asked again later.
-The channel acts in one place, the private ``_answers``, which answers a
-block of queries from the graph codes its caller has already read:
-``attacker.run_its`` passes the codes of each block it scans, and
-``noisy_gm_response`` a one-group read.
-
-Query ordinal t takes uniform t of the noise stream. The uniforms are kept
-in the graph module's lazy store (``graph._LazyRows``), built once per
-instance at the pair's ``block_width``: the attack asks group k with
-ordinal k, so a scan aligned to the graph's blocks reads exactly one noise
-block, as a view. The stream is drawn in ordinal order whatever the block
-width, so the width changes no answer.
+Query ordinal t takes uniform t of the noise stream, drawn a block of the
+pair's ``block_width`` uniforms at a time: the attack asks group k with
+ordinal k, so graph block k is answered from noise block k. An instance
+keeps its uniforms in the graph module's lazy store (``graph._LazyRows``).
+The stream is drawn in ordinal order whatever the block width, so the width
+changes no answer.
 """
 
 from __future__ import annotations
@@ -31,6 +31,20 @@ import numpy as np
 
 from .graph import BigraphPair, _LazyRows
 from .stochastics import QueryChannel
+
+
+def _channel(p_one: np.ndarray, column: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Received answers, as uint8, to the group queries whose victim codes are ``column``.
+
+    ``p_one`` is the channel's ``QueryChannel.p_one_by_code`` table and
+    ``u`` holds the queries' noise uniforms, one per entry of ``column``.
+    """
+    return (u < p_one.take(column)).view(np.uint8)
+
+
+def identity_answer(victim: int, candidate: int) -> int:
+    """Noiseless identity check: 1 exactly when ``candidate`` is the victim."""
+    return int(candidate == victim)
 
 
 class VictimInstance:
@@ -63,15 +77,13 @@ class VictimInstance:
     def _answers(self, codes: np.ndarray, first_ordinal: int) -> np.ndarray:
         """Received answers to w consecutive group queries, the first with ``first_ordinal``.
 
-        ``codes`` is the (w, m) code grid of the queried groups. The channel
-        acts here only, on the grid's victim column and the noise uniforms
-        of the w ordinals.
+        ``codes`` is the (w, m) code grid of the queried groups.
         """
         u = self._noise.read(first_ordinal, first_ordinal + len(codes) - 1)
-        return (u < self._p_one.take(codes[:, self.victim - 1])).view(np.uint8)
+        return _channel(self._p_one, codes[:, self.victim - 1], u)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""
         if not 1 <= candidate <= self.pair.m:
             raise ValueError(f"candidate index {candidate} outside [1, {self.pair.m}]")
-        return int(candidate == self.victim)
+        return identity_answer(self.victim, candidate)

@@ -264,6 +264,17 @@ def test_an_unwritable_out_is_named_before_another_bad_field(tmp_path, capsys, m
     assert capsys.readouterr().err.startswith("error: out: cannot write the file")
 
 
+@pytest.mark.parametrize("command, field", [
+    (["bounds", "--users", str(10**16), "--groups", "10"], "users"),
+    (["simulate", "--users", "4", "--groups", "10", "--trials", str(10**16)], "trials"),
+])
+def test_a_config_too_large_to_allocate_exits_2_naming_its_field(capsys, command, field):
+    # 10**16 eight-byte entries exceed any 64-bit user address space, so the
+    # prior or the per-trial arrays fail to allocate at once.
+    assert run_cli(command) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: too many {field}")
+
+
 def test_non_numeric_epsilon_flag_exits_2(capsys):
     code = run_cli(["bounds", "--users", "4", "--groups", "8", "--epsilon", "x"])
     assert code == 2

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 from deanonlab import harness
 from deanonlab._seeding import SeedWords
-from deanonlab.attacker import ITSConfig, run_its
-from deanonlab.graph import generate_cprb
+from deanonlab.attacker import AttackTranscript, ITSConfig, ITSState, run_its
+from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -126,13 +128,7 @@ class TestTrialSeeds:
         )
         model = harness.resolve_model(config)
         its = ITSConfig(model.epsilon, model.steps)
-        transcripts = []
-
-        def recording_run_its(*args):
-            transcripts.append(run_its(*args))
-            return transcripts[-1]
-
-        monkeypatch.setattr(harness, "run_its", recording_run_its)
+        transcripts = record_scans(monkeypatch)
         harness._trial_block(config, 0, 12, model)
         for k in (0, 3, 11):
             pair = generate_cprb(12, 9, model.edge_joint, jumped(77, 4 * k))
@@ -148,12 +144,26 @@ class TestTrialSeeds:
             assert transcripts[k].queries == expected
 
 
+def record_scans(monkeypatch) -> list:
+    """Patch the campaign's block scan to record each trial's transcript, in trial order."""
+    transcripts, scan = [], harness._block_scan
+
+    def recording_scan(*args):
+        fields = scan(*args)
+        transcripts.append(AttackTranscript(*fields))
+        return fields
+
+    monkeypatch.setattr(harness, "_block_scan", recording_scan)
+    return transcripts
+
+
 @pytest.mark.parametrize("strategy", harness.STRATEGIES)
 def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch):
-    # The benchmark's tracer times a trial's layers by patching these names
-    # on the harness module, and identity queries on VictimInstance, so an
-    # inlined trial must still call each through them, once per trial.
-    calls, transcripts = Counter(), []
+    # The benchmark's tracer times a trial's layers by patching names on the
+    # harness module, so a trial calls each through it: the streams, the
+    # victim draw and the block scan once per trial, and the identity answer
+    # once per identity query.
+    calls = Counter()
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -161,25 +171,18 @@ def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch
             return real(*args, **kwargs)
         return call
 
-    for name in ("trial_seeds", "generate_cprb", "sample_victim"):
+    for name in ("trial_seeds", "sample_victim", "identity_answer"):
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
-
-    def recording_run_its(*args, **kwargs):
-        transcripts.append(run_its(*args, **kwargs))
-        return transcripts[-1]
-
-    monkeypatch.setattr(harness, "run_its", counted("run_its", recording_run_its))
-    monkeypatch.setattr(
-        VictimInstance, "uid_response", counted("uid_response", VictimInstance.uid_response)
-    )
+    transcripts = record_scans(monkeypatch)
+    monkeypatch.setattr(harness, "_block_scan", counted("_block_scan", harness._block_scan))
     trials = 30
     config = small_config(prior="zipf:1.0", strategy=strategy)
     harness._trial_block(config, 4, trials, harness.resolve_model(config))
     identity_queries = sum(t.uid_count() for t in transcripts)
     assert identity_queries >= trials
     assert calls == {
-        "trial_seeds": trials, "generate_cprb": trials, "sample_victim": trials,
-        "run_its": trials, "uid_response": identity_queries,
+        "trial_seeds": trials, "sample_victim": trials, "_block_scan": trials,
+        "identity_answer": identity_queries,
     }
 
 
@@ -216,10 +219,73 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     # A flip of 1/2 gives I = 0, where a campaign refuses its; a block still
     # runs it, and the explicit example keeps such trials covered.
     model = harness.resolve_model(config)
-    block = harness._trial_block(config, start, count, model)
+    qs, successes, attempts, failures = harness._trial_block(config, start, count, model)
     singles = [harness._trial_block(config, start + i, 1, model) for i in range(count)]
-    for part, joined in zip(block, zip(*singles)):
-        assert np.array_equal(part, np.concatenate(joined))
+    assert np.array_equal(qs, np.concatenate([single[0] for single in singles]))
+    assert np.array_equal(successes, np.concatenate([single[1] for single in singles]))
+    # The per-step counts of the block are those of its trials, summed step by step.
+    for counts, index in ((attempts, 2), (failures, 3)):
+        steps = zip_longest(*(single[index] for single in singles), fillvalue=0)
+        assert counts == [sum(step) for step in steps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.integers(1, 12),
+    groups=st.integers(1, 80),
+    p0=st.floats(0.05, 0.95),
+    edge_flip=st.floats(0.0, 1.0),
+    gm_flip=st.floats(0.0, 1.0),
+    prior=st.sampled_from(["uniform", "zipf:1.5"]),
+    epsilon=st.floats(0.05, 0.6),
+    steps=st.integers(1, 4),
+    strategy=st.sampled_from(harness.STRATEGIES),
+    master_seed=st.integers(0, 2**63),
+    start=st.integers(0, 10**6),
+    count=st.integers(1, 5),
+)
+def test_each_campaign_trial_equals_its_public_replay(
+    users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy,
+    master_seed, start, count,
+):
+    # A campaign trial scans blocks drawn straight from its streams; the
+    # public API builds a pair and an instance on the same streams and runs
+    # run_its. Both reach the same scan, so every field must agree.
+    config = ExperimentConfig(
+        users=users, groups=groups, p0=p0, edge_flip=edge_flip, gm_flip=gm_flip,
+        prior=prior, epsilon=epsilon, steps=steps, strategy=strategy,
+        master_seed=master_seed,
+    )
+    model = harness.resolve_model(config)
+    with pytest.MonkeyPatch.context() as patch:
+        transcripts = record_scans(patch)
+        qs, successes, attempts, failures = harness._trial_block(config, start, count, model)
+    its = ITSConfig(model.epsilon, model.steps)
+    streams, verifications = TrialStreams(master_seed), []
+    for i, transcript in enumerate(transcripts):
+        graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, start + i)
+        pair = generate_cprb(groups, users, model.edge_joint, graph_rng)
+        inst = VictimInstance(pair, sample_victim(model.prior, victim_rng), model.gm, noise_rng)
+        order = order_rng if strategy == "uid_scan" else None
+        replay = run_its(pair, inst, model.prior, model.measures, its, order)
+        assert transcript == replay
+        assert (qs[i], successes[i]) == (replay.q_count, replay.success)
+        verifications.append(replay.step_uid_responses())
+    assert len(transcripts) == count
+    reached = range(max(map(len, verifications)))
+    assert attempts == [sum(len(v) > s for v in verifications) for s in reached]
+    assert failures == [sum(v[s:s + 1] == [0] for v in verifications) for s in reached]
+
+
+@pytest.mark.parametrize("strategy", harness.STRATEGIES)
+def test_a_campaign_builds_no_pair_instance_state_or_transcript(strategy, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a campaign built a {type(self).__name__}")
+
+    for cls in (BigraphPair, VictimInstance, ITSState, AttackTranscript):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    summary = run_experiment(small_config(prior="zipf:1.0", strategy=strategy, trials=30))
+    assert summary.success_rate == 1.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -257,6 +323,13 @@ def test_output_does_not_depend_on_the_worker_count(
 
 
 class TestConfigValidation:
+    def test_a_config_error_survives_pickling(self):
+        # A pool worker's error reaches the campaign through pickle.
+        error = pickle.loads(pickle.dumps(ConfigError("trials", "too many trials")))
+        assert (type(error), error.field, str(error)) == (
+            ConfigError, "trials", "trials: too many trials"
+        )
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -395,9 +468,8 @@ class TestRunExperiment:
 
     def test_failure_rates_cost_no_list_per_verification_slot(self):
         # 8 groups are too few to cross 1 + log2(256) bits, so no trial
-        # verifies and every slot stays -1. A budget of a million steps holds
-        # (trials, m) one-byte slots; counting them per step must not copy
-        # them, as a list of 8-byte entries would.
+        # verifies. A budget of a million steps allows m verifications per
+        # trial; the rates must not cost a list entry per trial and slot.
         def traced_peak(steps):
             config = small_config(
                 users=256, groups=8, edge_flip=0.0, gm_flip=0.0, epsilon=0.5, steps=steps,
@@ -416,6 +488,31 @@ class TestRunExperiment:
         assert many.per_step_failure_rates == [None] * 256
         assert few.mean_q == many.mean_q
         assert large - small < 2 * 500 * 256
+
+    def test_per_step_counts_cost_no_memory_per_trial(self):
+        # Trials here do verify, and some verifications fail. The campaign
+        # keeps per-step attempt and failure counts, which reach only the
+        # steps some trial verified, so a budget of a million steps costs
+        # only the rates list's 256 entries more than a budget of 4: a few
+        # KB, where a table of (trials, min(steps - 1, m)) one-byte slots
+        # would take 128 KB.
+        def traced_peak(steps):
+            config = small_config(
+                users=256, groups=16, edge_flip=0.0, gm_flip=0.0, epsilon=0.5, steps=steps,
+                trials=500, master_seed=1,
+            )
+            tracemalloc.start()
+            try:
+                summary = run_experiment(config)
+                return tracemalloc.get_traced_memory()[1], summary
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(4)  # first-campaign caches are not part of the comparison
+        (small, few), (large, many) = traced_peak(4), traced_peak(10**6)
+        assert 0.0 < few.per_step_failure_rates[0] < 1.0
+        assert len(many.per_step_failure_rates) == 256
+        assert large - small < 4096
 
     def test_parallel_workers_change_nothing(self):
         serial = run_experiment(small_config(trials=60, workers=1))
@@ -531,7 +628,7 @@ class TestRunExperiment:
         assert single.to_json() == multi.to_json()
         values = [value for value, _ in single.q_histogram]
         assert values[-1] - values[0] > 64 and len(values) < values[-1] - values[0] + 1
-        qs, _, _ = harness._trial_block(config, 0, config.trials, harness.resolve_model(config))
+        qs, *_ = harness._trial_block(config, 0, config.trials, harness.resolve_model(config))
         assert single.q_histogram == [list(pair) for pair in sorted(Counter(qs.tolist()).items())]
         assert single.mean_q == float(qs.mean()) and single.std_q == float(qs.std(ddof=1))
 
@@ -547,24 +644,34 @@ class TestRunExperiment:
 
 
 def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
-    # The density-by-code table, the oracle's P(y=1 | code) table and the
-    # crossing limits are model constants: one read-only object each per
-    # campaign, whatever the trial.
-    seen = []
+    # The density-by-code table, the oracle's P(y=1 | code) table, the
+    # crossing limits and the prior surprisal are model constants: one
+    # read-only object each per campaign, whatever the trial.
+    seen, p_ones = [], []
+    scan, channel = harness._block_scan, harness._channel
 
-    def recording_run_its(pair, inst, prior, measures, its, *rest):
-        transcript = run_its(pair, inst, prior, measures, its, *rest)
-        limits = prior.crossing_limits(math.log2(1.0 / its.epsilon))
-        seen.append((measures.density_by_code, inst._p_one, limits, prior, measures))
-        return transcript
+    def recording_scan(read, n, width, density, limits, surprisal, *rest):
+        seen.append((density, limits, surprisal))
+        return scan(read, n, width, density, limits, surprisal, *rest)
 
-    monkeypatch.setattr(harness, "run_its", recording_run_its)
-    run_experiment(small_config(trials=12, prior="zipf:1.0"))
-    assert len(seen) == 12
-    for tables in zip(*seen):
-        assert all(table is tables[0] for table in tables)
-    density, p_one, limits = seen[0][:3]
-    for table in (density, p_one, limits):
+    def recording_channel(p_one, *rest):
+        p_ones.append(p_one)
+        return channel(p_one, *rest)
+
+    monkeypatch.setattr(harness, "_block_scan", recording_scan)
+    monkeypatch.setattr(harness, "_channel", recording_channel)
+    config = small_config(trials=12, prior="zipf:1.0")
+    model = harness.resolve_model(config)
+    run_experiment(config)
+    assert len(seen) == 12 and len(p_ones) >= 12
+    tables = [*zip(*seen), p_ones]
+    for same in tables:
+        assert all(table is same[0] for table in same)
+    density, limits, surprisal, p_one = (same[0] for same in tables)
+    assert np.array_equal(density, model.measures.density_by_code)
+    assert np.array_equal(limits, model.prior.crossing_limits(math.log2(1.0 / model.epsilon)))
+    assert np.array_equal(p_one, model.gm.p_one_by_code)
+    for table in (density, limits, surprisal, p_one):
         with pytest.raises(ValueError):
             table[0] = 0.0
 

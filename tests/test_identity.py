@@ -22,6 +22,7 @@ import io
 import pytest
 
 from deanonlab import harness
+from deanonlab.attacker import AttackTranscript
 
 SANDWICH = dict(
     users=256, groups=8192, p0=0.5, edge_flip=0.05, gm_flip=0.05,
@@ -114,13 +115,14 @@ def _sha(text: str) -> str:
 def campaign_digests(fields: dict, monkeypatch) -> tuple[str, str, str]:
     """(CSV, JSON, transcripts) digests of one campaign run with ``fields``."""
     transcripts = []
-    run_its = harness.run_its
+    scan = harness._block_scan
 
-    def recording_run_its(*args):
-        transcripts.append(run_its(*args))
-        return transcripts[-1]
+    def recording_scan(*args):
+        fields = scan(*args)
+        transcripts.append(AttackTranscript(*fields))
+        return fields
 
-    monkeypatch.setattr(harness, "run_its", recording_run_its)
+    monkeypatch.setattr(harness, "_block_scan", recording_scan)
     summary = harness.run_experiment(harness.ExperimentConfig(**fields))
     outputs = []
     for fmt in harness.OUTPUT_FORMATS:
