@@ -55,7 +55,7 @@ instead added to the previous one in one contiguous pass.
 The stop test is one compare per candidate and query, ``sum >= limit``,
 with no subtraction. Candidate j's limit is the smallest double L_j with
 ``L_j - surprisal_j >= threshold`` in float arithmetic
-(``VictimPrior.crossing_limits``, cached on the prior per threshold).
+(``VictimPrior.crossing_limits``).
 Rounded subtraction is monotone, so ``s >= L_j`` holds for exactly the
 doubles s with ``s - surprisal_j >= threshold``: the compare decides what
 the subtraction and comparison of the one-query walk decide. A candidate

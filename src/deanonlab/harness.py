@@ -229,10 +229,9 @@ class TrialStreams:
     by a fixed distance is an affine map of the 128-bit state,
     ``s -> (_TRIAL_MUL*s + b) mod 2**128``, where b = ``inc * _TRIAL_INC``
     for the ``inc`` that every jump of one master stream keeps. All
-    generators are seeded from the state words of one seed sequence, which
-    are drawn once (``_seeding.SeedWords``).
-    Each stream keeps one PCG64 state dict, whose 128-bit state is updated
-    and assigned to its generator, so a trial builds no dict.
+    generators are seeded from one seed sequence. Each stream keeps one
+    PCG64 state dict, whose 128-bit state is updated and assigned to its
+    generator, so a trial builds no dict.
     """
 
     __slots__ = ("generators", "master_state", "_add", "_states", "_next")
@@ -240,12 +239,8 @@ class TrialStreams:
     def __init__(self, master_seed: int, count: int = _STREAMS):
         if not 1 <= count <= _STREAMS:
             raise ValueError(f"count must lie in [1, {_STREAMS}]")
-        from ._seeding import SeedWords
-
-        words = SeedWords(np.random.SeedSequence(master_seed))
-        self.generators = tuple(
-            np.random.Generator(np.random.PCG64(words)) for _ in range(count)
-        )
+        seq = np.random.SeedSequence(master_seed)
+        self.generators = tuple(np.random.Generator(np.random.PCG64(seq)) for _ in range(count))
         self.master_state = self.generators[0].bit_generator.state
         inc = self.master_state["state"]["inc"]
         self._add = inc * _TRIAL_INC & _MASK
@@ -438,30 +433,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     workers = min(config.workers, trials)
     if workers > 1:
         workers = min(workers, _usable_cpus())
+    chunk = trials if workers == 1 else max(1, math.ceil(trials / (workers * 4)))
+    starts = range(0, trials, chunk)
+    args = (
+        [config] * len(starts), starts, [min(chunk, trials - s) for s in starts],
+        [model] * len(starts),
+    )
     if workers == 1:
-        qs, successes, attempts, failures = _trial_block(config, 0, trials, model)
+        blocks = list(map(_trial_block, *args))
     else:
-        chunk = max(1, math.ceil(trials / (workers * 4)))
-        starts = list(range(0, trials, chunk))
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(
-                    _trial_block,
-                    [config] * len(starts),
-                    starts,
-                    [min(chunk, trials - s) for s in starts],
-                    [model] * len(starts),
-                )
-            )
-        qs_parts, success_parts, attempt_parts, failure_parts = zip(*blocks)
-        qs, successes = np.concatenate(qs_parts), np.concatenate(success_parts)
-        # The per-step counts are summed step by step, over the blocks in order.
-        attempts, failures = (
-            [sum(step) for step in zip_longest(*parts, fillvalue=0)]
-            for parts in (attempt_parts, failure_parts)
-        )
+            blocks = list(pool.map(_trial_block, *args))
+    qs_parts, success_parts, attempt_parts, failure_parts = zip(*blocks)
+    qs, successes = np.concatenate(qs_parts), np.concatenate(success_parts)
+    # The per-step counts are summed step by step, over the blocks in order.
+    attempts, failures = (
+        [sum(step) for step in zip_longest(*parts, fillvalue=0)]
+        for parts in (attempt_parts, failure_parts)
+    )
 
     # The statistics equal numpy's mean, std(ddof=1) and unique, from fewer
     # calls: the integer sum is exact, the squared deviations go through the
@@ -503,9 +494,18 @@ SWEEP_AXES = ("m", "noise", "zipf")
 
 
 def _user_count(point) -> int:
-    """An "m" sweep point as an int; a non-integral number is refused, not truncated."""
+    """An "m" sweep point as an int; a non-integral number is refused, not truncated.
+
+    A string is read as the number it spells, so "16.0" and "1e3" are counts
+    as 16.0 and 1e3 are.
+    """
+    if isinstance(point, str):
+        try:
+            return int(point)
+        except ValueError:
+            point = float(point)
     count = int(point)
-    if not isinstance(point, str) and count != point:
+    if count != point:
         raise ValueError("a user count must be integral")
     return count
 

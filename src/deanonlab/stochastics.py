@@ -22,8 +22,8 @@ built, and are read-only: ``InfoMeasures.density_by_code`` (the density of a
 candidate whose scanned bit has code k, given answer y, at entry k + 4y) and
 ``QueryChannel.p_one_by_code`` (P(answer 1 | the true bit of code k)). A
 ``VictimPrior`` likewise builds its surprisals and the cumulative list that
-``sample_victim`` bisects, and caches the threshold attack's per-candidate
-crossing limits for the last threshold asked for
+``sample_victim`` bisects, and computes the threshold attack's
+per-candidate crossing limits for a threshold
 (``VictimPrior.crossing_limits``). The 2x2 laws are checked and combined
 as Python floats, adding and multiplying in the order numpy does, so each
 value equals numpy's to the bit; logarithms still come from ``np.log2``.
@@ -206,13 +206,9 @@ class VictimPrior:
         the rounded ``threshold + surprisal[j]`` and moves by single ulps.
         The threshold must be positive, as log2(1/eps) is for every eps in
         (0, 1): below 0 a limit near 0 could be billions of ulps from its
-        start, and the search would not end. The limits of the last
-        threshold asked for are cached read-only on the prior, so a
-        campaign computes them once.
+        start, and the search would not end. The limits are returned
+        read-only; a campaign computes them once per block of trials.
         """
-        cached = self.__dict__.get("_crossing_limits")
-        if cached is not None and cached[0] == threshold:
-            return cached[1]
         if not threshold > 0.0:
             raise ValueError("threshold must be a positive number of bits")
         surprisal = self.surprisal
@@ -231,8 +227,7 @@ class VictimPrior:
             if not np.count_nonzero(reach):
                 break
             limits[reach] = below[reach]
-        self.__dict__["_crossing_limits"] = (threshold, _read_only(limits))
-        return limits
+        return _read_only(limits)
 
 
 def make_prior(kind, m: int | None = None) -> VictimPrior:

@@ -17,7 +17,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deanonlab import harness
-from deanonlab._seeding import SeedWords
 from deanonlab.attacker import AttackTranscript, ITSConfig, ITSState, run_its
 from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.harness import (
@@ -92,13 +91,6 @@ class TestTrialSeeds:
             for s, gen in enumerate(generators):
                 assert gen.bit_generator.state == jumped(master_seed, 4 * k + s).bit_generator.state
                 gen.random(1 + s)  # a trial draws from its streams before the next call
-
-    def test_seed_words_seed_a_pcg64_as_their_seed_sequence_does(self):
-        seq = np.random.SeedSequence(2024)
-        words = SeedWords(seq)
-        assert np.random.PCG64(words).state == np.random.PCG64(seq).state
-        with pytest.raises(ValueError):
-            words.generate_state(8)
 
     def test_a_negative_trial_index_is_refused(self):
         # Jump 4k + s wraps mod 2**128 for k < 0, to no trial's stream.
@@ -676,6 +668,18 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
             table[0] = 0.0
 
 
+def test_scan_tables_store_nothing_on_the_model():
+    # The crossing limits are computed where they are asked for; the prior
+    # keeps only its dataclass fields.
+    config = small_config(trials=3, prior="zipf:1.0")
+    model = harness.resolve_model(config)
+    fields = {f.name for f in dataclasses.fields(model.prior)}
+    model.prior.crossing_limits(2.5)
+    assert set(vars(model.prior)) == fields
+    harness._trial_block(config, 0, config.trials, model)
+    assert set(vars(model.prior)) == fields
+
+
 class TestSweep:
     def test_user_axis_is_monotone_with_crn(self):
         base = small_config(trials=200)
@@ -702,7 +706,9 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_config(), "m", [])
 
-    @pytest.mark.parametrize("point", [4.7, True, "4.7"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "point", [4.7, True, "4.7", "inf", "nan"], ids=["float", "bool", "str", "inf", "nan"]
+    )
     def test_user_axis_rejects_non_integral_points(self, point, monkeypatch):
         # int() would truncate 4.7 to 4 users and read True as 1.
         ran = []
@@ -728,8 +734,8 @@ class TestSweep:
         assert ran == []
 
     def test_user_axis_accepts_integral_points_of_any_type(self):
-        sweep = run_sweep(small_config(trials=2), "m", [16.0, np.int64(8), "12"])
-        assert [s.config.users for s in sweep] == [16, 8, 12]
+        sweep = run_sweep(small_config(trials=2), "m", [16.0, np.int64(8), "12", "16.0", "1e3"])
+        assert [s.config.users for s in sweep] == [16, 8, 12, 16, 1000]
         assert all(type(s.config.users) is int for s in sweep)
 
     def test_a_malformed_base_is_refused_where_the_axis_overrides_it(self, monkeypatch):
