@@ -21,8 +21,9 @@ not yet struck, so it always terminates with the victim found. With
 alone: asked in a random order, it is the naive identity-scan baseline.
 
 The walk is computed a block of groups at a time rather than one query at a
-time, in one loop, ``_block_scan``: the outcome codes of the block, the
-received answers to all its queries, every candidate's running sum after
+time, in one loop, ``_block_scan``: the received answers to all of the
+block's queries, each candidate's density per query looked up by its
+scanned bit and the answer, every candidate's running sum after
 each of them (a cumulative sum along the block), and the first query after
 which some score reaches the threshold. The queries past that crossing are
 dropped. This is exact, not an approximation: the running sum after query
@@ -34,11 +35,12 @@ nothing either: noise is indexed by query ordinal, and every group query
 asks the next unused group, so a query's ordinal is its group index and the
 next step reads the same answers again.
 
-The scan asks its caller for each block of codes and answers once, in block
-order, and answers identity queries through a callable, so it never reads
-the victim index. A campaign trial gives it blocks drawn straight from the
-trial's streams; ``run_its``, the public one-trial API, gives it blocks read
-from a graph pair and a victim instance, and wraps its three results in an
+The scan asks its caller for each block's density index and answers once,
+in block order, and answers identity queries through a callable, so it
+never reads the victim index. A campaign trial gives it blocks drawn
+straight from the trial's streams, indexed by scanned bit with no codes;
+``run_its``, the public one-trial API, gives it blocks read from a graph
+pair's codes and a victim instance, and wraps its three results in an
 ``AttackTranscript``.
 
 The cumulative sum runs in place down the block's (queries, candidates) grid
@@ -261,11 +263,13 @@ def _accumulate(grid: np.ndarray) -> None:
 def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
     """Run the threshold attack on one graph and victim, a block of groups at a time.
 
-    The attack's one loop. ``read(k)`` gives block k (from 0) of the graph:
-    the (w, m) outcome codes of groups k * ``width`` + 1 onward, w =
-    ``width`` except at group ``n``, and the victim's w received answers to
-    them as uint8. The scan calls it once per block, in block order.
-    ``density`` is ``InfoMeasures.density_by_code``, ``limits`` the prior's
+    The attack's one loop. ``read(k)`` gives block k (from 0) of the graph
+    as (index, ys), for groups k * ``width`` + 1 onward, w = ``width``
+    except at group ``n``: ``ys`` holds the victim's w received answers to
+    them as uint8, and ``index`` is a (w, m) uint8 grid of entries of
+    ``density``, each candidate's scanned-bit code (or the scanned bit
+    itself) plus 4 times the answer. The scan calls it once per block, in
+    block order. ``density`` is ``InfoMeasures.density_by_code``, ``limits`` the prior's
     ``crossing_limits`` of the threshold, ``surprisal`` its surprisal, and
     ``identify(j)`` answers the identity query for candidate j. Returns the
     three fields of an :class:`AttackTranscript`: (gm_answers, uid_queries,
@@ -289,15 +293,15 @@ def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, o
         while not stop and cursor <= n:
             if cursor > end:
                 k += 1
-                codes, ys = block = read(k)  # (w, m) contiguous, (w,)
+                index, ys = block = read(k)  # (w, m) contiguous, (w,)
                 end += len(ys)
             else:  # the rest of the block in hand, after a crossing inside it
                 first = cursor - 1 - k * width
-                codes, ys = block[0][first:], block[1][first:]
+                index, ys = block[0][first:], block[1][first:]
             # Every index lies in [0, 8), so "clip" moves none; with a uint8
             # index it is the faster mode (2.9 against 5.1 us at (128, 16)).
             out = None if grid is None else grid[: len(ys)]
-            sums = density.take(codes + (ys << 2)[:, None], out=out, mode="clip")
+            sums = density.take(index, out=out, mode="clip")
             sums[0] += info
             _accumulate(sums)
             crossed = (sums >= limits).ravel()
@@ -351,7 +355,8 @@ def run_its(
     is built, so the scan never generates a column past the block of its
     last query. Each block's codes are read once, as a (w, m) grid of w
     groups by m candidates, and the instance answers the w queries from that
-    same grid. A scan of the grid looks its densities up by code and answer
+    same grid. A scan of the grid looks its densities up by code and answer,
+    at ``codes + 4 * answer``,
     and sums them down its group axis in place (:func:`_accumulate`), the
     first row seeded with the running sums. The first row where a live
     candidate's sum reaches its crossing limit ends the step (the first
@@ -371,7 +376,8 @@ def run_its(
     def read(k: int):
         first = k * width + 1
         codes = pair.block_codes(first, min(first + width - 1, n))
-        return codes, inst._answers(codes, first)
+        ys = inst._answers(codes, first)
+        return codes + (ys << 2)[:, None], ys
 
     limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
     fields = _block_scan(

@@ -11,20 +11,26 @@ contiguous (groups, users) grid and the victim's answers as one column of it.
 bit and the scanned matrix are each a slice of a block it decodes.
 
 Generation draws the outcome of every position i.i.d. from an
-``EdgeJointDistribution`` out of a single random stream per pair,
-``numpy.random.default_rng(seed)``, consumed column-major, one uniform per
-position. Group column g takes uniforms [m(g-1), mg) of that stream, one per
-user 1..m; a uniform u picks the outcome by inverse CDF over the code
-layout, ``code = (u >= c1) + (u >= c2) + (u >= c3)`` for the law's cut
-points (``EdgeJointDistribution.generation_cuts``). Rows are not
-individually re-derivable: row i's codes are spread over the whole stream.
+``EdgeJointDistribution`` out of a single random stream per pair, the PCG64
+generator of ``numpy.random.default_rng(seed)``, consumed group by group,
+one 32-bit uniform per position. Group column g takes raw 64-bit outputs
+[(g-1)h, gh) of that stream (``random_raw``), h = ceil(m/2): user 2i+1
+reads the low 32 bits of the group's output i and user 2i+2 its high 32
+bits, and for odd m the high half of the last output is unused. A uniform u picks the
+outcome by inverse CDF over the code layout,
+``code = (u >= C1) + (u >= C2) + (u >= C3)`` for the law's integer cut
+points (``EdgeJointDistribution.generation_cuts``), which round the law to
+within 2**-32 per outcome. Rows are not individually re-derivable: row i's
+codes are spread over the whole stream.
 
-Codes are drawn a block of group columns at a time, and ``_draw_codes`` is
-the one code draw: a campaign trial calls it directly on its graph stream
-as the attack's block scan asks for each block, and a pair's store calls it
-to fill its blocks. The width of a block is ``_block_width(m)``, the one
-place the rule lives. The width is not part of the layout: the codes are
-identical whichever width or access pattern drew them.
+Uniforms are drawn a block of group columns at a time by ``_uniforms``, the
+one draw. A pair's store decodes them into codes (``_draw_codes``); a
+campaign trial, as the attack's block scan asks for each block, decodes
+them straight into the scanned bits and the victim's true bits
+(``_draw_scanned``), with no codes. The width of a block is
+``_block_width(m)``, the one place the rule lives. The width is not part of
+the layout: each group takes whole outputs, so the uniforms are identical
+whichever width or access pattern drew them.
 
 A pair keeps its codes in a private store, :class:`_LazyRows`, as does
 ``oracle.VictimInstance`` its response noise. A store keeps its rows in
@@ -84,20 +90,49 @@ class _LazyRows:
         return _read_only(np.concatenate(blocks[k : j + 1])[first - 1 - start : last - start])
 
 
+def _uniforms(gen: np.random.Generator, rows: int, m: int) -> np.ndarray:
+    """The next ``rows`` group columns of m users' 32-bit uniforms, as a writable (rows, m) view.
+
+    Each group takes ceil(m/2) raw outputs, read as little-endian 64-bit
+    words so the split into halves does not depend on the byte order:
+    position 2i (from 0) takes the low 32 bits of output i, position 2i + 1
+    its high 32 bits.
+    """
+    half = (m + 1) // 2
+    raw = gen.bit_generator.random_raw(rows * half).astype("<u8", copy=False)
+    return raw.view("<u4").reshape(rows, 2 * half)[:, :m]
+
+
 def _draw_codes(gen: np.random.Generator, rows: int, m: int, cuts) -> np.ndarray:
     """The next ``rows`` group columns of m users' codes from the generation stream, as (rows, m).
 
-    The one code draw: one uniform per position, row by row, each picking
-    its outcome by ``(u >= c1) + (u >= c2) + (u >= c3)`` for ``cuts`` =
-    (c1, c2, c3).
+    Each uniform picks its outcome by ``(u >= C1) + (u >= C2) + (u >= C3)``
+    for ``cuts`` = (C1, C2, C3), integers in [0, 2**32].
     """
     c1, c2, c3 = cuts
-    u = gen.random((rows, m))
+    u = _uniforms(gen, rows, m)
     codes = np.greater_equal(u, c1).view(np.uint8)
     above = np.greater_equal(u, c2)
     codes += above.view(np.uint8)
     codes += np.greater_equal(u, c3, out=above).view(np.uint8)
     return codes
+
+
+def _draw_scanned(gen: np.random.Generator, rows: int, m: int, cuts, user: int):
+    """The next ``rows`` group columns as a scan reads them: (scanned bits, ``user``'s true bits).
+
+    The uniforms of ``_draw_codes``, decoded without codes. The scanned bit
+    is 1 on [C1, C3), tested by one wrapping subtract and one compare,
+    ``(u - C1) mod 2**32 < C3 - C1``; the true bit is ``u >= C2``. The
+    scanned bits are a writable (rows, m) uint8 array, the true bits a bool
+    vector of ``rows``.
+    """
+    c1, c2, c3 = cuts
+    u = _uniforms(gen, rows, m)
+    true = u[:, user - 1] >= c2
+    # C1 = 2**32 subtracts as 0, and then C3 - C1 = 0 leaves the interval empty.
+    np.subtract(u, c1 & 0xFFFFFFFF, out=u)
+    return np.less(u, c3 - c1).view(np.uint8), true
 
 
 class BigraphPair:

@@ -5,23 +5,29 @@ stream s (0 graph, 1 victim, 2 noise, 3 identity-scan order) is
 ``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not depend on
 execution order or on how trials are distributed over worker processes. A
 block of trials builds one generator per stream once, all from one seed
-sequence. Its first trial advances each generator from the master state to
-its jump offset; each later trial steps the previous trial's state by four
-jumps, an affine map of the 128-bit PCG64 state whose constants are pure
-integers computed once, and assigns it through the one state dict the
-stream keeps. Stream 3 is read only by the identity scan, which asks its
-users in a random order; the threshold attack's fallback goes by score, so
-its blocks never position that stream.
+sequence. Each trial steps the previous trial's state by four jumps, an
+affine map of the 128-bit PCG64 state whose constants are pure integers
+computed once, and assigns it through the one state dict the stream keeps.
+Trial 0 is the master state under the map of s jumps, also a constant; the
+first trial of a block that starts elsewhere advances each generator from
+the master state to its jump offset. Stream 3 is read only by the identity
+scan, which asks its users in a random order; the threshold attack's
+fallback goes by score, so its blocks never position that stream.
 
 A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
-block scan (``attacker._block_scan``) on blocks of codes drawn from the
-graph stream (``graph._draw_codes``) and answered through the channel from
-the noise stream (``oracle._channel``) as the scan asks for them. It builds
+block scan (``attacker._block_scan``) on blocks drawn from the graph stream
+and answered through the channel from the noise stream as the scan asks
+for them. A block's 32-bit uniforms are decoded with no codes
+(``graph._draw_scanned``): each candidate's scanned bit, by one wrapping
+subtract and one compare against the integer cut points, and the victim's
+true bits, which the channel answers (``oracle._channel``); the scan's
+density index is then the scanned bit plus 4 times the answer. It builds
 no graph pair, victim instance, attacker state or transcript; what depends
 only on the campaign (the cut points, the block width, the density and
 channel tables, the crossing limits) is looked up once per block of trials.
-The draws and the adds are those of ``attacker.run_its`` on a pair and an
-instance built from the same streams, so a trial's queries are the same.
+The uniforms, the noise and the adds are those of ``attacker.run_its`` on a
+pair and an instance built from the same streams, so a trial's queries are
+the same.
 Aggregation is a single pass over the per-trial arrays in trial order, and
 over the per-step verification counts in block order, which keeps repeated
 runs byte-identical.
@@ -46,7 +52,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
 from .attacker import _block_scan, auto_epsilon_steps
-from .graph import _block_width, _draw_codes
+from .graph import _block_width, _draw_scanned
 from .oracle import _channel, identity_answer
 from .stochastics import (
     EdgeJointDistribution,
@@ -211,14 +217,23 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # Substreams per trial: graph, victim, noise, identity-scan order.
 _STREAMS = 4
 _MASK = (1 << 128) - 1
-# Moving a stream from trial k to trial k + 1 advances it d = _TRIAL_STEPS
-# steps, which maps s to (_TRIAL_MUL*s + inc*_TRIAL_INC) mod 2**128, with
-# M = _PCG_MUL, _TRIAL_MUL = M**d and _TRIAL_INC = (M**d - 1)/(M - 1), the sum
-# 1 + M + ... + M**(d-1). Taking the power mod (M - 1)*2**128 keeps that
-# quotient exact mod 2**128.
-_TRIAL_STEPS = _STREAMS * _JUMP & _MASK
-_TRIAL_MUL = pow(_PCG_MUL, _TRIAL_STEPS, 1 << 128)
-_TRIAL_INC = (pow(_PCG_MUL, _TRIAL_STEPS, (_PCG_MUL - 1) << 128) - 1) // (_PCG_MUL - 1)
+
+
+def _advance_map(d: int) -> tuple[int, int]:
+    """(a, c) such that advancing a PCG64 state d steps maps s to (a*s + inc*c) mod 2**128.
+
+    With M = _PCG_MUL, a = M**d and c = (M**d - 1)/(M - 1), the sum
+    1 + M + ... + M**(d-1). Taking the power mod (M - 1)*2**128 keeps that
+    quotient exact mod 2**128.
+    """
+    inc = (pow(_PCG_MUL, d, (_PCG_MUL - 1) << 128) - 1) // (_PCG_MUL - 1)
+    return pow(_PCG_MUL, d, 1 << 128), inc
+
+
+# Moving a stream from trial k to trial k + 1 advances it _STREAMS jumps.
+_TRIAL_MUL, _TRIAL_INC = _advance_map(_STREAMS * _JUMP & _MASK)
+# Stream s of trial 0 sits s jumps past the master state.
+_FIRST_TRIAL = tuple(_advance_map(s * _JUMP & _MASK) for s in range(_STREAMS))
 
 
 class TrialStreams:
@@ -263,14 +278,21 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
     The generators of ``streams`` are repositioned in place and returned, so
     they hold trial k's streams only until the next call on ``streams``.
     When k follows the previous call's trial, each stored state steps by one
-    multiply-add; otherwise each generator advances from the master state,
-    and a negative k, which is no trial, is refused with ``ValueError``.
+    multiply-add, and at k = 0 each is the master state under one
+    multiply-add of constants; otherwise each generator advances from the
+    master state, and a negative k, which is no trial, is refused with
+    ``ValueError``.
     """
     if trial_index == streams._next:
         add = streams._add
         for gen, state in zip(streams.generators, streams._states):
             inner = state["state"]
             inner["state"] = (_TRIAL_MUL * inner["state"] + add) & _MASK
+            gen.bit_generator.state = state
+    elif trial_index == 0:
+        master = streams.master_state["state"]
+        for gen, state, (mul, inc) in zip(streams.generators, streams._states, _FIRST_TRIAL):
+            state["state"]["state"] = (mul * master["state"] + master["inc"] * inc) & _MASK
             gen.bit_generator.state = state
     else:
         if trial_index < 0:
@@ -290,9 +312,10 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     ``model`` is ``resolve_model(config)``. Everything a trial reads that
     depends only on the campaign is looked up once, here. A trial is then
     one pass: ``trial_seeds``, ``sample_victim``, and the attack's block
-    scan, which draws each block of codes from the trial's graph stream and
-    answers it through the channel from its noise stream as the scan asks
-    for it. No pair, instance, state or transcript is built.
+    scan, which draws each block's scanned bits and the victim's true bits
+    from the trial's graph stream and answers it through the channel from
+    its noise stream as the scan asks for it. No pair, instance, state,
+    transcript or code is built.
 
     Returns the per-trial query counts and successes as arrays, then the
     per-step verification attempts and failures: entry s of each list counts
@@ -312,7 +335,7 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     failures: list[int] = []
     n, m, steps, prior = config.groups, config.users, model.steps, model.prior
     width, cuts = _block_width(m), model.edge_joint.generation_cuts
-    density, p_one = model.measures.density_by_code, model.gm.p_one_by_code
+    density, p_one = model.measures.density_by_code, model.gm.p_one_by_bit
     limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
     surprisal = prior.surprisal
     for i in range(count):
@@ -321,9 +344,11 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
 
         def read(k: int):
             rows = min(width, n - k * width)
-            codes = _draw_codes(graph_rng, rows, m, cuts)
+            index, true = _draw_scanned(graph_rng, rows, m, cuts, victim)
             u = noise_rng.random(width)  # a whole noise block, as a pair's instance draws it
-            return codes, _channel(p_one, codes[:, victim - 1], u[:rows])
+            ys = _channel(p_one, true, u[:rows])
+            index += (ys << 2)[:, None]
+            return index, ys
 
         gm_answers, uid_queries, taus = _block_scan(
             read, n, width, density, limits, surprisal, steps,

@@ -7,11 +7,12 @@ The oracle answers the two query kinds the attacker may issue:
 * user identity, noiseless: exact equality with the victim index.
 
 Each kind is answered in one place. ``_channel`` answers a block of group
-queries from the victim's column of the block's outcome codes and one noise
+queries from the victim's true bits in the block's groups and one noise
 uniform per query; ``identity_answer`` answers an identity query. A
-campaign trial calls both directly on the blocks it draws, and a
-``VictimInstance`` binds one victim of a graph pair to them for the public
-one-trial API (``attacker.run_its``).
+campaign trial calls both directly on the blocks it draws, taking the true
+bits straight from the graph's uniforms, and a ``VictimInstance`` binds one
+victim of a graph pair to them for the public one-trial API
+(``attacker.run_its``), decoding the true bits from the pair's codes.
 
 Channel noise is indexed by query ordinal, not by group, so re-asking the
 same group later draws fresh noise (the channel is memoryless). Replaying an
@@ -30,16 +31,17 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import BigraphPair, _LazyRows
-from .stochastics import QueryChannel
+from .stochastics import CODE_BITS, QueryChannel
 
 
-def _channel(p_one: np.ndarray, column: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Received answers, as uint8, to the group queries whose victim codes are ``column``.
+def _channel(p_one: np.ndarray, true: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Received answers, as uint8, to the group queries whose correct answers are ``true``.
 
-    ``p_one`` is the channel's ``QueryChannel.p_one_by_code`` table and
-    ``u`` holds the queries' noise uniforms, one per entry of ``column``.
+    ``true`` holds the victim's true bit (0/1 or bool) in each queried
+    group, ``p_one`` is the channel's ``QueryChannel.p_one_by_bit`` table
+    and ``u`` holds the queries' noise uniforms, one per entry of ``true``.
     """
-    return (u < p_one.take(column)).view(np.uint8)
+    return (u < p_one.take(true)).view(np.uint8)
 
 
 def identity_answer(victim: int, candidate: int) -> int:
@@ -59,7 +61,7 @@ class VictimInstance:
             raise ValueError(f"victim index {victim} outside [1, {pair.m}]")
         self.pair = pair
         self.victim = victim
-        self._p_one = gm_channel.p_one_by_code
+        self._p_one = gm_channel.p_one_by_bit
         gen, width = np.random.default_rng(noise_seed), pair.block_width
         # A closure over the generator, so the store does not hold the instance.
         self._noise = _LazyRows(width, lambda k: gen.random(width))
@@ -80,7 +82,7 @@ class VictimInstance:
         ``codes`` is the (w, m) code grid of the queried groups.
         """
         u = self._noise.read(first_ordinal, first_ordinal + len(codes) - 1)
-        return _channel(self._p_one, codes[:, self.victim - 1], u)
+        return _channel(self._p_one, CODE_BITS["true"].take(codes[:, self.victim - 1]), u)
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

@@ -15,12 +15,16 @@ I(U; Y), and its maximum entry.
 
 The module also owns the outcome code layout. A (true, scanned) bit pair is
 stored as one code k, the k-th of the outcomes (0,0), (0,1), (1,1), (1,0):
-``EdgeJointDistribution.generation_cuts`` lays them end to end on [0, 1) in
-that order, and ``CODE_BITS`` decodes a code into either bit. The tables a
-scan reads by code are derived from that layout when each model object is
+``EdgeJointDistribution.generation_cuts`` lays them end to end on the 32-bit
+integers [0, 2**32) in that order, and ``CODE_BITS`` decodes a code into
+either bit. In that order the scanned bit is 1 on one interval, between the
+first and the third cut, and the true bit is 1 from the second cut up. The
+tables a scan reads are derived from that layout when each model object is
 built, and are read-only: ``InfoMeasures.density_by_code`` (the density of a
-candidate whose scanned bit has code k, given answer y, at entry k + 4y) and
-``QueryChannel.p_one_by_code`` (P(answer 1 | the true bit of code k)). A
+candidate whose scanned bit has code k, given answer y, at entry k + 4y;
+codes 0 and 1 have scanned bits 0 and 1, so entry s + 4y serves a scanned
+bit s too) and ``QueryChannel.p_one_by_bit`` (P(answer 1 | true bit z) at
+entry z). A
 ``VictimPrior`` likewise builds its surprisals and the cumulative list that
 ``sample_victim`` bisects, and computes the threshold attack's
 per-candidate crossing limits for a threshold
@@ -54,7 +58,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Each graph's bit by outcome code, in the order generation_cuts lays the outcomes on [0, 1).
+# Each graph position reads one uniform 32-bit integer, so the cut points
+# are integers in [0, 2**32].
+_UNIFORM_RANGE = 1 << 32
+
+# Each graph's bit by outcome code, in the order generation_cuts lays the outcomes on [0, 2**32).
 CODE_BITS = {
     "true": _read_only(np.array([0, 0, 1, 1], dtype=np.uint8)),
     "scanned": _read_only(np.array([0, 1, 1, 0], dtype=np.uint8)),
@@ -85,16 +93,19 @@ class EdgeJointDistribution:
     and the scanned graph has edge bit ``b`` at the same position. Distinct
     positions are drawn independently.
 
-    ``generation_cuts`` holds the cut points (c1, c2, c3) between the
-    outcomes (0,0), (0,1), (1,1), (1,0) of the (true, scanned) bit pair,
-    laid end to end on [0, 1): a uniform u falls in outcome
-    ``(u >= c1) + (u >= c2) + (u >= c3)``. The cumulative masses are divided
-    by their total, so a zero-mass tail ends exactly at 1 and p0 in {0, 1}
+    ``generation_cuts`` holds the integer cut points (C1, C2, C3) between
+    the outcomes (0,0), (0,1), (1,1), (1,0) of the (true, scanned) bit pair,
+    laid end to end on the 32-bit integers: a uniform u in [0, 2**32) falls
+    in outcome ``(u >= C1) + (u >= C2) + (u >= C3)``. ``C_k`` is
+    ``ceil(c_k * 2**32)`` for the running sums c_k of the masses in that
+    order, divided by their total. The rounding moves each outcome's
+    probability by less than 2**-32; an outcome of zero mass gets an empty
+    interval and one of unit mass all of [0, 2**32), so p0 in {0, 1} still
     gives constant true bits.
     """
 
     table: np.ndarray
-    generation_cuts: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    generation_cuts: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table, entries = _as_table(self.table, (2, 2), "edge joint table")
@@ -107,7 +118,8 @@ class EdgeJointDistribution:
         c2 = c1 + t01
         c3 = c2 + t11
         total = c3 + t10
-        object.__setattr__(self, "generation_cuts", (c1 / total, c2 / total, c3 / total))
+        cuts = tuple(math.ceil(c / total * _UNIFORM_RANGE) for c in (c1, c2, c3))
+        object.__setattr__(self, "generation_cuts", cuts)
 
     @property
     def p0(self) -> float:
@@ -138,19 +150,19 @@ class EdgeJointDistribution:
 class QueryChannel:
     """Row-stochastic response noise: ``table[z, y]`` = P(received y | correct z).
 
-    ``p_one_by_code`` is P(received 1 | correct z) at entry k, for z the true
-    bit of outcome code k.
+    ``p_one_by_bit`` is P(received 1 | correct z) at entry z, a contiguous
+    copy of ``table[:, 1]``.
     """
 
     table: np.ndarray
-    p_one_by_code: np.ndarray = field(init=False, repr=False, compare=False)
+    p_one_by_bit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table, (p00, p01, p10, p11) = _as_table(self.table, (2, 2), "query channel table")
         if abs(p00 + p01 - 1.0) > SUM_TOL or abs(p10 + p11 - 1.0) > SUM_TOL:
             raise ValueError("query channel rows must each sum to 1")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "p_one_by_code", _read_only(table[CODE_BITS["true"], 1]))
+        object.__setattr__(self, "p_one_by_bit", _read_only(table[:, 1].copy()))
 
     @classmethod
     def bsc(cls, flip: float) -> "QueryChannel":
@@ -341,7 +353,8 @@ class InfoMeasures:
     its expectation under P(u, y); ``i_max`` the largest finite entry.
     Possible pairs have finite densities, however small their masses.
     ``density_by_code`` is i(u; y) at entry k + 4y, for u the scanned bit of
-    outcome code k (length 8).
+    outcome code k (length 8); as codes 0 and 1 have scanned bits 0 and 1,
+    entry u + 4y is i(u; y) as well.
     """
 
     density: np.ndarray

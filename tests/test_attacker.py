@@ -125,19 +125,50 @@ def make_pair(n, m, edge, seed, block_width=None):
     return pair
 
 
-def attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l, block_width=None):
-    """``run_its`` and its hand replay on one seeded graph pair and noise stream.
+def attack(model, n, prior, victim, seed, epsilon, steps_l, block_width=None, noise_seed=None):
+    """``run_its`` on the graph pair of ``seed``, and the pair.
 
+    The noise stream is that of ``noise_seed``, by default ``seed``;
     ``block_width`` overrides the pair's block, as in :func:`make_pair`.
     """
     edge, gm = model
     pair = make_pair(n, prior.m, edge, seed, block_width)
-    inst = VictimInstance(pair, victim, gm, noise_seed=seed)
-    transcript = run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(epsilon, steps_l))
+    inst = VictimInstance(pair, victim, gm, seed if noise_seed is None else noise_seed)
+    return run_its(pair, inst, prior, measures_for(edge, gm), ITSConfig(epsilon, steps_l)), pair
+
+
+def attack_and_replay(
+    model, n, prior, victim, seed, epsilon, steps_l, block_width=None, noise_seed=None
+):
+    """``run_its`` and its hand replay on one seeded graph pair and noise stream, as in :func:`attack`."""
+    noise_seed = seed if noise_seed is None else noise_seed
+    transcript, pair = attack(
+        model, n, prior, victim, seed, epsilon, steps_l, block_width, noise_seed
+    )
+    edge, gm = model
     expected = replay_its_by_hand(
-        pair, victim, edge, gm, seed, prior, epsilon=epsilon, steps_l=steps_l
+        pair, victim, edge, gm, noise_seed, prior, epsilon=epsilon, steps_l=steps_l
     )
     return transcript, expected
+
+
+def first_seed(start, holds, tries=1000):
+    """The first seed from ``start`` up for which ``holds(seed)`` is true.
+
+    A test that needs its attack to take a rare path searches for a seed
+    from a fixed start instead of naming one, so it keeps that path on any
+    graph stream.
+    """
+    for seed in range(start, start + tries):
+        if holds(seed):
+            return seed
+    raise AssertionError(f"no seed in [{start}, {start + tries}) takes the path")
+
+
+def runs_out_after_one_step(transcript, n):
+    """One step crossed before group n, and the next one asked every group left."""
+    taus = transcript.tau_star_per_step
+    return len(taus) == 1 and taus[0] < n and len(transcript.gm_answers) == n
 
 
 class TestInitState:
@@ -246,7 +277,7 @@ class TestRunIts:
         assert transcript.queries == expected
         assert transcript.success and transcript.identified == victim
 
-    # Seeds 14, 28 and 39 produce failed verifications, so the replay also
+    # Seeds 10 and 28 produce failed verifications, so the replay also
     # covers candidate elimination, score resets and the exhaustive phase.
     @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14, 28, 39])
     def test_matches_hand_replay_noisy_zipf(self, seed):
@@ -261,11 +292,11 @@ class TestRunIts:
         )
         assert transcript.queries == expected
 
-    # With 32-column blocks (m=6 alone would get 341), seed 17 starts its
-    # second step inside a block; 73 has three steps, the second and third
+    # With 32-column blocks (m=6 alone would get 341), seed 28 starts its
+    # second step inside a block; 143 has three steps, the second and third
     # starting inside blocks. Every case has steps whose groups run over
     # columns 32 and 64.
-    @pytest.mark.parametrize("seed", [17, 28, 73, 135, 147])
+    @pytest.mark.parametrize("seed", [17, 28, 73, 135, 143, 147])
     def test_matches_hand_replay_across_block_edges(self, seed):
         prior = make_prior("zipf:1.0", 6)
         transcript, expected = attack_and_replay(
@@ -279,12 +310,16 @@ class TestRunIts:
 
     @pytest.mark.parametrize("seed", [17, 20, 29])
     def test_matches_hand_replay_when_groups_run_out_mid_block(self, seed):
-        # n = 45 ends inside the second 32-column block; one step crosses,
-        # the next one runs out of groups and the exhaustive phase follows.
+        # n = 45 ends inside the second 32-column block. On the graph and
+        # victim of ``seed``, the first noise seed from ``seed`` up under
+        # which one step crosses and the next one runs out of groups, so the
+        # exhaustive phase follows.
         prior = make_prior("zipf:1.0", 6)
-        transcript, expected = attack_and_replay(
-            LOW_INFO_MODEL, 45, prior, 1 + seed % 6, seed, 0.3, 4, block_width=32
+        args = (LOW_INFO_MODEL, 45, prior, 1 + seed % 6, seed, 0.3, 4, 32)
+        noise_seed = first_seed(
+            seed, lambda noise: runs_out_after_one_step(attack(*args, noise)[0], 45)
         )
+        transcript, expected = attack_and_replay(*args, noise_seed)
         assert transcript.queries == expected
         assert [t for kind, t, _ in transcript.queries if kind == "GM"] == list(range(1, 46))
         assert len(transcript.tau_star_per_step) == 1
@@ -292,16 +327,47 @@ class TestRunIts:
 
     @pytest.mark.parametrize("seed", [6, 67, 78, 115])
     def test_matches_hand_replay_noiseless_after_elimination(self, seed):
-        # Noiseless densities are -inf for every mismatch, and the first
-        # verification fails, so the next step scans with a struck candidate.
-        # In seeds 78 and 115 that candidate keeps matching and, having a
-        # larger prior than the victim, would cross first if it were live.
+        # Noiseless densities are -inf for every mismatch. The first seed
+        # from ``seed`` up whose first verification fails, so the next step
+        # scans with a struck candidate.
         prior = make_prior("zipf:1.0", 8)
-        transcript, expected = attack_and_replay(
-            NOISELESS_MODEL, 64, prior, 1 + seed % 8, seed, 0.5, 4
-        )
+
+        def args(seed):
+            return NOISELESS_MODEL, 64, prior, 1 + seed % 8, seed, 0.5, 4
+
+        seed = first_seed(seed, lambda s: attack(*args(s))[0].step_uid_responses()[:1] == [0])
+        transcript, expected = attack_and_replay(*args(seed))
         assert transcript.queries == expected
         assert transcript.step_uid_responses()[0] == 0
+
+    def test_a_struck_candidate_that_keeps_matching_does_not_cross(self):
+        # The first seed whose first verification strikes a candidate with a
+        # larger prior than the victim's, which then matches the next step's
+        # answers long enough to cross before the victim, were it live.
+        prior = make_prior("zipf:1.0", 8)
+        threshold = math.log2(1.0 / 0.5)
+
+        def args(seed):
+            return NOISELESS_MODEL, 64, prior, 1 + seed % 8, seed, 0.5, 4
+
+        def would_cross_first(seed):
+            transcript, pair = attack(*args(seed))
+            (struck, response), taus = transcript.uid_queries[0], transcript.tau_star_per_step
+            if response == 1 or len(taus) < 2 or struck > 1 + seed % 8:
+                return False
+            bits, answers = pair.row_bits("scanned", struck), transcript.gm_answers
+            # Each match adds 1 bit; the victim crosses at the step's last group.
+            for matched, k in enumerate(range(taus[0], taus[0] + taus[1] - 1), 1):
+                if bits[k] != answers[k]:
+                    return False
+                if matched - prior.surprisal[struck - 1] >= threshold:
+                    return True
+            return False
+
+        transcript, expected = attack_and_replay(*args(first_seed(0, would_cross_first)))
+        assert transcript.queries == expected
+        struck = transcript.uid_queries[0][0]
+        assert all(target != struck for target, _ in transcript.uid_queries[1:])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -539,25 +605,27 @@ class TestRunIts:
         if m >= 512:
             assert spans > len(taus)  # some step read more than one block
 
-    # Seeds 17, 20 and 29 run out of groups after one step (n=45), so their
-    # fallback follows the unfinished step's group queries; in seeds 20, 77
-    # and 99 of the noisy model the only verification fails and two or more
-    # fallback queries follow it.
+    # On the graph and victim of ``seed``, the first noise seed from ``seed``
+    # up under which a verification fails and fallback identity queries
+    # follow the verifications.
     @pytest.mark.parametrize("model, n, epsilon, steps_l, seed", [
         (LOW_INFO_MODEL, 45, 0.3, 4, 17), (LOW_INFO_MODEL, 45, 0.3, 4, 20),
         (LOW_INFO_MODEL, 45, 0.3, 4, 29), (NOISY_MODEL, 256, 0.2, 2, 20),
         (NOISY_MODEL, 256, 0.2, 2, 77), (NOISY_MODEL, 256, 0.2, 2, 99),
     ])
     def test_step_uid_responses_are_the_first_identity_answers(self, model, n, epsilon, steps_l, seed):
-        edge, gm = model
-        pair = generate_cprb(n, 6, edge, seed=seed)
-        inst = VictimInstance(pair, 1 + seed % 6, gm, noise_seed=seed)
-        transcript = run_its(
-            pair, inst, make_prior("zipf:1.0", 6), measures_for(edge, gm), ITSConfig(epsilon, steps_l)
+        args = (model, n, make_prior("zipf:1.0", 6), 1 + seed % 6, seed, epsilon, steps_l)
+
+        def falls_back_after_a_failure(transcript):
+            return 1 <= len(transcript.tau_star_per_step) < len(transcript.uid_queries)
+
+        noise_seed = first_seed(
+            seed, lambda noise: falls_back_after_a_failure(attack(*args, noise_seed=noise)[0])
         )
+        transcript = attack(*args, noise_seed=noise_seed)[0]
         uid_responses = [r for kind, _, r in transcript.queries if kind == "UID"]
         steps = len(transcript.tau_star_per_step)
-        assert len(uid_responses) > steps  # some identity queries are fallback ones
+        assert 1 <= steps < len(uid_responses)  # a verification, then fallback queries
         assert transcript.step_uid_responses() == uid_responses[:steps]
 
 

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from deanonlab import graph
+from deanonlab import graph, stochastics
 from deanonlab.graph import generate_cprb
 from deanonlab.stochastics import EdgeJointDistribution
 
@@ -104,27 +105,107 @@ def test_access_order_does_not_change_bits():
     ],
     ids=["asymmetric", "flip0", "flip1", "p0=0", "p0=1", "no-01-mass"],
 )
-def test_column_stream_oracle(edge):
-    # Group column g is exactly uniforms [m(g-1), mg) of default_rng(seed),
-    # one per user. On [0, 1) the outcomes run (0,0), (0,1), (1,1), (1,0), so
-    # the true bit is u >= P00 + P01 and the scanned bit P00 <= u < P00 +
-    # P01 + P11. The asymmetric law changes bits under any other order of
-    # the intervals; the others tie two or three cut points, where the count
-    # of cuts at or below u must still give these interval comparisons.
+def test_column_stream_oracle(edge, monkeypatch):
+    # Group column g takes raw outputs [h(g-1), hg) of PCG64(seed), h =
+    # ceil(m/2): user 2i+1 reads the low 32 bits of output i and user 2i+2
+    # its high 32 bits, and with m odd the last high half goes unused. On
+    # [0, 2**32) the outcomes run (0,0), (0,1), (1,1), (1,0), cut at C_k =
+    # ceil(2**32 c_k) for the running sums c_k of their masses, so the true
+    # bit is u >= C2 and the scanned bit C1 <= u < C3. The asymmetric law
+    # changes bits under any other order of the intervals; the others tie
+    # two or three cut points, where the count of cuts at or below u must
+    # still give these interval comparisons.
     seed, n, m = 31337, 100, 37
-    pair = generate_cprb(n, m, edge, seed=seed)
-    u = np.random.default_rng(seed).random(m * n)
+    half = (m + 1) // 2
+    words = np.random.PCG64(seed).random_raw(n * half).tolist()
     (p00, p01), (p10, p11) = edge.table.tolist()
-    cut1 = p00
-    cut2 = cut1 + p01
-    cut3 = cut2 + p11
-    assert cut3 + p10 == 1.0
+    assert p00 + p01 + p11 + p10 == 1.0
+    cut1, cut2, cut3 = (math.ceil(c * 2**32) for c in (p00, p00 + p01, p00 + p01 + p11))
+    true, scanned = np.empty((m, n), dtype=np.uint8), np.empty((m, n), dtype=np.uint8)
+    for g in range(n):
+        for j in range(m):
+            u = words[g * half + j // 2] >> (32 * (j % 2)) & 0xFFFFFFFF
+            true[j, g], scanned[j, g] = u >= cut2, cut1 <= u < cut3
+    pair = generate_cprb(n, m, edge, seed=seed)
     for g in range(1, n + 1):
-        draws = u[m * (g - 1) : m * g]
-        e0 = draws >= cut2
-        e1 = (draws >= cut1) & (draws < cut3)
-        assert np.array_equal(column(pair, "true", g), e0.astype(np.uint8))
-        assert np.array_equal(column(pair, "scanned", g), e1.astype(np.uint8))
+        assert np.array_equal(column(pair, "true", g), true[:, g - 1])
+        assert np.array_equal(column(pair, "scanned", g), scanned[:, g - 1])
+    # Each group takes whole outputs, so an odd m gives the same codes at any width.
+    codes = pair.block_codes(1, n)
+    for width in (1, 3, 32):
+        monkeypatch.setattr(graph, "_block_width", lambda m: width)
+        narrow = generate_cprb(n, m, edge, seed=seed)
+        assert narrow.block_width == width
+        assert np.array_equal(narrow.block_codes(1, n), codes)
+
+
+class RawWords:
+    """A generator stand-in whose raw 64-bit outputs are the given words, in order."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out.copy()
+
+
+# Laws whose cut points tie or reach 0 and 2**32: p0 = 1e-300 is a valid
+# config whose true-bit-1 outcomes round to an empty interval.
+BOUNDARY_LAWS = [
+    EdgeJointDistribution.from_marginal_flip(1e-300, 0.0),
+    EdgeJointDistribution.from_marginal_flip(1e-300, 1.0),
+    EdgeJointDistribution.from_marginal_flip(0.3, 0.0),
+    EdgeJointDistribution.from_marginal_flip(0.3, 1.0),
+    EdgeJointDistribution.from_marginal_flip(0.0, 0.3),
+    EdgeJointDistribution.from_marginal_flip(1.0, 0.3),
+    EdgeJointDistribution.from_marginal_flip(1.0, 0.0),
+    EdgeJointDistribution(np.array([[0.5, 0.0], [0.25, 0.25]])),
+]
+BOUNDARY_IDS = [
+    "p0=1e-300", "p0=1e-300-flip1", "flip0", "flip1", "p0=0", "p0=1", "p0=1-flip0", "no-01-mass",
+]
+
+
+@pytest.mark.parametrize("edge", BOUNDARY_LAWS, ids=BOUNDARY_IDS)
+def test_both_decoders_draw_no_zero_mass_outcome_and_every_unit_mass_one(edge):
+    # The pair's codes and the campaign's scanned and true bits, read from
+    # uniforms at and next to every cut point and at both ends of [0, 2**32).
+    cuts = edge.generation_cuts
+    assert all(isinstance(c, int) for c in cuts) and 0 <= cuts[0] <= cuts[1] <= cuts[2] <= 2**32
+    points = sorted({0, 1, 2**32 - 2, 2**32 - 1} | {
+        c + d for c in cuts for d in (-1, 0, 1) if 0 <= c + d < 2**32
+    })
+    points += [0] * (len(points) % 2)  # whole words only
+    words = [lo | hi << 32 for lo, hi in zip(points[::2], points[1::2])]
+    m = len(points)
+    codes = graph._draw_codes(RawWords(words), 1, m, cuts)[0]
+    assert codes.tolist() == [sum(u >= c for c in cuts) for u in points]
+    (p00, p01), (p10, p11) = edge.table.tolist()
+    for code, mass in enumerate((p00, p01, p11, p10)):
+        if mass == 0.0:
+            assert code not in codes
+        if mass == 1.0:
+            assert (codes == code).all()
+    for user in range(1, m + 1):
+        scanned, true = graph._draw_scanned(RawWords(words), 1, m, cuts, user)
+        assert scanned.dtype == np.uint8 and scanned.shape == (1, m)
+        assert np.array_equal(scanned[0], stochastics.CODE_BITS["scanned"][codes])
+        assert true.tolist() == [stochastics.CODE_BITS["true"][codes[user - 1]] == 1]
+
+
+def test_a_skewed_law_is_drawn_at_its_frequencies():
+    # Over 1001 x 1000 positions (m odd), each outcome's count lies within 5
+    # standard deviations of its expectation; the cut points round the law
+    # by less than 2**-32 per outcome, far below that.
+    edge = EdgeJointDistribution.from_marginal_flip(0.1, 0.01)
+    n, m = 1000, 1001
+    codes = generate_cprb(n, m, edge, seed=2718).block_codes(1, n)
+    counts = np.bincount(codes.ravel(), minlength=4)
+    (p00, p01), (p10, p11) = edge.table.tolist()
+    for count, p in zip(counts.tolist(), (p00, p01, p11, p10)):
+        assert abs(count - n * m * p) <= 5 * math.sqrt(n * m * p * (1 - p))
 
 
 @pytest.mark.parametrize("p0", [0.0, 1.0])

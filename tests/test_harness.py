@@ -178,13 +178,19 @@ def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch
     }
 
 
+# Flips of exactly 0 and 1, and a p0 of 1e-300, give cut points at 0 and
+# 2**32 and outcomes of zero and unit mass.
+FLIPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+P0S = st.one_of(st.just(1e-300), st.floats(0.05, 0.95))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     users=st.integers(1, 12),
     groups=st.integers(1, 80),
-    p0=st.floats(0.05, 0.95),
-    edge_flip=st.floats(0.0, 1.0),
-    gm_flip=st.floats(0.0, 1.0),
+    p0=P0S,
+    edge_flip=FLIPS,
+    gm_flip=FLIPS,
     prior=st.sampled_from(["uniform", "zipf:1.5"]),
     epsilon=st.floats(0.05, 0.6),
     steps=st.integers(1, 4),
@@ -225,9 +231,9 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
 @given(
     users=st.integers(1, 12),
     groups=st.integers(1, 80),
-    p0=st.floats(0.05, 0.95),
-    edge_flip=st.floats(0.0, 1.0),
-    gm_flip=st.floats(0.0, 1.0),
+    p0=P0S,
+    edge_flip=FLIPS,
+    gm_flip=FLIPS,
     prior=st.sampled_from(["uniform", "zipf:1.5"]),
     epsilon=st.floats(0.05, 0.6),
     steps=st.integers(1, 4),
@@ -235,6 +241,14 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     master_seed=st.integers(0, 2**63),
     start=st.integers(0, 10**6),
     count=st.integers(1, 5),
+)
+@example(
+    users=7, groups=40, p0=1e-300, edge_flip=1.0, gm_flip=0.0, prior="uniform", epsilon=0.3,
+    steps=3, strategy="its", master_seed=3, start=0, count=3,
+)
+@example(
+    users=7, groups=40, p0=1e-300, edge_flip=0.0, gm_flip=1.0, prior="zipf:1.5", epsilon=0.3,
+    steps=3, strategy="its", master_seed=4, start=2, count=3,
 )
 def test_each_campaign_trial_equals_its_public_replay(
     users, groups, p0, edge_flip, gm_flip, prior, epsilon, steps, strategy,
@@ -636,7 +650,7 @@ class TestRunExperiment:
 
 
 def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
-    # The density-by-code table, the oracle's P(y=1 | code) table, the
+    # The density-by-code table, the oracle's P(y=1 | true bit) table, the
     # crossing limits and the prior surprisal are model constants: one
     # read-only object each per campaign, whatever the trial.
     seen, p_ones = [], []
@@ -662,7 +676,7 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     density, limits, surprisal, p_one = (same[0] for same in tables)
     assert np.array_equal(density, model.measures.density_by_code)
     assert np.array_equal(limits, model.prior.crossing_limits(math.log2(1.0 / model.epsilon)))
-    assert np.array_equal(p_one, model.gm.p_one_by_code)
+    assert np.array_equal(p_one, model.gm.p_one_by_bit)
     for table in (density, limits, surprisal, p_one):
         with pytest.raises(ValueError):
             table[0] = 0.0

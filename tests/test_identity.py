@@ -61,19 +61,19 @@ CASES = {
 # SHA-256 of (CSV, JSON, transcripts) per case.
 GOLDEN = {
     'sandwich': (
-        '8ae7a400d9253102ee6c5e3344c7676faa6b70d0700694900494b0ba48595841',
-        '96ccc8f5f936a46f745233583abd71120da685191f5ca6dbfeef53ecdf52f0a7',
-        '4818cc5bfe5b6795fef493e902f0f217611cb7e2a44842603e44e95f826b408c',
+        '4e06c2ee4be840ea98102f597c806a0b5575b350991df565806782efccbecc2c',
+        '036ca2425a3befaac5ed3dff6b0ccfdc8b35fbb39ebeb34fbb75bc9b06f7d182',
+        'faa9092fade413b19377f0d0dfbeeb7cc9f3b6d4a0163255bb0d79b0569ddda4',
     ),
     'noisy_small': (
-        '14cbeb3b91eef58974b34dc6c69e4c8956e6949ed3dcc11dd38209c8e2781dc9',
-        '3076f86441d49d7f0bcf9061e6580b9635f3e23aabcc2a9554ca7665aa22bcd9',
-        '7bf95b1be9b3cbe8bd2fbfa92ca0838f1769396193bcff4ae3534e216e72990b',
+        '93d5c23024d9290b552d755665946d6938c264f232a5c036da7bc305d97b3d9c',
+        '65e857a8a264f40260f75508f6564eb7373e8278890c2f77a4fff8a3b6376c23',
+        'ca419a1788564a4b0c08dad25df9907a4cd1efb49a8a60b04003d99ca9676105',
     ),
     'zipf_small': (
-        '3cfd1610fd813499b80424cc43f616dd81b32cd1a3648d0f0ed004dffc80eac9',
-        '2acb155232a9b179f076a443efa0539b8a55ffbd2d56ebe0122ab8f04491f769',
-        'c0d73d55b0917273a857d11cf99a7b7c2e0e1909aa8536a95c307ba68e22d516',
+        '1f44f3717c9e5e3fa2faa41e854c26460d6368ab5d1fdf10f9bdf27c1e088530',
+        'ec200c950a81e8314a0f27da7ca8bc66cd9fd7c5ba8c04ed14a1a67bfd962849',
+        '1809381ca3e3ba0035496228dc0bba474a72a3287c9981809ee0f7c381f7c8e5',
     ),
     'uid_scan': (
         'c6932bec7fa9e299da3bab70f1279d035329100bc15c893f83eb4cc489c15baa',
@@ -81,29 +81,29 @@ GOLDEN = {
         'c817e0733c5bf60fe9805052a0697fb5f510736709b86d449a1c7d0c40fb7a1d',
     ),
     'm513': (
-        '8b3c76da59d6f35428da8e700ae539256da831c589b8c1e9e4cf1d80fe003359',
-        'db72fc8ba286ae54f3caab5bcffc2772e41a590febd4e642abaafe7c727a07d8',
-        'f7ea2d8384a1be3651f25e7a1d1bf5b7cf68cb276da0333e54722dd6f80b400d',
+        '370f7e6ade3ba4cda003259e1d11a93f54468aa7f0180c5f13524332f0d848e4',
+        '932fda1a510d8f10caae5bbb4edfbe724dc62f5c3dde8019fed2547aae087269',
+        'baf1c4d94b4cbb1ebb971c815bf8e0f364e1c2a2c566ec35bd4f3ba5612a84f1',
     ),
     'noiseless_eliminations': (
-        '0134f395d9ec96c9c8a76ee99d040f43b42fe801d95d4e45d5e1b614dcdd4418',
-        '3cd11467d2ffe60e732fdf57f63c97240502230eea2b358457e818fd4ea61457',
-        '6b4fc6bee11512ddeff4280eb274b5846f9c3e9e98c60639bcc054f914b90332',
+        'f0fdcbfd9e5c9b22f0c223bfffce29da71de7922fed342ad3f169e8030c68b45',
+        '789ae4d78c3541df6083445ca15b7b104526582762f06bd2e5f583c2b65fc707',
+        '2eec74d40c46bb477cda26ca62a6a1b2a2e526093fa19508b7cf8a4c995a3d13',
     ),
     'n_below_one_block': (
-        '1a7066f32f22e71a83d79d527e4d9e1140b8e94eb4cbc9925733204d3b86aa8e',
-        'b36951efbf1931f94a54fa7a2c48fdcba5e89692d017ff57edb82aba0893227b',
-        'd9ea02ec14e4d237490d795ff35f33ff80313eedaf371070b89176101880aec9',
+        '127d3e32fd120a1e37a8fb5020311d06f56b21cc60e5d26300b5974e8765bc46',
+        '2c791635e533b72e0db13120e1e7581c3638dce67756aed29124bc7fef6388b8',
+        'fd1e9d70b8811fbf5e16b591df98e4426a179788c51709e8480648565053aeb7',
     ),
     'steps_over_m': (
-        '136cedf01ba201590fe80492b871f0177925e47bc8291a7a80468a597d01aa5a',
-        'e1de2ed9fb7337f9d878186c1df66491f56fdc1af7123cc3ea7e7fdd56dec9bc',
-        '9107f9da9a0dcc58b707ab1d595cf691e9e021eafb3db5950cbb11cea91056dd',
+        'b221a05282290b8e6c74ec9214541a249cfb0aac99c4f7e959944b7c363ec454',
+        '17eb986a70f6bf241d54bdf502b04aad262cd80e6b707b14dfb8fdb2f10b5f95',
+        '0f835957d0a661bf3a3fce70a97b85b18526f4cfc4752da597fa810c866a4867',
     ),
     'long_wide_scan': (
-        'b6133b19e2537ea069a9764c45ba30913e02536193713c6bd7a38bf66e44453b',
-        '678d4d77010485df3fff46c103c7b9a6f3374c7332a9f43c33fe38fc41a42750',
-        'e57b80b596fd50f8260dd73886c08c06a8b9481780e8d3c86a496db8c904166b',
+        '02f82aa68a62c604b083171f054364f791ecfe4b1715e66b3dbaaae3aa93c929',
+        'd8ae843d77495e7f1c0f867534834ef32ea56ed2ffa2b60436f2eacb76adb59c',
+        'f334ab6df1a082c76a6bfe91bd8bfa0b5429ea9e14f48239a1d9579d5ab1f145',
     ),
 }
 

@@ -78,6 +78,22 @@ class TestEdgeJoint:
         with pytest.raises(ValueError):
             edge.table[0, 0] = 1.0
 
+    @pytest.mark.parametrize("p0, flip", [
+        (0.3, 0.2), (0.1, 0.01), (0.5, 0.0), (1e-300, 0.0), (1e-300, 1.0), (0.0, 0.3), (1.0, 0.3),
+    ])
+    def test_generation_cuts_round_the_running_sums_up_to_32_bits(self, p0, flip):
+        edge = EdgeJointDistribution.from_marginal_flip(p0, flip)
+        (p00, p01), (p10, p11) = edge.table.tolist()
+        sums = (p00, p00 + p01, p00 + p01 + p11)
+        total = sums[-1] + p10
+        cuts = edge.generation_cuts
+        assert cuts == tuple(math.ceil(c / total * 2**32) for c in sums)
+        assert all(type(c) is int for c in cuts)
+        # Each outcome's realized probability is within 2**-32 of its mass.
+        bounds = (0, *cuts, 2**32)
+        for k, mass in enumerate((p00, p01, p11, p10)):
+            assert abs((bounds[k + 1] - bounds[k]) / 2**32 - mass / total) < 2**-32
+
 
 class TestQueryChannel:
     def test_bsc_rows(self):
@@ -182,15 +198,16 @@ class TestCodeTables:
             for y in range(2):
                 assert table[code + 4 * y] == measures.density[CODE_BITS["scanned"][code], y]
 
-    def test_p_one_by_code_reads_the_true_bit_of_each_code(self):
-        gm = QueryChannel.bsc(0.2)
-        assert gm.p_one_by_code.tolist() == [gm.table[z, 1] for z in CODE_BITS["true"]]
+    def test_p_one_by_bit_reads_each_true_bit(self):
+        gm = QueryChannel([[0.9, 0.1], [0.3, 0.7]])
+        assert gm.p_one_by_bit.tolist() == [0.1, 0.7]
+        assert gm.p_one_by_bit.flags.c_contiguous
 
     def test_tables_are_cached_and_read_only(self):
         measures, gm = measures_of(*bsc_style_model()), QueryChannel.bsc(0.2)
         assert measures.density_by_code is measures.density_by_code
-        assert gm.p_one_by_code is gm.p_one_by_code
-        for table in (measures.density_by_code, gm.p_one_by_code, *CODE_BITS.values()):
+        assert gm.p_one_by_bit is gm.p_one_by_bit
+        for table in (measures.density_by_code, gm.p_one_by_bit, *CODE_BITS.values()):
             with pytest.raises(ValueError):
                 table[0] = 0
 
