@@ -37,11 +37,11 @@ next step reads the same answers again.
 
 The scan asks its caller for each block's density index and answers once,
 in block order, and answers identity queries through a callable, so it
-never reads the victim index. A campaign trial gives it blocks drawn
-straight from the trial's streams, indexed by scanned bit with no codes;
-``run_its``, the public one-trial API, gives it blocks read from a graph
-pair's codes and a victim instance, and wraps its three results in an
-``AttackTranscript``.
+never reads the victim index. Its blocks come from one reader,
+``oracle._answered_blocks``, on a graph stream and a noise stream: a
+campaign trial's own streams, or, in ``run_its``, the public one-trial
+API, those of a graph pair and a victim instance, whose three results
+``run_its`` wraps in an ``AttackTranscript``.
 
 The cumulative sum runs in place down the block's (queries, candidates) grid
 in one of three forms, chosen by the candidate count m, and each makes
@@ -88,8 +88,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BigraphPair
-from .oracle import VictimInstance
+from .graph import BigraphPair, _block_width
+from .oracle import VictimInstance, _answered_blocks, _density_table
 from .stochastics import InfoMeasures, VictimPrior
 
 # Grids at least this many candidates wide are accumulated row by row, narrower
@@ -267,13 +267,14 @@ def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, o
     as (index, ys), for groups k * ``width`` + 1 onward, w = ``width``
     except at group ``n``: ``ys`` holds the victim's w received answers to
     them as uint8, and ``index`` is a (w, m) uint8 grid of entries of
-    ``density``, each candidate's scanned-bit code (or the scanned bit
-    itself) plus 4 times the answer. The scan calls it once per block, in
-    block order. ``density`` is ``InfoMeasures.density_by_code``, ``limits`` the prior's
-    ``crossing_limits`` of the threshold, ``surprisal`` its surprisal, and
-    ``identify(j)`` answers the identity query for candidate j. Returns the
-    three fields of an :class:`AttackTranscript`: (gm_answers, uid_queries,
-    tau_star_per_step).
+    ``density``, each candidate's scanned bit s plus 2 times the answer y.
+    The scan calls it once per block, in block order; the reader is
+    ``oracle._answered_blocks``. ``density`` holds the information density
+    i(s; y) at entry s + 2y (``oracle._density_table``), ``limits`` the
+    prior's ``crossing_limits`` of the threshold, ``surprisal`` its
+    surprisal, and ``identify(j)`` answers the identity query for candidate
+    j. Returns the three fields of an :class:`AttackTranscript`:
+    (gm_answers, uid_queries, tau_star_per_step).
     """
     m = surprisal.size
     # Wide grids are taken into one buffer per trial: a fresh grid per block
@@ -298,7 +299,7 @@ def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, o
             else:  # the rest of the block in hand, after a crossing inside it
                 first = cursor - 1 - k * width
                 index, ys = block[0][first:], block[1][first:]
-            # Every index lies in [0, 8), so "clip" moves none; with a uint8
+            # Every index lies in [0, 4), so "clip" moves none; with a uint8
             # index it is the faster mode (2.9 against 5.1 us at (128, 16)).
             out = None if grid is None else grid[: len(ys)]
             sums = density.take(index, out=out, mode="clip")
@@ -350,38 +351,35 @@ def run_its(
     threshold step: the attack is the identity scan over all users in the
     fallback order.
 
-    The attack is :func:`_block_scan` over the pair's blocks of
-    ``pair.block_width`` aligned group columns, a width fixed when the pair
-    is built, so the scan never generates a column past the block of its
-    last query. Each block's codes are read once, as a (w, m) grid of w
-    groups by m candidates, and the instance answers the w queries from that
-    same grid. A scan of the grid looks its densities up by code and answer,
-    at ``codes + 4 * answer``,
-    and sums them down its group axis in place (:func:`_accumulate`), the
-    first row seeded with the running sums. The first row where a live
-    candidate's sum reaches its crossing limit ends the step (the first
-    crossing of the flattened grid, divided by m); struck candidates carry a
-    NaN limit, so they never cross. The adds are those of one update per
-    query, in the same order, and each compare decides what the score's
-    threshold comparison decides, so the transcript is identical to the
-    one-query walk bit for bit, whichever form :func:`_accumulate` takes for
-    this m.
+    The attack is :func:`_block_scan` over blocks of ``_block_width(m)``
+    group columns, read by ``oracle._answered_blocks`` from the pair's
+    generation stream and the instance's noise stream, each from its start,
+    so the scan never draws a column past the block of its last query. Each
+    block is drawn once, as a (w, m) grid of w groups by m candidates, and
+    the victim's w answers come from the same draw. A scan of the grid
+    looks its densities up by scanned bit and answer, and sums them down its
+    group axis in place (:func:`_accumulate`), the first row seeded with the
+    running sums. The first row where a live candidate's sum reaches its
+    crossing limit ends the step (the first crossing of the flattened grid,
+    divided by m); struck candidates carry a NaN limit, so they never cross.
+    The adds are those of one update per query, in the same order, and each
+    compare decides what the score's threshold comparison decides, so the
+    transcript is identical to the one-query walk bit for bit, whichever
+    form :func:`_accumulate` takes for this m and whatever the block width.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
-    n, width = pair.n, pair.block_width
-
-    def read(k: int):
-        first = k * width + 1
-        codes = pair.block_codes(first, min(first + width - 1, n))
-        ys = inst._answers(codes, first)
-        return codes + (ys << 2)[:, None], ys
-
+    n, m = pair.n, pair.m
+    width = _block_width(m)
+    read = _answered_blocks(
+        pair._stream.seek(0), inst._noise.seek(0), n, m, width, pair._cuts, inst._p_one,
+        inst.victim,
+    )
     limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
     fields = _block_scan(
-        read, n, width, measures.density_by_code, limits, prior.surprisal,
+        read, n, width, _density_table(measures.density), limits, prior.surprisal,
         config.steps_l, inst.uid_response, order_seed,
     )
     return AttackTranscript(*fields)

@@ -15,19 +15,17 @@ scan, which asks its users in a random order; the threshold attack's
 fallback goes by score, so its blocks never position that stream.
 
 A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
-block scan (``attacker._block_scan``) on blocks drawn from the graph stream
-and answered through the channel from the noise stream as the scan asks
-for them. A block's 32-bit uniforms are decoded with no codes
-(``graph._draw_scanned``): each candidate's scanned bit, by one wrapping
-subtract and one compare against the integer cut points, and the victim's
-true bits, which the channel answers (``oracle._channel``); the scan's
-density index is then the scanned bit plus 4 times the answer. It builds
-no graph pair, victim instance, attacker state or transcript; what depends
+block scan (``attacker._block_scan``) on blocks that the attack's one
+reader (``oracle._answered_blocks``) draws from the graph stream and
+answers through the channel from the noise stream as the scan asks for
+them: each candidate's scanned bit and the victim's true bits are decoded
+from a block's 32-bit uniforms (``graph._draw_scanned``), and the scan's
+density index is the scanned bit plus 2 times the answer. It builds no
+graph pair, victim instance, attacker state or transcript; what depends
 only on the campaign (the cut points, the block width, the density and
 channel tables, the crossing limits) is looked up once per block of trials.
-The uniforms, the noise and the adds are those of ``attacker.run_its`` on a
-pair and an instance built from the same streams, so a trial's queries are
-the same.
+``attacker.run_its`` runs the same reader on a pair and an instance built
+from the same streams, so a trial's queries are the same.
 Aggregation is a single pass over the per-trial arrays in trial order, and
 over the per-step verification counts in block order, which keeps repeated
 runs byte-identical.
@@ -52,8 +50,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
 from .attacker import _block_scan, auto_epsilon_steps
-from .graph import _block_width, _draw_scanned
-from .oracle import _channel, identity_answer
+from .graph import _block_width
+from .oracle import _answered_blocks, _density_table, identity_answer
 from .stochastics import (
     EdgeJointDistribution,
     InfoMeasures,
@@ -150,6 +148,8 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, _PATH_TYPES):
             raise ConfigError("out", "must be a file path")
         try:
+            if self.users > np.iinfo(np.intp).max // 8:
+                raise MemoryError  # numpy refuses so long a float64 vector with ValueError
             return make_prior(self.prior, self.users)
         except (TypeError, ValueError) as exc:
             raise ConfigError("prior", str(exc)) from exc
@@ -312,10 +312,8 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     ``model`` is ``resolve_model(config)``. Everything a trial reads that
     depends only on the campaign is looked up once, here. A trial is then
     one pass: ``trial_seeds``, ``sample_victim``, and the attack's block
-    scan, which draws each block's scanned bits and the victim's true bits
-    from the trial's graph stream and answers it through the channel from
-    its noise stream as the scan asks for it. No pair, instance, state,
-    transcript or code is built.
+    scan on ``oracle._answered_blocks`` over the trial's graph and noise
+    streams. No pair, instance, state or transcript is built.
 
     Returns the per-trial query counts and successes as arrays, then the
     per-step verification attempts and failures: entry s of each list counts
@@ -329,27 +327,19 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     try:
         qs = np.empty(count, dtype=np.int64)
         successes = np.empty(count, dtype=bool)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: more entries than numpy can index
         raise ConfigError("trials", "too many trials: the results do not fit in memory") from None
     attempts: list[int] = []
     failures: list[int] = []
     n, m, steps, prior = config.groups, config.users, model.steps, model.prior
     width, cuts = _block_width(m), model.edge_joint.generation_cuts
-    density, p_one = model.measures.density_by_code, model.gm.p_one_by_bit
+    density, p_one = _density_table(model.measures.density), model.gm.p_one_by_bit
     limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
     surprisal = prior.surprisal
     for i in range(count):
         graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, start + i)
         victim = sample_victim(prior, victim_rng)
-
-        def read(k: int):
-            rows = min(width, n - k * width)
-            index, true = _draw_scanned(graph_rng, rows, m, cuts, victim)
-            u = noise_rng.random(width)  # a whole noise block, as a pair's instance draws it
-            ys = _channel(p_one, true, u[:rows])
-            index += (ys << 2)[:, None]
-            return index, ys
-
+        read = _answered_blocks(graph_rng, noise_rng, n, m, width, cuts, p_one, victim)
         gm_answers, uid_queries, taus = _block_scan(
             read, n, width, density, limits, surprisal, steps,
             partial(identity_answer, victim), *order_rng,

@@ -13,21 +13,16 @@ group-membership query, and ``InfoMeasures`` derives the per-query evidence
 table: the information density i(u; y) = log2 P(y|u) / P(y), its expectation
 I(U; Y), and its maximum entry.
 
-The module also owns the outcome code layout. A (true, scanned) bit pair is
-stored as one code k, the k-th of the outcomes (0,0), (0,1), (1,1), (1,0):
-``EdgeJointDistribution.generation_cuts`` lays them end to end on the 32-bit
-integers [0, 2**32) in that order, and ``CODE_BITS`` decodes a code into
-either bit. In that order the scanned bit is 1 on one interval, between the
-first and the third cut, and the true bit is 1 from the second cut up. The
-tables a scan reads are derived from that layout when each model object is
-built, and are read-only: ``InfoMeasures.density_by_code`` (the density of a
-candidate whose scanned bit has code k, given answer y, at entry k + 4y;
-codes 0 and 1 have scanned bits 0 and 1, so entry s + 4y serves a scanned
-bit s too) and ``QueryChannel.p_one_by_bit`` (P(answer 1 | true bit z) at
-entry z). A
-``VictimPrior`` likewise builds its surprisals and the cumulative list that
-``sample_victim`` bisects, and computes the threshold attack's
-per-candidate crossing limits for a threshold
+The module also owns the layout of the outcomes on the generation stream's
+uniforms. ``EdgeJointDistribution.generation_cuts`` lays the (true,
+scanned) outcomes (0,0), (0,1), (1,1), (1,0) end to end on the 32-bit
+integers [0, 2**32) in that order, so the scanned bit is 1 on one interval,
+between the first and the third cut, and the true bit is 1 from the second
+cut up. ``QueryChannel.p_one_by_bit`` (P(answer 1 | true bit z) at entry
+z), the table the channel reads, is derived when the channel is built, and
+is read-only. A ``VictimPrior`` likewise builds its surprisals and the
+cumulative list that ``sample_victim`` bisects, and computes the threshold
+attack's per-candidate crossing limits for a threshold
 (``VictimPrior.crossing_limits``). The 2x2 laws are checked and combined
 as Python floats, adding and multiplying in the order numpy does, so each
 value equals numpy's to the bit; logarithms still come from ``np.log2``.
@@ -61,13 +56,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # Each graph position reads one uniform 32-bit integer, so the cut points
 # are integers in [0, 2**32].
 _UNIFORM_RANGE = 1 << 32
-
-# Each graph's bit by outcome code, in the order generation_cuts lays the outcomes on [0, 2**32).
-CODE_BITS = {
-    "true": _read_only(np.array([0, 0, 1, 1], dtype=np.uint8)),
-    "scanned": _read_only(np.array([0, 1, 1, 0], dtype=np.uint8)),
-}
-
 
 def _as_table(values, shape, name: str) -> tuple[np.ndarray, list[float]]:
     """``values`` as a read-only float64 table of ``shape``, and its entries as a flat list.
@@ -352,19 +340,11 @@ class InfoMeasures:
     impossible (u, y) pairs carried as the -inf sentinel. ``mutual_info`` is
     its expectation under P(u, y); ``i_max`` the largest finite entry.
     Possible pairs have finite densities, however small their masses.
-    ``density_by_code`` is i(u; y) at entry k + 4y, for u the scanned bit of
-    outcome code k (length 8); as codes 0 and 1 have scanned bits 0 and 1,
-    entry u + 4y is i(u; y) as well.
     """
 
     density: np.ndarray
     mutual_info: float
     i_max: float
-    density_by_code: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_code = np.asarray(self.density)[CODE_BITS["scanned"]].T.ravel()
-        object.__setattr__(self, "density_by_code", _read_only(by_code))
 
     @classmethod
     def from_joint(cls, joint: JointUYZ) -> "InfoMeasures":

@@ -267,10 +267,15 @@ def test_an_unwritable_out_is_named_before_another_bad_field(tmp_path, capsys, m
 @pytest.mark.parametrize("command, field", [
     (["bounds", "--users", str(10**16), "--groups", "10"], "users"),
     (["simulate", "--users", "4", "--groups", "10", "--trials", str(10**16)], "trials"),
+    (["simulate", "--users", str(2**70), "--groups", "10"], "users"),
+    (["bounds", "--users", str(2**70), "--groups", "10"], "users"),
+    (["sweep", "--users", "4", "--groups", "10", "--axis", "m", "--points", "1e30"], "users"),
+    (["simulate", "--users", "4", "--groups", "10", "--trials", str(2**70)], "trials"),
 ])
 def test_a_config_too_large_to_allocate_exits_2_naming_its_field(capsys, command, field):
     # 10**16 eight-byte entries exceed any 64-bit user address space, so the
-    # prior or the per-trial arrays fail to allocate at once.
+    # prior or the per-trial arrays fail to allocate at once; numpy refuses
+    # 2**70 entries outright, more than an array can index.
     assert run_cli(command) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: too many {field}")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from deanonlab import graph, stochastics
+from deanonlab import graph
 from deanonlab.graph import generate_cprb
 from deanonlab.stochastics import EdgeJointDistribution
 
@@ -105,7 +105,7 @@ def test_access_order_does_not_change_bits():
     ],
     ids=["asymmetric", "flip0", "flip1", "p0=0", "p0=1", "no-01-mass"],
 )
-def test_column_stream_oracle(edge, monkeypatch):
+def test_column_stream_oracle(edge):
     # Group column g takes raw outputs [h(g-1), hg) of PCG64(seed), h =
     # ceil(m/2): user 2i+1 reads the low 32 bits of output i and user 2i+2
     # its high 32 bits, and with m odd the last high half goes unused. On
@@ -130,13 +130,15 @@ def test_column_stream_oracle(edge, monkeypatch):
     for g in range(1, n + 1):
         assert np.array_equal(column(pair, "true", g), true[:, g - 1])
         assert np.array_equal(column(pair, "scanned", g), scanned[:, g - 1])
-    # Each group takes whole outputs, so an odd m gives the same codes at any width.
-    codes = pair.block_codes(1, n)
+    # Each group takes whole outputs, so an odd m gives the same bits read
+    # in blocks of any width.
     for width in (1, 3, 32):
-        monkeypatch.setattr(graph, "_block_width", lambda m: width)
-        narrow = generate_cprb(n, m, edge, seed=seed)
-        assert narrow.block_width == width
-        assert np.array_equal(narrow.block_codes(1, n), codes)
+        for which, full in (("true", true), ("scanned", scanned)):
+            blocks = [
+                pair.block_bits(which, first, min(first + width - 1, n))
+                for first in range(1, n + 1, width)
+            ]
+            assert np.array_equal(np.concatenate(blocks, axis=1), full)
 
 
 class RawWords:
@@ -170,8 +172,10 @@ BOUNDARY_IDS = [
 
 @pytest.mark.parametrize("edge", BOUNDARY_LAWS, ids=BOUNDARY_IDS)
 def test_both_decoders_draw_no_zero_mass_outcome_and_every_unit_mass_one(edge):
-    # The pair's codes and the campaign's scanned and true bits, read from
-    # uniforms at and next to every cut point and at both ends of [0, 2**32).
+    # The decoder's two forms, every user's true bits (a pair's reads) and
+    # one user's (a scan's blocks), from uniforms at and next to every cut
+    # point and at both ends of [0, 2**32). An outcome's code is its place
+    # in the layout order, the count of cut points at or below u.
     cuts = edge.generation_cuts
     assert all(isinstance(c, int) for c in cuts) and 0 <= cuts[0] <= cuts[1] <= cuts[2] <= 2**32
     points = sorted({0, 1, 2**32 - 2, 2**32 - 1} | {
@@ -180,19 +184,21 @@ def test_both_decoders_draw_no_zero_mass_outcome_and_every_unit_mass_one(edge):
     points += [0] * (len(points) % 2)  # whole words only
     words = [lo | hi << 32 for lo, hi in zip(points[::2], points[1::2])]
     m = len(points)
-    codes = graph._draw_codes(RawWords(words), 1, m, cuts)[0]
-    assert codes.tolist() == [sum(u >= c for c in cuts) for u in points]
+    scanned, true = graph._draw_scanned(RawWords(words), 1, m, cuts, slice(None))
+    assert scanned.dtype == np.uint8 and scanned.shape == (1, m) and true.shape == (1, m)
+    outcomes = [(int(t), int(s)) for t, s in zip(true[0], scanned[0])]
+    layout = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert [layout.index(o) for o in outcomes] == [sum(u >= c for c in cuts) for u in points]
     (p00, p01), (p10, p11) = edge.table.tolist()
-    for code, mass in enumerate((p00, p01, p11, p10)):
+    for outcome, mass in zip(layout, (p00, p01, p11, p10)):
         if mass == 0.0:
-            assert code not in codes
+            assert outcome not in outcomes
         if mass == 1.0:
-            assert (codes == code).all()
+            assert set(outcomes) == {outcome}
     for user in range(1, m + 1):
-        scanned, true = graph._draw_scanned(RawWords(words), 1, m, cuts, user)
-        assert scanned.dtype == np.uint8 and scanned.shape == (1, m)
-        assert np.array_equal(scanned[0], stochastics.CODE_BITS["scanned"][codes])
-        assert true.tolist() == [stochastics.CODE_BITS["true"][codes[user - 1]] == 1]
+        one_scanned, one_true = graph._draw_scanned(RawWords(words), 1, m, cuts, user - 1)
+        assert np.array_equal(one_scanned, scanned)
+        assert one_true.tolist() == [true[0, user - 1]]
 
 
 def test_a_skewed_law_is_drawn_at_its_frequencies():
@@ -201,7 +207,10 @@ def test_a_skewed_law_is_drawn_at_its_frequencies():
     # by less than 2**-32 per outcome, far below that.
     edge = EdgeJointDistribution.from_marginal_flip(0.1, 0.01)
     n, m = 1000, 1001
-    codes = generate_cprb(n, m, edge, seed=2718).block_codes(1, n)
+    pair = generate_cprb(n, m, edge, seed=2718)
+    true, scanned = pair.block_bits("true", 1, n), pair.sig1
+    # The outcomes' places in the layout order (0,0), (0,1), (1,1), (1,0).
+    codes = 2 * true + (true ^ scanned)
     counts = np.bincount(codes.ravel(), minlength=4)
     (p00, p01), (p10, p11) = edge.table.tolist()
     for count, p in zip(counts.tolist(), (p00, p01, p11, p10)):
@@ -220,18 +229,20 @@ def test_degenerate_true_graph_under_a_noisy_scan(p0, flip):
 
 
 @pytest.mark.parametrize("block", [5, 8, 12, 64])
-def test_block_width_is_not_part_of_the_layout(monkeypatch, block):
+def test_block_width_is_not_part_of_the_layout(block):
+    # Blocks of any width, read left to right or right to left, join into
+    # the full matrices.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.1)
     reference = generate_cprb(203, 11, edge, seed=17)
     full0, full1 = reference.block_bits("true", 1, reference.n), reference.sig1
-    # The rule alone would give m=11 blocks of 186 columns.
-    monkeypatch.setattr(graph, "_block_width", lambda m: block)
     pair = generate_cprb(203, 11, edge, seed=17)
-    assert pair.block_width == block
-    column(pair, "true", 9)
-    assert sum(len(stored) for stored in pair._codes.blocks) == -(-9 // block) * block
-    assert np.array_equal(pair.block_bits("true", 1, pair.n), full0)
-    assert np.array_equal(pair.sig1, full1)
+    spans = [(first, min(first + block - 1, 203)) for first in range(1, 204, block)]
+    for order in (spans, spans[::-1]):
+        for which, full in (("true", full0), ("scanned", full1)):
+            for first, last in order:
+                assert np.array_equal(
+                    pair.block_bits(which, first, last), full[:, first - 1 : last]
+                )
 
 
 def test_narrow_graph_is_a_prefix_of_a_wide_one():
@@ -242,34 +253,16 @@ def test_narrow_graph_is_a_prefix_of_a_wide_one():
     assert np.array_equal(wide.sig1[:, :40], narrow.sig1)
 
 
-def stored_bytes(pair):
-    return sum(block.nbytes for block in pair._codes.blocks)
-
-
-def test_storage_grows_with_materialized_columns():
-    # One byte per materialized position: a one-column read stores one
-    # block, and a full pair takes exactly mn bytes.
-    n, m = 8192, 16
-    pair = generate_cprb(n, m, FAIR_CORRELATED, seed=6)
-    column(pair, "true", 1)
-    assert stored_bytes(pair) == pair.block_width * m
-    assert pair.block_bits("true", 1, pair.n).shape == (m, n)
-    assert stored_bytes(pair) == m * n
-
-
-def test_scan_peak_does_not_grow_with_scan_length(monkeypatch):
-    # Reading a graph left to right block by block never holds more than one
-    # block's temporaries on top of the stored blocks, however long the scan:
-    # a store that grows by copying would hold its old and new arrays at once.
+def test_scan_peak_does_not_grow_with_scan_length():
+    # Reading a graph left to right a group at a time never holds more than
+    # one read's temporaries, however long the scan: the pair keeps no bits.
     edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.3)
     width, m = 32, 1024
-    monkeypatch.setattr(graph, "_block_width", lambda m: width)
 
     def peak_over_stored(blocks):
         tracemalloc.start()
         try:
             pair = generate_cprb(blocks * width, m, edge, seed=1)
-            assert pair.block_width == width
             for last in range(width, blocks * width + 1, width):
                 pair.bit("scanned", 1, last)
             stored, peak = tracemalloc.get_traced_memory()
@@ -278,8 +271,8 @@ def test_scan_peak_does_not_grow_with_scan_length(monkeypatch):
         return peak - stored
 
     short, long = peak_over_stored(8), peak_over_stored(32)
-    # A few hundred bytes of list and generator bookkeeping may differ; one
-    # block of codes is 32 KiB.
+    # A few hundred bytes of generator bookkeeping may differ; one group's
+    # uniforms take 4 KiB.
     assert abs(long - short) < 1024
 
 
@@ -311,7 +304,7 @@ def test_a_read_never_hands_out_writable_storage(read):
 
 @pytest.mark.parametrize("m", [1, 6, 33])
 def test_generated_reads_are_read_only_bytes_of_0_or_1(m):
-    # Readers decode the stored outcome codes into bits, and must hand out
+    # Readers decode the stream's uniforms into bits, and must hand out
     # read-only uint8 0/1: an index array of bools would be a mask, not bits.
     pair = generate_cprb(300, m, EdgeJointDistribution.from_marginal_flip(0.5, 0.3), seed=m)
     reads = [
@@ -377,33 +370,18 @@ def test_block_bits_equal_matrix_slices(first, last):
         assert lazy.bit("scanned", user, first) == full1[user - 1, first - 1]
 
 
-def test_reads_across_block_edges_equal_matrix_slices(monkeypatch):
-    # With 8-column blocks most of these ranges span two or more stored
-    # blocks, which a read joins. Every read, on a fresh pair, must equal the
-    # slice of the full matrices.
+def test_reads_across_block_edges_equal_matrix_slices():
+    # One pair read back and forth: each read positions the stream at its
+    # first group, forward or back from where the last read ended, and must
+    # equal the slice of the full matrices.
     edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
     full = generate_cprb(45, 11, edge, seed=23)
     full0, full1 = full.block_bits("true", 1, full.n), full.sig1
-    monkeypatch.setattr(graph, "_block_width", lambda m: 8)
+    pair = generate_cprb(45, 11, edge, seed=23)
     for first, last in [(1, 45), (3, 11), (8, 9), (9, 16), (7, 25), (30, 37), (31, 45), (45, 45)]:
-        pair = generate_cprb(45, 11, edge, seed=23)
-        assert pair.block_width == 8
         assert np.array_equal(pair.block_bits("true", first, last), full0[:, first - 1 : last])
         assert np.array_equal(pair.block_bits("scanned", first, last), full1[:, first - 1 : last])
         assert pair.bit("scanned", 4, last) == full1[3, last - 1]
-
-
-def test_block_width_is_fixed_when_the_pair_is_built():
-    # Block offsets derive from the width, so a width changed after a read
-    # would misplace every later block; assigning it must fail instead.
-    pair = generate_cprb(200, 8, FAIR_CORRELATED, seed=5)
-    pair.bit("true", 1, 1)
-    with pytest.raises(AttributeError):
-        pair.block_width = 16
-    assert pair.block_width == 256
-    fresh = generate_cprb(200, 8, FAIR_CORRELATED, seed=5).block_bits("true", 1, 200)
-    for group in range(1, 201):
-        assert np.array_equal(column(pair, "true", group), fresh[:, group - 1])
 
 
 @pytest.mark.parametrize(
@@ -413,7 +391,7 @@ def test_block_width_is_fixed_when_the_pair_is_built():
     [(1, 2048), (16, 128), (256, 32), (512, 32), (1024, 16), (4096, 4), (16384, 1), (65536, 1)],
 )
 def test_block_width_rule(m, width):
-    assert generate_cprb(3, m, FAIR_CORRELATED, seed=0).block_width == width
+    assert graph._block_width(m) == width
 
 
 class TestMembers:
@@ -457,9 +435,56 @@ def test_index_errors():
             pair.bit("true", user, group)
     with pytest.raises(IndexError, match=r"user index 0 outside \[1, 5\]"):
         pair.row_bits("guessed", 0)
-    assert stored_bytes(pair) == 0
+    assert pair._stream.at is None  # no read positioned the pair's stream
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
     with pytest.raises(ValueError):
         pair.bit("guessed", 1, 1)
 
+
+
+def test_reading_from_any_group_equals_reading_in_order():
+    # Seeded random reads of one pair, each positioning the stream at its
+    # first group, against one read of each graph in order from the start.
+    # A single true bit is decoded from its uniform alone, and a victim
+    # instance reads it so.
+    edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
+    rng = np.random.default_rng(606)
+    for n, m in [(50, 1), (50, 7), (40, 12)]:
+        reference = generate_cprb(n, m, edge, seed=n * m)
+        full = {"true": reference.block_bits("true", 1, n), "scanned": reference.sig1}
+        pair = generate_cprb(n, m, edge, seed=n * m)
+        for _ in range(120):
+            which = ("true", "scanned")[int(rng.integers(2))]
+            first = int(rng.integers(1, n + 1))
+            last = int(rng.integers(first, n + 1))
+            user = int(rng.integers(1, m + 1))
+            block = pair.block_bits(which, first, last)
+            assert np.array_equal(block, full[which][:, first - 1 : last])
+            assert pair.bit(which, user, last) == full[which][user - 1, last - 1]
+            assert pair._true_bit(user, first) == full["true"][user - 1, first - 1]
+
+
+def test_a_pair_copies_a_generator_and_never_advances_it():
+    edge = EdgeJointDistribution.from_marginal_flip(0.4, 0.2)
+    reference = generate_cprb(60, 7, edge, seed=41)
+    gen = np.random.default_rng(41)
+    state = gen.bit_generator.state
+    pair = generate_cprb(60, 7, edge, gen)
+    assert gen.bit_generator.state == state
+    gen.random(1000)  # the caller's generator moves on
+    moved = gen.bit_generator.state
+    assert np.array_equal(pair.sig1, reference.sig1)
+    assert np.array_equal(pair.block_bits("true", 1, 60), reference.block_bits("true", 1, 60))
+    assert pair.bit("true", 3, 17) == reference.bit("true", 3, 17)
+    assert gen.bit_generator.state == moved
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+)
+def test_a_generator_over_another_bit_generator_is_refused(bit_generator):
+    # A pair positions its stream with PCG64.advance, which no other bit
+    # generator offers with the same outputs.
+    with pytest.raises(TypeError, match=r"^seed must be .* not one over " + bit_generator.__name__):
+        generate_cprb(4, 3, FAIR_CORRELATED, np.random.Generator(bit_generator(1)))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deanonlab import harness
+from deanonlab import harness, oracle
 from deanonlab.attacker import AttackTranscript, ITSConfig, ITSState, run_its
 from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.harness import (
@@ -50,6 +50,24 @@ def jumped(master_seed, j):
 
 
 class TestTrialSeeds:
+    def test_a_pair_and_an_instance_keep_their_trial_after_the_streams_move_on(self):
+        # trial_seeds repositions the same generators for every trial; a pair
+        # and an instance built on trial 0's copy them, so reading them after
+        # the streams reached trial 1 still reads trial 0's graph and noise.
+        model = harness.resolve_model(small_config(master_seed=5))
+        streams = TrialStreams(5)
+        graph_rng, _, noise_rng, _ = trial_seeds(streams, 0)
+        pair = generate_cprb(40, 9, model.edge_joint, graph_rng)
+        inst = VictimInstance(pair, 4, model.gm, noise_rng)
+        trial_seeds(streams, 1)
+        reference = generate_cprb(40, 9, model.edge_joint, jumped(5, 0))
+        reference_inst = VictimInstance(reference, 4, model.gm, jumped(5, 2))
+        assert np.array_equal(pair.sig1, reference.sig1)
+        asks = [(g, t) for t in range(1, 41) for g in (t, 41 - t)]
+        assert [inst.noisy_gm_response(*ask) for ask in asks] == [
+            reference_inst.noisy_gm_response(*ask) for ask in asks
+        ]
+
     def test_deterministic(self):
         # Repositioning is all the state there is: trial 3 read again after
         # another trial has drawn, or from a fresh set of streams, is the same.
@@ -329,6 +347,19 @@ def test_output_does_not_depend_on_the_worker_count(
 
 
 class TestConfigValidation:
+    # 2**70 entries exceed the largest array numpy can index, which numpy
+    # refuses with ValueError, and 2**61 float64 entries its largest size.
+    @pytest.mark.parametrize("field, fields", [
+        ("users", dict(users=2**70)),
+        ("users", dict(users=2**61, prior="zipf:1.0")),
+        ("trials", dict(trials=2**70)),
+        ("trials", dict(trials=2**61)),
+    ])
+    def test_a_campaign_too_large_to_allocate_names_its_field(self, field, fields):
+        with pytest.raises(ConfigError, match=rf"^{field}: too many {field}") as raised:
+            run_experiment(small_config(**fields))
+        assert raised.value.field == field
+
     def test_a_config_error_survives_pickling(self):
         # A pool worker's error reaches the campaign through pickle.
         error = pickle.loads(pickle.dumps(ConfigError("trials", "too many trials")))
@@ -650,11 +681,11 @@ class TestRunExperiment:
 
 
 def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
-    # The density-by-code table, the oracle's P(y=1 | true bit) table, the
+    # The scan's density table, the oracle's P(y=1 | true bit) table, the
     # crossing limits and the prior surprisal are model constants: one
     # read-only object each per campaign, whatever the trial.
     seen, p_ones = [], []
-    scan, channel = harness._block_scan, harness._channel
+    scan, channel = harness._block_scan, oracle._channel
 
     def recording_scan(read, n, width, density, limits, surprisal, *rest):
         seen.append((density, limits, surprisal))
@@ -665,7 +696,7 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
         return channel(p_one, *rest)
 
     monkeypatch.setattr(harness, "_block_scan", recording_scan)
-    monkeypatch.setattr(harness, "_channel", recording_channel)
+    monkeypatch.setattr(oracle, "_channel", recording_channel)
     config = small_config(trials=12, prior="zipf:1.0")
     model = harness.resolve_model(config)
     run_experiment(config)
@@ -674,7 +705,8 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     for same in tables:
         assert all(table is same[0] for table in same)
     density, limits, surprisal, p_one = (same[0] for same in tables)
-    assert np.array_equal(density, model.measures.density_by_code)
+    # i(s; y) at entry s + 2y.
+    assert density.tolist() == [model.measures.density[s, y] for y in (0, 1) for s in (0, 1)]
     assert np.array_equal(limits, model.prior.crossing_limits(math.log2(1.0 / model.epsilon)))
     assert np.array_equal(p_one, model.gm.p_one_by_bit)
     for table in (density, limits, surprisal, p_one):

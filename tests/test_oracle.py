@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from deanonlab import graph
 from deanonlab.attacker import expected_response_column
 from deanonlab.graph import generate_cprb
-from deanonlab.oracle import VictimInstance
+from deanonlab.oracle import VictimInstance, _answered_blocks
 from deanonlab.stochastics import EdgeJointDistribution, QueryChannel
 
 NOISELESS = QueryChannel.identity()
@@ -14,10 +13,20 @@ def make_pair(n=20, m=8, p0=0.5, flip=0.1, seed=17):
     return generate_cprb(n, m, EdgeJointDistribution.from_marginal_flip(p0, flip), seed)
 
 
-def block_answers(inst, first_group, count, first_ordinal):
-    """Answers to ``count`` consecutive group queries, read as the attack's block scan reads them."""
-    codes = inst.pair.block_codes(first_group, first_group + count - 1)
-    return inst._answers(codes, first_ordinal)
+def block_answers(inst, first_group, count, first_ordinal, width=None):
+    """Answers to ``count`` consecutive group queries, read by the attack's block reader.
+
+    The first query asks ``first_group`` with ``first_ordinal``; the reader
+    runs on the pair's and the instance's streams positioned there, in
+    blocks of ``width`` groups (by default one block).
+    """
+    pair, width = inst.pair, width or count
+    graph_gen = pair._stream.seek((first_group - 1) * ((pair.m + 1) // 2))
+    noise_gen = inst._noise.seek(first_ordinal - 1)
+    read = _answered_blocks(
+        graph_gen, noise_gen, count, pair.m, width, pair._cuts, inst._p_one, inst.victim
+    )
+    return np.concatenate([read(k)[1] for k in range(-(-count // width))])
 
 
 class TestTrueResponse:
@@ -100,23 +109,18 @@ class TestNoisyResponse:
 class TestBlockResponses:
     RANGES = [(1, 32, 1), (5, 40, 9), (90, 11, 300), (100, 1, 2)]
 
-    # Noise is drawn in blocks of the pair's width, so at the narrow widths
-    # the ranges cross noise-block edges; the default width is 256 at m=8.
+    # At the narrow widths the ranges cross block edges; by default a range
+    # is one block.
     @pytest.mark.parametrize("width", [1, 3, 8, pytest.param(None, id="default")])
-    def test_equals_single_reads_in_either_order(self, monkeypatch, width):
-        default_pair = make_pair(n=100, m=8, seed=3)
-        if width is not None:
-            monkeypatch.setattr(graph, "_block_width", lambda m: width)
+    def test_equals_single_reads_in_either_order(self, width):
         pair = make_pair(n=100, m=8, seed=3)
-        assert pair.block_width == (width or 256)
         channel = QueryChannel.bsc(0.3)
         for first_group, count, first_ordinal in self.RANGES:
             asks = [(first_group + k, first_ordinal + k) for k in range(count)]
             block_first = VictimInstance(pair, 6, channel, 55)
-            assert block_first._noise.width == pair.block_width
             block = block_answers(block_first, first_group, count, first_ordinal).tolist()
-            default = VictimInstance(default_pair, 6, channel, 55)
-            assert block_answers(default, first_group, count, first_ordinal).tolist() == block
+            narrow = VictimInstance(pair, 6, channel, 55)
+            assert block_answers(narrow, first_group, count, first_ordinal, width).tolist() == block
             assert [block_first.noisy_gm_response(g, t) for g, t in asks] == block
             single_first = VictimInstance(pair, 6, channel, 55)
             singles = [single_first.noisy_gm_response(g, t) for g, t in asks]
@@ -141,12 +145,23 @@ class TestBlockResponses:
         true_bits = pair.block_bits("true", 1, pair.n)
         assert np.array_equal(block_answers(inst, 7, 39, 1), true_bits[2, 6:45])
 
-    def test_range_checked(self):
-        inst = VictimInstance(make_pair(n=10), 1, NOISELESS, 0)
-        with pytest.raises(IndexError):
-            block_answers(inst, 9, 3, 1)
-        with pytest.raises(IndexError):
-            block_answers(inst, 1, 0, 1)
+    def test_index_is_the_scanned_bit_plus_twice_the_answer(self):
+        # The entry s + 2y of the scan's density table, i(s; y).
+        pair = make_pair(n=70, m=9, seed=12)
+        inst = VictimInstance(pair, 4, QueryChannel.bsc(0.3), 8)
+        read = _answered_blocks(
+            pair._stream.seek(0), inst._noise.seek(0), 70, 9, 32, pair._cuts, inst._p_one, 4
+        )
+        # The reader draws from the pair's and the instance's generators, so
+        # every block is read before the references position them.
+        blocks = [read(k) for k in range(3)]
+        scanned = pair.block_bits("scanned", 1, 70).T
+        for k, (rows, (index, ys)) in enumerate(zip((32, 32, 6), blocks)):
+            assert index.shape == (rows, 9) and index.dtype == np.uint8
+            assert np.array_equal(index, scanned[32 * k : 32 * k + rows] + 2 * ys[:, None])
+            assert ys.tolist() == [
+                inst.noisy_gm_response(g, g) for g in range(32 * k + 1, 32 * k + rows + 1)
+            ]
 
 
 class TestUidResponse:
@@ -161,7 +176,7 @@ class TestUidResponse:
         inst = VictimInstance(pair, 4, QueryChannel.bsc(0.4), 3)
         for j in range(1, 7):
             inst.uid_response(j)
-        assert inst._noise.blocks == []
+        assert inst._noise.at is None  # no answer positioned the noise stream
 
     def test_candidate_range_checked(self):
         inst = VictimInstance(make_pair(m=6), 4, NOISELESS, 0)
@@ -191,3 +206,41 @@ class TestExpectedResponseColumn:
 def test_victim_index_validated():
     with pytest.raises(ValueError):
         VictimInstance(make_pair(m=4), 5, NOISELESS, 0)
+
+
+def test_any_group_and_ordinal_read_their_own_bit_and_uniform():
+    # Query ordinal t takes the double of raw output t - 1 of the noise
+    # stream, and group g the victim's true bit in column g: asked in any
+    # order, each answer is that uniform against the channel's P(y = 1 | z).
+    pair = make_pair(n=50, m=7, seed=21)
+    channel = QueryChannel.bsc(0.35)
+    inst = VictimInstance(pair, 5, channel, 909)
+    true = pair.row_bits("true", 5)
+    uniforms = np.random.default_rng(909).random(400)
+    rng = np.random.default_rng(1)
+    groups, ordinals = rng.integers(1, 51, 300).tolist(), rng.integers(1, 401, 300).tolist()
+    for group, ordinal in zip(groups, ordinals):
+        expected = int(uniforms[ordinal - 1] < channel.p_one_by_bit[true[group - 1]])
+        assert inst.noisy_gm_response(group, ordinal) == expected
+
+
+def test_an_instance_copies_a_generator_and_never_advances_it():
+    pair = make_pair()
+    channel = QueryChannel.bsc(0.3)
+    reference = VictimInstance(pair, 2, channel, 42)
+    gen = np.random.default_rng(42)
+    state = gen.bit_generator.state
+    inst = VictimInstance(pair, 2, channel, gen)
+    assert gen.bit_generator.state == state
+    gen.random(1000)  # the caller's generator moves on
+    moved = gen.bit_generator.state
+    asks = [(1 + t % pair.n, t) for t in range(1, 61)]
+    assert [inst.noisy_gm_response(*ask) for ask in asks] == [
+        reference.noisy_gm_response(*ask) for ask in asks
+    ]
+    assert gen.bit_generator.state == moved
+
+
+def test_a_noise_generator_over_another_bit_generator_is_refused():
+    with pytest.raises(TypeError, match=r"^noise_seed must be .* not one over MT19937"):
+        VictimInstance(make_pair(), 1, NOISELESS, np.random.Generator(np.random.MT19937(1)))

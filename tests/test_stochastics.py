@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from deanonlab.stochastics import (
-    CODE_BITS,
     NEG_INF,
     EdgeJointDistribution,
     InfoMeasures,
@@ -191,13 +190,6 @@ class TestInfoDensity:
 
 
 class TestCodeTables:
-    def test_density_by_code_reads_the_scanned_bit_of_each_code(self):
-        measures = measures_of(*bsc_style_model())
-        table = measures.density_by_code
-        for code in range(4):
-            for y in range(2):
-                assert table[code + 4 * y] == measures.density[CODE_BITS["scanned"][code], y]
-
     def test_p_one_by_bit_reads_each_true_bit(self):
         gm = QueryChannel([[0.9, 0.1], [0.3, 0.7]])
         assert gm.p_one_by_bit.tolist() == [0.1, 0.7]
@@ -205,9 +197,8 @@ class TestCodeTables:
 
     def test_tables_are_cached_and_read_only(self):
         measures, gm = measures_of(*bsc_style_model()), QueryChannel.bsc(0.2)
-        assert measures.density_by_code is measures.density_by_code
         assert gm.p_one_by_bit is gm.p_one_by_bit
-        for table in (measures.density_by_code, gm.p_one_by_bit, *CODE_BITS.values()):
+        for table in (measures.density, gm.p_one_by_bit):
             with pytest.raises(ValueError):
                 table[0] = 0
 
