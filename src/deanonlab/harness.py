@@ -26,9 +26,9 @@ only on the campaign (the cut points, the block width, the density and
 channel tables, the crossing limits) is looked up once per block of trials.
 ``attacker.run_its`` runs the same reader on a pair and an instance built
 from the same streams, so a trial's queries are the same.
-Aggregation is a single pass over the per-trial arrays in trial order, and
-over the per-step verification counts in block order, which keeps repeated
-runs byte-identical.
+Every result of a trial is an entry of a per-trial array; one concatenation
+merges the arrays of the blocks in trial order, and aggregation is a single
+pass over them, which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
 
 import numpy as np
 
@@ -315,23 +314,21 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     scan on ``oracle._answered_blocks`` over the trial's graph and noise
     streams. No pair, instance, state or transcript is built.
 
-    Returns the per-trial query counts and successes as arrays, then the
-    per-step verification attempts and failures: entry s of each list counts
-    the trials whose step s + 1 verified, and of those the ones that failed.
-    The lists reach only as far as the steps some trial verified.
+    Returns four arrays of ``count`` entries, one per trial: the query
+    count, the success, the verifications and the failed verifications.
     """
     # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
         config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1
     )
+    n, m, steps, prior = config.groups, config.users, model.steps, model.prior
     try:
         qs = np.empty(count, dtype=np.int64)
         successes = np.empty(count, dtype=bool)
+        # A trial verifies at most once per step after the first, and once per user.
+        verified, failed = np.empty((2, count), dtype=np.min_scalar_type(min(steps - 1, m)))
     except (MemoryError, ValueError):  # ValueError: more entries than numpy can index
         raise ConfigError("trials", "too many trials: the results do not fit in memory") from None
-    attempts: list[int] = []
-    failures: list[int] = []
-    n, m, steps, prior = config.groups, config.users, model.steps, model.prior
     width, cuts = _block_width(m), model.edge_joint.generation_cuts
     density, p_one = _density_table(model.measures.density), model.gm.p_one_by_bit
     limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
@@ -346,14 +343,11 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
         )
         qs[i] = len(gm_answers) + len(uid_queries)
         successes[i] = uid_queries[-1][1] == 1
-        # Step s + 1's verification is identity query s.
-        for s in range(len(taus)):
-            if s == len(attempts):
-                attempts.append(0)
-                failures.append(0)
-            attempts[s] += 1
-            failures[s] += 1 - uid_queries[s][1]
-    return qs, successes, attempts, failures
+        # Step s + 1's verification is identity query s, and the scan stops at
+        # the first answer 1: every verification failed unless no query followed.
+        verified[i] = len(taus)
+        failed[i] = len(taus) - (len(uid_queries) == len(taus))
+    return qs, successes, verified, failed
 
 
 # The output fields, in column order: (name, raw value of a summary). CSV
@@ -430,6 +424,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _campaign_model(config: ExperimentConfig) -> _ResolvedModel:
+    """``resolve_model(config)``, refusing the threshold attack where no score moves."""
+    model = resolve_model(config)
+    if config.strategy == "its" and model.measures.mutual_info <= 0.0:
+        raise ConfigError("strategy", "its needs a model with positive mutual information")
+    return model
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one campaign and aggregate it into a summary.
 
@@ -440,9 +442,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     imported on the first multi-worker campaign. The threshold attack is
     refused on a model with zero mutual information, where no score moves.
     """
-    model = resolve_model(config)
-    if config.strategy == "its" and model.measures.mutual_info <= 0.0:
-        raise ConfigError("strategy", "its needs a model with positive mutual information")
+    return _run_campaign(config, _campaign_model(config))
+
+
+def _run_campaign(config: ExperimentConfig, model: _ResolvedModel) -> ExperimentSummary:
+    """The campaign of ``config`` on ``model``, which ``_campaign_model(config)`` built."""
     trials = config.trials
     # More processes than trials or usable CPUs would only add start-up cost.
     workers = min(config.workers, trials)
@@ -461,13 +465,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_trial_block, *args))
-    qs_parts, success_parts, attempt_parts, failure_parts = zip(*blocks)
-    qs, successes = np.concatenate(qs_parts), np.concatenate(success_parts)
-    # The per-step counts are summed step by step, over the blocks in order.
-    attempts, failures = (
-        [sum(step) for step in zip_longest(*parts, fillvalue=0)]
-        for parts in (attempt_parts, failure_parts)
-    )
+    qs, successes, verified, failed = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks  # so the blocks are not alive beside the per-trial temporaries below
 
     # The statistics equal numpy's mean, std(ddof=1) and unique, from fewer
     # calls: the integer sum is exact, the squared deviations go through the
@@ -479,9 +478,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     std_q = math.sqrt(float(np.add.reduce(deviations)) / (trials - 1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_q / math.sqrt(trials)
     # A trial verifies at most one candidate per user, so min(steps - 1,
-    # users) steps can verify; a step that no trial verified has no rate.
-    rates = [fail / tried for fail, tried in zip(failures, attempts)]
-    rates += [None] * (min(model.steps - 1, config.users) - len(rates))
+    # users) steps can verify. Step s + 1 verified in the trials with more
+    # than s verifications, and failed in those with more than s failed ones:
+    # suffix sums of the counts per number. A step no trial verified has no rate.
+    reach = min(model.steps - 1, config.users)
+    tried, fails = (
+        np.cumsum(np.bincount(per_trial, minlength=reach + 1)[:0:-1])[::-1].tolist()
+        for per_trial in (verified, failed)
+    )
+    rates = [f / t if t else None for f, t in zip(fails, tried)]
     low = int(np.minimum.reduce(qs))
     counts = np.bincount(qs - low)
     values = counts.nonzero()[0]
@@ -538,32 +543,34 @@ def run_sweep(
     unless common random numbers are requested, in which case all points
     share the base seed (and thereby graphs, victims and noise draws, up to
     the model differences themselves). The base is checked first, so a
-    malformed field is refused even where every point overrides it.
+    malformed field is refused even where every point overrides it; then
+    every point is, so a bad point is refused before any campaign runs.
+    ``points`` may be any iterable; it is read once.
     """
     base.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}")
+    points = list(points)
     if not points:
         raise ConfigError("points", "need at least one sweep point")
-    overrides = []
-    for point in points:
+    configs = []
+    for index, point in enumerate(points):
         if isinstance(point, (bool, np.bool_)):
             raise ConfigError("points", f"{point!r} is a bool, not a {axis} value")
         try:
             if axis == "m":
-                overrides.append({"users": _user_count(point)})
+                override = {"users": _user_count(point)}
             elif axis == "noise":
-                overrides.append({"gm_flip": float(point)})
+                override = {"gm_flip": float(point)}
             else:
-                overrides.append({"prior": f"zipf:{float(point)}"})
+                override = {"prior": f"zipf:{float(point)}"}
         except (TypeError, ValueError, OverflowError):
             raise ConfigError("points", f"{point!r} is not a valid {axis} value") from None
-    summaries = []
-    for index, override in enumerate(overrides):
         seed = base.master_seed if common_random_numbers else base.master_seed + index
-        config = dataclasses.replace(base, master_seed=seed, **override)
-        summaries.append(run_experiment(config))
-    return summaries
+        configs.append(dataclasses.replace(base, master_seed=seed, **override))
+    # Every point is checked before the first campaign runs.
+    models = [_campaign_model(config) for config in configs]
+    return list(map(_run_campaign, configs, models))
 
 
 def open_output(path: str | None):

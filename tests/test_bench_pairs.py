@@ -1,4 +1,4 @@
-"""The summary of tools/bench_pairs.py, on canned benchmark result lines."""
+"""The summaries of tools/bench_pairs.py, on canned benchmark result lines."""
 
 import json
 import types
@@ -32,4 +32,37 @@ def test_summary_gives_medians_quartiles_and_pair_wins():
         "setup_s (s): base 0.2 [0.2, 0.2]  change 0.2 [0.2, 0.2]  change/base 1.0000",
         "trials_per_s: the change is higher in 4 of 5 pairs",
         "runs not correct: base 0, change 1",
+    ]
+
+
+def metric_line(**values):
+    metrics = {name: {"value": value, "unit": "-"} for name, value in values.items()}
+    return json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics})
+
+
+def test_bound_check_reads_direction_and_bound_from_the_benchmark_file(tmp_path):
+    spec = {"end_to_end": [
+        {"name": "trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.15},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
+        {"name": "mean_Q", "unit": "queries", "better": "lower", "bound": 0.1},
+    ]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    # trials_per_s: the base's quartiles (110, 130) spread 20/120, wider than
+    # 0.15, but every change run is faster than every base run. mean_Q: the
+    # base spreads 20/90 and the change does not read better throughout.
+    base = [
+        metric_line(trials_per_s=t, setup_s=0.2, peak_rss_mb=40.0, mean_Q=q)
+        for t, q in zip((100.0, 110.0, 120.0, 130.0, 140.0), (70.0, 80.0, 90.0, 100.0, 110.0))
+    ]
+    change = [
+        metric_line(trials_per_s=t, setup_s=0.3, peak_rss_mb=41.0, mean_Q=90.0)
+        for t in (150.0, 160.0, 170.0, 180.0, 190.0)
+    ]
+    lines = load_tool().check_bounds(base, change, tmp_path / "BENCHMARK.json").splitlines()
+    assert lines == [
+        "trials_per_s: worse by -0.4167 (bound 0.15), within its bound",
+        "setup_s: worse by 0.5000 (bound 0.25), exceeds its bound",
+        "peak_rss_mb: worse by 0.0250 (bound 0.1), within its bound",
+        "mean_Q: worse by 0.0000 (bound 0.1), unresolved: the base's quartiles spread 0.2222",
     ]

@@ -8,7 +8,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -235,14 +234,11 @@ def test_trial_block_is_the_concatenation_of_one_trial_blocks(
     # A flip of 1/2 gives I = 0, where a campaign refuses its; a block still
     # runs it, and the explicit example keeps such trials covered.
     model = harness.resolve_model(config)
-    qs, successes, attempts, failures = harness._trial_block(config, start, count, model)
+    block = harness._trial_block(config, start, count, model)
     singles = [harness._trial_block(config, start + i, 1, model) for i in range(count)]
-    assert np.array_equal(qs, np.concatenate([single[0] for single in singles]))
-    assert np.array_equal(successes, np.concatenate([single[1] for single in singles]))
-    # The per-step counts of the block are those of its trials, summed step by step.
-    for counts, index in ((attempts, 2), (failures, 3)):
-        steps = zip_longest(*(single[index] for single in singles), fillvalue=0)
-        assert counts == [sum(step) for step in steps]
+    assert len(block) == 4
+    for index, per_trial in enumerate(block):
+        assert np.array_equal(per_trial, np.concatenate([single[index] for single in singles]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,9 +279,9 @@ def test_each_campaign_trial_equals_its_public_replay(
     model = harness.resolve_model(config)
     with pytest.MonkeyPatch.context() as patch:
         transcripts = record_scans(patch)
-        qs, successes, attempts, failures = harness._trial_block(config, start, count, model)
+        qs, successes, verified, failed = harness._trial_block(config, start, count, model)
     its = ITSConfig(model.epsilon, model.steps)
-    streams, verifications = TrialStreams(master_seed), []
+    streams = TrialStreams(master_seed)
     for i, transcript in enumerate(transcripts):
         graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, start + i)
         pair = generate_cprb(groups, users, model.edge_joint, graph_rng)
@@ -294,11 +290,10 @@ def test_each_campaign_trial_equals_its_public_replay(
         replay = run_its(pair, inst, model.prior, model.measures, its, order)
         assert transcript == replay
         assert (qs[i], successes[i]) == (replay.q_count, replay.success)
-        verifications.append(replay.step_uid_responses())
+        # The block counts failures without reading the answers; the replay reads them.
+        assert verified[i] == len(replay.tau_star_per_step)
+        assert failed[i] == replay.step_uid_responses().count(0)
     assert len(transcripts) == count
-    reached = range(max(map(len, verifications)))
-    assert attempts == [sum(len(v) > s for v in verifications) for s in reached]
-    assert failures == [sum(v[s:s + 1] == [0] for v in verifications) for s in reached]
 
 
 @pytest.mark.parametrize("strategy", harness.STRATEGIES)
@@ -528,11 +523,12 @@ class TestRunExperiment:
 
     def test_per_step_counts_cost_no_memory_per_trial(self):
         # Trials here do verify, and some verifications fail. The campaign
-        # keeps per-step attempt and failure counts, which reach only the
-        # steps some trial verified, so a budget of a million steps costs
-        # only the rates list's 256 entries more than a budget of 4: a few
-        # KB, where a table of (trials, min(steps - 1, m)) one-byte slots
-        # would take 128 KB.
+        # keeps two counts per trial, its verifications and its failed
+        # ones, in the smallest unsigned type that holds min(steps - 1, m).
+        # So a budget of a million steps costs a byte more per count and
+        # the rates list's 256 entries more than a budget of 4: a few KB,
+        # where a table of (trials, min(steps - 1, m)) one-byte slots would
+        # take 128 KB.
         def traced_peak(steps):
             config = small_config(
                 users=256, groups=16, edge_flip=0.0, gm_flip=0.0, epsilon=0.5, steps=steps,
@@ -726,6 +722,13 @@ def test_scan_tables_store_nothing_on_the_model():
     assert set(vars(model.prior)) == fields
 
 
+def record_blocks(monkeypatch):
+    """Record the arguments of every block of trials a campaign starts; none runs."""
+    ran = []
+    monkeypatch.setattr(harness, "_trial_block", lambda *args: ran.append(args))
+    return ran
+
+
 class TestSweep:
     def test_user_axis_is_monotone_with_crn(self):
         base = small_config(trials=200)
@@ -753,12 +756,42 @@ class TestSweep:
             run_sweep(small_config(), "m", [])
 
     @pytest.mark.parametrize(
+        "points", [lambda: np.array([]), lambda: (p for p in ())], ids=["array", "generator"],
+    )
+    def test_empty_points_of_any_iterable_are_refused(self, points):
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(trials=2), "noise", points())
+        assert info.value.field == "points"
+
+    @pytest.mark.parametrize(
+        "points", [lambda: np.array([0.1, 0.2]), lambda: (p for p in (0.1, 0.2))],
+        ids=["array", "generator"],
+    )
+    def test_points_of_any_iterable_run_as_a_list(self, points):
+        expected = run_sweep(small_config(trials=4), "noise", [0.1, 0.2])
+        sweep = run_sweep(small_config(trials=4), "noise", points())
+        assert [s.to_json() for s in sweep] == [s.to_json() for s in expected]
+
+    @pytest.mark.parametrize(
+        "points, field",
+        [([0.1, 2.0], "gm_flip"), ([0.1, 0.5], "strategy")],
+        ids=["out-of-range", "zero-information"],
+    )
+    def test_every_point_is_checked_before_any_campaign_runs(self, points, field, monkeypatch):
+        # A flip of 2 is no probability; a flip of 1/2 leaves the threshold
+        # attack no information. Both are later points after a good one.
+        ran = record_blocks(monkeypatch)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(trials=2), "noise", points)
+        assert info.value.field == field
+        assert ran == []
+
+    @pytest.mark.parametrize(
         "point", [4.7, True, "4.7", "inf", "nan"], ids=["float", "bool", "str", "inf", "nan"]
     )
     def test_user_axis_rejects_non_integral_points(self, point, monkeypatch):
         # int() would truncate 4.7 to 4 users and read True as 1.
-        ran = []
-        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        ran = record_blocks(monkeypatch)
         with pytest.raises(ConfigError) as info:
             run_sweep(small_config(trials=2), "m", [16, point])
         assert info.value.field == "points"
@@ -772,8 +805,7 @@ class TestSweep:
     )
     def test_every_axis_refuses_bool_points(self, axis, point, monkeypatch):
         # float() would read True as 1.0 and False as 0.0.
-        ran = []
-        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        ran = record_blocks(monkeypatch)
         with pytest.raises(ConfigError) as info:
             run_sweep(small_config(trials=2), axis, [0.5 if axis != "m" else 16, point])
         assert info.value.field == "points"
@@ -785,8 +817,7 @@ class TestSweep:
         assert all(type(s.config.users) is int for s in sweep)
 
     def test_a_malformed_base_is_refused_where_the_axis_overrides_it(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        ran = record_blocks(monkeypatch)
         with pytest.raises(ConfigError) as info:
             run_sweep(small_config(users=-1, trials=2), "m", [8, 16])
         assert info.value.field == "users"

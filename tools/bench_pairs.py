@@ -9,8 +9,15 @@ once in the BASE checkout and once in the CHANGE checkout. The side that
 runs first alternates from pair to pair, so a drift in machine speed falls
 on both sides alike. The tool then prints, for each end-to-end metric, each
 side's median and quartiles over the pairs, and in how many pairs the change
-had the higher ``trials_per_s``. Each run's last output line is echoed to
-standard error as it finishes. Standard library only.
+had the higher ``trials_per_s``. Last, for each end-to-end metric that the
+CHANGE checkout's BENCHMARK.json declares, it prints how far the change's
+median moved in the metric's worse direction beside the metric's bound, and
+whether the base runs spread too widely to tell. Each run's last output line
+is echoed to standard error as it finishes. Standard library only.
+
+Each run writes its result file to ``.bench_results/`` inside the checkout
+it runs in, so run the pairs on scratch copies of both commits (made with
+``git archive`` or ``git clone``), not on a working tree.
 
 Usage: python tools/bench_pairs.py BASE CHANGE --workload W [--seed S] [--seconds T] [--pairs N]
 """
@@ -22,6 +29,7 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 # The metric the pairs are won on; higher is better.
 WIN_METRIC = "trials_per_s"
@@ -79,6 +87,37 @@ def summarize(base_lines: list[str], change_lines: list[str]) -> str:
     return "\n".join(out)
 
 
+def check_bounds(base_lines: list[str], change_lines: list[str], benchmark) -> str:
+    """Per end-to-end metric of the BENCHMARK.json at ``benchmark``: its worsening and bound.
+
+    The worsening is the change's median minus the base's, in the direction
+    the metric's ``better`` names as worse, as a fraction of the base's
+    median; a gain reads negative. The bound is the metric's ``bound``, a
+    fraction of the base as well. A metric is unresolved when the base's
+    quartiles lie further apart than its bound, relative to the base's
+    median, unless every change run reads better than every base run.
+    """
+    spec = json.loads(Path(benchmark).read_text())
+    base = [json.loads(line)["metrics"] for line in base_lines]
+    change = [json.loads(line)["metrics"] for line in change_lines]
+    out = []
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        # Signed so that larger is worse.
+        sign = 1 if metric["better"] == "lower" else -1
+        base_values = [sign * run[name]["value"] for run in base]
+        change_values = [sign * run[name]["value"] for run in change]
+        q1, median, q3 = _quartiles(base_values)
+        worse = (_quartiles(change_values)[1] - median) / abs(median)
+        spread = (q3 - q1) / abs(median)
+        if spread > bound and max(change_values) >= min(base_values):
+            verdict = f"unresolved: the base's quartiles spread {spread:.4f}"
+        else:
+            verdict = "exceeds its bound" if worse > bound else "within its bound"
+        out.append(f"{name}: worse by {worse:.4f} (bound {bound}), {verdict}")
+    return "\n".join(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="checkout of the parent")
@@ -94,6 +133,7 @@ def main(argv=None) -> int:
             lines.append(run_once(checkout, args.workload, args.seed, args.seconds))
             print(f"pair {pair + 1} {side}: {lines[-1]}", file=sys.stderr, flush=True)
     print(summarize(sides[0][2], sides[1][2]))
+    print(check_bounds(sides[0][2], sides[1][2], Path(args.change) / "BENCHMARK.json"))
     return 0
 
 
