@@ -35,13 +35,18 @@ nothing either: noise is indexed by query ordinal, and every group query
 asks the next unused group, so a query's ordinal is its group index and the
 next step reads the same answers again.
 
-The scan asks its caller for each block's density index and answers once,
-in block order, and answers identity queries through a callable, so it
-never reads the victim index. Its blocks come from one reader,
-``oracle._answered_blocks``, on a graph stream and a noise stream: a
-campaign trial's own streams, or, in ``run_its``, the public one-trial
-API, those of a graph pair and a victim instance, whose three results
-``run_its`` wraps in an ``AttackTranscript``.
+The scan takes its blocks from an iterator, in block order, each once:
+a block comes with its density index, its answers and its densities
+already looked up, which the scan sums in place. A step that starts
+inside the block in hand looks the densities of the block's remaining
+rows up again from the index, since the earlier step summed them.
+Identity queries are answered through a callable, so the scan never reads
+the victim index. Its blocks come from one reader,
+``oracle._BlockReader``: for a campaign trial, block 0 from its batch's
+one decoding pass and later blocks from the trial's own streams; in
+``run_its``, the public one-trial API, every block from the streams of a
+graph pair and a victim instance, whose three results ``run_its`` wraps
+in an ``AttackTranscript``.
 
 The cumulative sum runs in place down the block's (queries, candidates) grid
 in one of three forms, chosen by the candidate count m, and each makes
@@ -83,13 +88,14 @@ one if the fallback ran.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import BigraphPair, _block_width
-from .oracle import VictimInstance, _answered_blocks, _density_table
+from .oracle import VictimInstance, _BlockReader, _density_table
 from .stochastics import InfoMeasures, VictimPrior
 
 # Grids at least this many candidates wide are accumulated row by row, narrower
@@ -222,7 +228,8 @@ def _fallback_order(info, surprisal, eliminated, order_seed) -> np.ndarray:
     """Order of fallback identity queries over the not-yet-struck users.
 
     By score, highest first and ties to the lower index; with an
-    ``order_seed``, in the permutation drawn from it instead.
+    ``order_seed``, an int seed or a generator that the draw advances, in
+    the permutation drawn from it instead.
     """
     remaining = np.flatnonzero(~eliminated)
     if order_seed is not None:
@@ -260,26 +267,26 @@ def _accumulate(grid: np.ndarray) -> None:
         np.add.accumulate(cells, axis=0, out=cells)
 
 
-def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
+def _block_scan(blocks, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
     """Run the threshold attack on one graph and victim, a block of groups at a time.
 
-    The attack's one loop. ``read(k)`` gives block k (from 0) of the graph
-    as (index, ys), for groups k * ``width`` + 1 onward, w = ``width``
-    except at group ``n``: ``ys`` holds the victim's w received answers to
-    them as uint8, and ``index`` is a (w, m) uint8 grid of entries of
-    ``density``, each candidate's scanned bit s plus 2 times the answer y.
-    The scan calls it once per block, in block order; the reader is
-    ``oracle._answered_blocks``. ``density`` holds the information density
-    i(s; y) at entry s + 2y (``oracle._density_table``), ``limits`` the
-    prior's ``crossing_limits`` of the threshold, ``surprisal`` its
-    surprisal, and ``identify(j)`` answers the identity query for candidate
-    j. Returns the three fields of an :class:`AttackTranscript`:
-    (gm_answers, uid_queries, tau_star_per_step).
+    The attack's one loop. ``blocks`` yields block 0, 1, ... of the graph,
+    groups k * ``width`` + 1 onward for block k, w = ``width`` except at
+    group ``n``, as (index, ys, sums): ``ys`` holds the victim's w received
+    answers to them as uint8, ``index`` is a (w, m) uint8 grid of entries of
+    ``density``, each candidate's scanned bit s plus 2 times the answer y,
+    and ``sums`` the writable (w, m) float64 grid of their densities, which
+    the scan overwrites with its running sums. The scan takes the next
+    block when its cursor passes the block in hand; a later step that
+    starts inside that block looks its rows' densities up again from
+    ``index``. ``density`` holds the information density i(s; y) at entry
+    s + 2y (``oracle._density_table``), ``limits`` the prior's
+    ``crossing_limits`` of the threshold, ``surprisal`` its surprisal, and
+    ``identify(j)`` answers the identity query for candidate j. The blocks
+    come from ``oracle._BlockReader``. Returns the three fields of an
+    :class:`AttackTranscript`: (gm_answers, uid_queries, tau_star_per_step).
     """
     m = surprisal.size
-    # Wide grids are taken into one buffer per trial: a fresh grid per block
-    # costs more in page faults than the lookup itself.
-    grid = np.empty((width, m)) if m >= _ROWWISE_FROM else None
     info = np.zeros(m)
     eliminated = np.zeros(m, dtype=bool)
     answers: list[bytes] = []
@@ -294,15 +301,13 @@ def _block_scan(read, n, width, density, limits, surprisal, steps_l, identify, o
         while not stop and cursor <= n:
             if cursor > end:
                 k += 1
-                index, ys = block = read(k)  # (w, m) contiguous, (w,)
+                index, ys, sums = block = next(blocks)  # (w, m) contiguous, (w,), (w, m)
                 end += len(ys)
             else:  # the rest of the block in hand, after a crossing inside it
                 first = cursor - 1 - k * width
-                index, ys = block[0][first:], block[1][first:]
-            # Every index lies in [0, 4), so "clip" moves none; with a uint8
-            # index it is the faster mode (2.9 against 5.1 us at (128, 16)).
-            out = None if grid is None else grid[: len(ys)]
-            sums = density.take(index, out=out, mode="clip")
+                index, ys, sums = block[0][first:], block[1][first:], block[2][first:]
+                # Every index lies in [0, 4), so "clip" moves none.
+                density.take(index, out=sums, mode="clip")
             sums[0] += info
             _accumulate(sums)
             crossed = (sums >= limits).ravel()
@@ -346,20 +351,21 @@ def run_its(
     graph through blocks of group columns and the victim only through oracle
     responses. The exhaustive fallback asks the users not yet struck by
     score, highest first, ties to the lower index. Given an ``order_seed``
-    (an int seed or a ``numpy.random.Generator``), it asks them in the
-    random permutation drawn from it instead. ``steps_l = 1`` runs no
+    (an int seed or a ``numpy.random.Generator``, which is copied and never
+    advanced, so two equal calls give equal transcripts), it asks them in
+    the random permutation drawn from it instead. ``steps_l = 1`` runs no
     threshold step: the attack is the identity scan over all users in the
     fallback order.
 
     The attack is :func:`_block_scan` over blocks of ``_block_width(m)``
-    group columns, read by ``oracle._answered_blocks`` from the pair's
+    group columns, read by ``oracle._BlockReader.blocks`` from the pair's
     generation stream and the instance's noise stream, each from its start,
     so the scan never draws a column past the block of its last query. Each
     block is drawn once, as a (w, m) grid of w groups by m candidates, and
-    the victim's w answers come from the same draw. A scan of the grid
-    looks its densities up by scanned bit and answer, and sums them down its
-    group axis in place (:func:`_accumulate`), the first row seeded with the
-    running sums. The first row where a live candidate's sum reaches its
+    the victim's w answers come from the same draw; the reader looks the
+    grid's densities up by scanned bit and answer into one buffer that
+    every block reuses, and the scan sums them down its group axis in place
+    (:func:`_accumulate`), the first row seeded with the running sums. The first row where a live candidate's sum reaches its
     crossing limit ends the step (the first crossing of the flattened grid,
     divided by m); struck candidates carry a NaN limit, so they never cross.
     The adds are those of one update per query, in the same order, and each
@@ -372,15 +378,14 @@ def run_its(
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
     n, m = pair.n, pair.m
-    width = _block_width(m)
-    read = _answered_blocks(
-        pair._stream.seek(0), inst._noise.seek(0), n, m, width, pair._cuts, inst._p_one,
-        inst.victim,
-    )
+    width, density = _block_width(m), _density_table(measures.density)
+    reader = _BlockReader(n, m, width, pair._cuts, inst._p_one, density)
+    blocks = reader.blocks(pair._stream.seek(0), inst._noise.seek(0), inst.victim)
     limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
+    # A campaign trial's order stream is its own; a caller's generator is copied.
     fields = _block_scan(
-        read, n, width, _density_table(measures.density), limits, prior.surprisal,
-        config.steps_l, inst.uid_response, order_seed,
+        blocks, n, width, density, limits, prior.surprisal, config.steps_l,
+        inst.uid_response, copy.deepcopy(order_seed),
     )
     return AttackTranscript(*fields)
 

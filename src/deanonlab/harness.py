@@ -15,17 +15,25 @@ scan, which asks its users in a random order; the threshold attack's
 fallback goes by score, so its blocks never position that stream.
 
 A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
-block scan (``attacker._block_scan``) on blocks that the attack's one
-reader (``oracle._answered_blocks``) draws from the graph stream and
-answers through the channel from the noise stream as the scan asks for
-them: each candidate's scanned bit and the victim's true bits are decoded
-from a block's 32-bit uniforms (``graph._draw_scanned``), and the scan's
-density index is the scanned bit plus 2 times the answer. It builds no
-graph pair, victim instance, attacker state or transcript; what depends
-only on the campaign (the cut points, the block width, the density and
-channel tables, the crossing limits) is looked up once per block of trials.
-``attacker.run_its`` runs the same reader on a pair and an instance built
-from the same streams, so a trial's queries are the same.
+block scan (``attacker._block_scan``) on blocks of groups that the attack's
+one reader (``oracle._BlockReader``) draws from the graph stream and
+answers through the channel from the noise stream: each candidate's
+scanned bit and the victim's true bits are decoded from a block's 32-bit
+uniforms (``graph._decode``), the scan's density index is the scanned bit
+plus 2 times the answer, and each entry's density is looked up. Every
+trial reads its block 0, so trials run in batches of
+``graph._batch_trials``: each trial of a batch draws its block 0 into the
+batch's buffers as its streams stand at their starts, the batch decodes,
+answers and looks up all of them in one pass, and then each trial's scan
+runs, one trial at a time, on its block 0 and on the later blocks it
+reaches, read from its own streams, positioned past block 0 again from the
+master state. A batch of one reads every block from the trial's streams.
+It builds no graph pair, victim instance, attacker state or transcript;
+what depends only on the campaign (the cut points, the block width, the
+density and channel tables, the crossing limits) is looked up, and the
+reader's buffers allocated, once per block of trials. ``attacker.run_its``
+runs the same reader on a pair and an instance built from the same
+streams, so a trial's queries are the same.
 Every result of a trial is an entry of a per-trial array; one concatenation
 merges the arrays of the blocks in trial order, and aggregation is a single
 pass over them, which keeps repeated runs byte-identical.
@@ -49,8 +57,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
 from .attacker import _block_scan, auto_epsilon_steps
-from .graph import _block_width
-from .oracle import _answered_blocks, _density_table, identity_answer
+from .graph import _batch_trials, _block_width
+from .oracle import _BlockReader, _density_table, identity_answer
 from .stochastics import (
     EdgeJointDistribution,
     InfoMeasures,
@@ -296,23 +304,54 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
     else:
         if trial_index < 0:
             raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-        for s, (gen, state) in enumerate(zip(streams.generators, streams._states)):
-            bit_gen = gen.bit_generator
-            bit_gen.state = streams.master_state
-            bit_gen.advance((_STREAMS * trial_index + s) * _JUMP & _MASK)
-            state["state"]["state"] = bit_gen.state["state"]["state"]
+        for s, state in enumerate(streams._states):
+            gen = _stream_at(streams, trial_index, s, 0)
+            state["state"]["state"] = gen.bit_generator.state["state"]["state"]
     streams._next = trial_index + 1
     return streams.generators
+
+
+def _stream_at(streams: TrialStreams, trial_index: int, s: int, output: int) -> np.random.Generator:
+    """Generator s of ``streams``, at output ``output`` (from 0) of stream s of the trial.
+
+    One advance from the master state. The stored states that
+    ``trial_seeds`` steps are left alone, so the next call on ``streams``
+    is unaffected.
+    """
+    gen = streams.generators[s]
+    gen.bit_generator.state = streams.master_state
+    gen.bit_generator.advance(((_STREAMS * trial_index + s) * _JUMP + output) & _MASK)
+    return gen
+
+
+def _trial_blocks(reader: _BlockReader, t: int, streams: TrialStreams, trial_index: int, victim):
+    """The blocks of trial ``trial_index``, slot t of ``reader``'s batch, for ``_block_scan``.
+
+    Block 0 comes from the batch. Later blocks are read from the trial's
+    graph and noise streams, repositioned past block 0 only when the scan
+    asks for block 1: the streams' generators have moved on to the batch's
+    later trials by then.
+    """
+    yield reader.first(t)
+    graph_at, noise_at = reader.drawn
+    graph = _stream_at(streams, trial_index, 0, graph_at)
+    yield from reader.blocks(graph, _stream_at(streams, trial_index, 2, noise_at), victim, t, 1)
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int, model: _ResolvedModel):
     """Run trials [start, start + count) and return their results.
 
     ``model`` is ``resolve_model(config)``. Everything a trial reads that
-    depends only on the campaign is looked up once, here. A trial is then
-    one pass: ``trial_seeds``, ``sample_victim``, and the attack's block
-    scan on ``oracle._answered_blocks`` over the trial's graph and noise
-    streams. No pair, instance, state or transcript is built.
+    depends only on the campaign is looked up once, here. Trials run in
+    batches of ``graph._batch_trials`` trials. Each trial of a batch calls
+    ``trial_seeds`` and ``sample_victim`` and draws its block 0 from its
+    graph and noise streams (``oracle._BlockReader.draw``); the batch's
+    blocks 0 are then decoded, answered and looked up in one pass. Then
+    each trial, in order, runs the attack's block scan on its block 0 and
+    on the later blocks it reaches (``_trial_blocks``). A trial of a
+    one-trial batch calls ``trial_seeds`` and ``sample_victim`` and scans
+    blocks read from its streams as they stand. No pair, instance, state or
+    transcript is built.
 
     Returns four arrays of ``count`` entries, one per trial: the query
     count, the success, the verifications and the failed verifications.
@@ -333,12 +372,29 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     density, p_one = _density_table(model.measures.density), model.gm.p_one_by_bit
     limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
     surprisal = prior.surprisal
-    for i in range(count):
-        graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, start + i)
-        victim = sample_victim(prior, victim_rng)
-        read = _answered_blocks(graph_rng, noise_rng, n, m, width, cuts, p_one, victim)
+    # With no threshold step a scan reads no block, and the identity scan
+    # reads its order stream as it runs: such trials run one at a time.
+    size = _batch_trials(width, m) if steps > 1 else 1
+    reader = _BlockReader(n, m, width, cuts, p_one, density, size)
+    victims, order_rng = [0] * size, ()
+    for i, trial in enumerate(range(start, start + count)):
+        t = i % size
+        if size == 1:
+            graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, trial)
+            victim = sample_victim(prior, victim_rng)
+            blocks = reader.blocks(graph_rng, noise_rng, victim)
+        else:
+            if t == 0:  # the batch of this trial and the next size - 1
+                batch = range(trial, min(trial + size, start + count))
+                for u, k in enumerate(batch):
+                    graph_rng, victim_rng, noise_rng = trial_seeds(streams, k)
+                    victims[u] = sample_victim(prior, victim_rng)
+                    reader.draw(u, graph_rng, noise_rng, victims[u])
+                reader.answer(len(batch))
+            victim = victims[t]
+            blocks = _trial_blocks(reader, t, streams, trial, victim)
         gm_answers, uid_queries, taus = _block_scan(
-            read, n, width, density, limits, surprisal, steps,
+            blocks, n, width, density, limits, surprisal, steps,
             partial(identity_answer, victim), *order_rng,
         )
         qs[i] = len(gm_answers) + len(uid_queries)

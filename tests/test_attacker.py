@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deanonlab import attacker, graph
+from deanonlab import attacker, graph, oracle
 from deanonlab.attacker import (
     ITSConfig,
     auto_epsilon_steps,
@@ -150,14 +150,18 @@ def attack_and_replay(
 
 
 def count_drawn_groups(monkeypatch) -> list:
-    """Patch the graph's one draw to record the group columns of each call, in order."""
-    drawn, uniforms = [], graph._uniforms
+    """Patch the attack's block draw to record the group columns of each call, in order.
+
+    The block reader draws through ``graph._uniforms`` under the name it
+    imports into ``oracle``.
+    """
+    drawn, uniforms = [], oracle._uniforms
 
     def counting_uniforms(gen, rows, m):
         drawn.append(rows)
         return uniforms(gen, rows, m)
 
-    monkeypatch.setattr(graph, "_uniforms", counting_uniforms)
+    monkeypatch.setattr(oracle, "_uniforms", counting_uniforms)
     return drawn
 
 
@@ -810,6 +814,16 @@ class TestUidScan:
         a = self.scan(5)
         b = self.scan(5)
         assert a.queries == b.queries
+
+    def test_an_order_generator_is_copied_and_never_advanced(self):
+        # Two calls with one generator ask the same order, that of its int
+        # seed, and leave the caller's generator where it stood.
+        rng = np.random.default_rng(404)
+        before = rng.bit_generator.state
+        first, second = self.scan(self.ORDER[-1], seed=rng), self.scan(self.ORDER[-1], seed=rng)
+        assert rng.bit_generator.state == before
+        assert first == second == self.scan(self.ORDER[-1])
+        assert [target for _, target, _ in first.queries] == self.ORDER
 
     @pytest.mark.parametrize("m", [1, 2, 7, 100, 300])
     def test_asks_the_seeded_permutation_up_to_the_victim(self, m):

@@ -184,7 +184,7 @@ def test_both_decoders_draw_no_zero_mass_outcome_and_every_unit_mass_one(edge):
     points += [0] * (len(points) % 2)  # whole words only
     words = [lo | hi << 32 for lo, hi in zip(points[::2], points[1::2])]
     m = len(points)
-    scanned, true = graph._draw_scanned(RawWords(words), 1, m, cuts, slice(None))
+    scanned, true = graph._decode(graph._uniforms(RawWords(words), 1, m), cuts, slice(None))
     assert scanned.dtype == np.uint8 and scanned.shape == (1, m) and true.shape == (1, m)
     outcomes = [(int(t), int(s)) for t, s in zip(true[0], scanned[0])]
     layout = [(0, 0), (0, 1), (1, 1), (1, 0)]
@@ -196,7 +196,9 @@ def test_both_decoders_draw_no_zero_mass_outcome_and_every_unit_mass_one(edge):
         if mass == 1.0:
             assert set(outcomes) == {outcome}
     for user in range(1, m + 1):
-        one_scanned, one_true = graph._draw_scanned(RawWords(words), 1, m, cuts, user - 1)
+        one_scanned, one_true = graph._decode(
+            graph._uniforms(RawWords(words), 1, m), cuts, (slice(None), user - 1)
+        )
         assert np.array_equal(one_scanned, scanned)
         assert one_true.tolist() == [true[0, user - 1]]
 
@@ -392,6 +394,17 @@ def test_reads_across_block_edges_equal_matrix_slices():
 )
 def test_block_width_rule(m, width):
     assert graph._block_width(m) == width
+
+
+@pytest.mark.parametrize(
+    "m, trials",
+    # The benchmark's noisy_small (m=16) batch, the last m with blocks of 64
+    # groups or more, and from the next one on, the benchmark's sandwich
+    # (m=256) among them, one trial at a time.
+    [(1, 8), (16, 8), (20, 8), (32, 8), (33, 1), (64, 1), (256, 1), (512, 1), (65536, 1)],
+)
+def test_batch_trials_rule(m, trials):
+    assert graph._batch_trials(graph._block_width(m), m) == trials
 
 
 class TestMembers:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deanonlab import harness, oracle
+from deanonlab import graph, harness, oracle
 from deanonlab.attacker import AttackTranscript, ITSConfig, ITSState, run_its
 from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.harness import (
@@ -166,6 +166,19 @@ def record_scans(monkeypatch) -> list:
     return transcripts
 
 
+def public_replays(config, model, start, count) -> list:
+    """``run_its`` on a pair and an instance built from each trial's streams: the public replays."""
+    its = ITSConfig(model.epsilon, model.steps)
+    streams, replays = TrialStreams(config.master_seed), []
+    for trial in range(start, start + count):
+        graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, trial)
+        pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
+        inst = VictimInstance(pair, sample_victim(model.prior, victim_rng), model.gm, noise_rng)
+        order = order_rng if config.strategy == "uid_scan" else None
+        replays.append(run_its(pair, inst, model.prior, model.measures, its, order))
+    return replays
+
+
 @pytest.mark.parametrize("strategy", harness.STRATEGIES)
 def test_trial_block_calls_each_traced_name_once_per_trial(strategy, monkeypatch):
     # The benchmark's tracer times a trial's layers by patching names on the
@@ -280,20 +293,85 @@ def test_each_campaign_trial_equals_its_public_replay(
     with pytest.MonkeyPatch.context() as patch:
         transcripts = record_scans(patch)
         qs, successes, verified, failed = harness._trial_block(config, start, count, model)
-    its = ITSConfig(model.epsilon, model.steps)
-    streams = TrialStreams(master_seed)
-    for i, transcript in enumerate(transcripts):
-        graph_rng, victim_rng, noise_rng, order_rng = trial_seeds(streams, start + i)
-        pair = generate_cprb(groups, users, model.edge_joint, graph_rng)
-        inst = VictimInstance(pair, sample_victim(model.prior, victim_rng), model.gm, noise_rng)
-        order = order_rng if strategy == "uid_scan" else None
-        replay = run_its(pair, inst, model.prior, model.measures, its, order)
+    replays = public_replays(config, model, start, count)
+    for i, (transcript, replay) in enumerate(zip(transcripts, replays)):
         assert transcript == replay
         assert (qs[i], successes[i]) == (replay.q_count, replay.success)
         # The block counts failures without reading the answers; the replay reads them.
         assert verified[i] == len(replay.tau_star_per_step)
         assert failed[i] == replay.step_uid_responses().count(0)
     assert len(transcripts) == count
+
+
+# Campaigns whose trials take the paths that cross a batch's boundaries,
+# each with the path some trial must take on master seed 21, given its
+# transcript and the block width w: a second block; a verification that
+# fails inside block 0, after which the next step scans the rest of block
+# 0 again; a graph shorter than one block; an odd user count, with second
+# blocks; and the identity scan, which reads no block.
+NOISY_16 = dict(users=16, groups=700, edge_flip=0.15, gm_flip=0.25, steps=4)
+BATCH_CASES = {
+    "second-block": (
+        dict(NOISY_16, edge_flip=0.2, gm_flip=0.3, prior="zipf:1.0", epsilon=0.05),
+        lambda t, w: len(t.gm_answers) > w,
+    ),
+    "failed-verification-in-block-0": (
+        dict(NOISY_16, epsilon=0.6),
+        lambda t, w: t.step_uid_responses()[:1] == [0]
+        and t.tau_star_per_step[0] < w < len(t.gm_answers) + w,
+    ),
+    "shorter-than-a-block": (
+        dict(NOISY_16, groups=40, epsilon=0.3, steps=3),
+        lambda t, w: len(t.gm_answers) == 40 < w,
+    ),
+    "odd-m": (
+        dict(NOISY_16, users=15, groups=400, edge_flip=0.2, gm_flip=0.3, epsilon=0.1),
+        lambda t, w: len(t.gm_answers) > w,
+    ),
+    "uid-scan": (
+        dict(users=9, groups=50, strategy="uid_scan"),
+        lambda t, w: not t.gm_answers and t.success,
+    ),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_trials_equal_their_public_replays(case, size, monkeypatch):
+    # Eight trials from trial 5 on, in batches of 1, 2 and 3 trials (the
+    # last batch of 3 holds two): the four arrays and every transcript
+    # equal the public replays, and the batch's first blocks are decoded
+    # with one stack per batch. The identity scan reads no block and runs
+    # one trial at a time whatever the rule.
+    fields, takes_path = BATCH_CASES[case]
+    config = ExperimentConfig(**fields, master_seed=21)
+    model = harness.resolve_model(config)
+    stacks, answer = [], oracle._answer
+
+    def recording_answer(u, *rest):
+        stacks.append(u.shape[0] if u.ndim == 3 else None)
+        return answer(u, *rest)
+
+    monkeypatch.setattr(harness, "_batch_trials", lambda width, m: size)
+    monkeypatch.setattr(oracle, "_answer", recording_answer)
+    transcripts = record_scans(monkeypatch)
+    start, count = 5, 8
+    qs, successes, verified, failed = harness._trial_block(config, start, count, model)
+    replays = public_replays(config, model, start, count)
+    assert transcripts == replays
+    assert any(takes_path(t, graph._block_width(config.users)) for t in replays)
+    assert qs.tolist() == [t.q_count for t in replays]
+    assert successes.tolist() == [t.success for t in replays]
+    assert verified.tolist() == [len(t.tau_star_per_step) for t in replays]
+    assert failed.tolist() == [t.step_uid_responses().count(0) for t in replays]
+    if config.strategy == "uid_scan":
+        assert stacks == []
+    elif size > 1:
+        assert [rows for rows in stacks if rows is not None] == [size] * (count // size) + (
+            [count % size] if count % size else []
+        )
+    else:
+        assert None in stacks and all(rows is None for rows in stacks)
 
 
 @pytest.mark.parametrize("strategy", harness.STRATEGIES)
@@ -679,13 +757,14 @@ class TestRunExperiment:
 def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     # The scan's density table, the oracle's P(y=1 | true bit) table, the
     # crossing limits and the prior surprisal are model constants: one
-    # read-only object each per campaign, whatever the trial.
+    # read-only object each per campaign, whatever the trial. The channel
+    # answers each batch's first blocks in one call, and each later block.
     seen, p_ones = [], []
     scan, channel = harness._block_scan, oracle._channel
 
-    def recording_scan(read, n, width, density, limits, surprisal, *rest):
+    def recording_scan(blocks, n, width, density, limits, surprisal, *rest):
         seen.append((density, limits, surprisal))
-        return scan(read, n, width, density, limits, surprisal, *rest)
+        return scan(blocks, n, width, density, limits, surprisal, *rest)
 
     def recording_channel(p_one, *rest):
         p_ones.append(p_one)
@@ -696,7 +775,9 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     config = small_config(trials=12, prior="zipf:1.0")
     model = harness.resolve_model(config)
     run_experiment(config)
-    assert len(seen) == 12 and len(p_ones) >= 12
+    batches = -(-12 // graph._batch_trials(graph._block_width(16), 16))
+    assert batches == 2
+    assert len(seen) == 12 and len(p_ones) >= batches
     tables = [*zip(*seen), p_ones]
     for same in tables:
         assert all(table is same[0] for table in same)

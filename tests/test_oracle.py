@@ -3,7 +3,7 @@ import pytest
 
 from deanonlab.attacker import expected_response_column
 from deanonlab.graph import generate_cprb
-from deanonlab.oracle import VictimInstance, _answered_blocks
+from deanonlab.oracle import VictimInstance, _BlockReader
 from deanonlab.stochastics import EdgeJointDistribution, QueryChannel
 
 NOISELESS = QueryChannel.identity()
@@ -23,10 +23,8 @@ def block_answers(inst, first_group, count, first_ordinal, width=None):
     pair, width = inst.pair, width or count
     graph_gen = pair._stream.seek((first_group - 1) * ((pair.m + 1) // 2))
     noise_gen = inst._noise.seek(first_ordinal - 1)
-    read = _answered_blocks(
-        graph_gen, noise_gen, count, pair.m, width, pair._cuts, inst._p_one, inst.victim
-    )
-    return np.concatenate([read(k)[1] for k in range(-(-count // width))])
+    reader = _BlockReader(count, pair.m, width, pair._cuts, inst._p_one, np.zeros(4))
+    return np.concatenate([ys for _, ys, _ in reader.blocks(graph_gen, noise_gen, inst.victim)])
 
 
 class TestTrueResponse:
@@ -146,22 +144,28 @@ class TestBlockResponses:
         assert np.array_equal(block_answers(inst, 7, 39, 1), true_bits[2, 6:45])
 
     def test_index_is_the_scanned_bit_plus_twice_the_answer(self):
-        # The entry s + 2y of the scan's density table, i(s; y).
+        # The entry s + 2y of the scan's density table, i(s; y), and that
+        # entry's density.
         pair = make_pair(n=70, m=9, seed=12)
         inst = VictimInstance(pair, 4, QueryChannel.bsc(0.3), 8)
-        read = _answered_blocks(
-            pair._stream.seek(0), inst._noise.seek(0), 70, 9, 32, pair._cuts, inst._p_one, 4
-        )
+        density = np.array([0.5, -1.0, 2.0, -np.inf])
+        reader = _BlockReader(70, 9, 32, pair._cuts, inst._p_one, density)
         # The reader draws from the pair's and the instance's generators, so
-        # every block is read before the references position them.
-        blocks = [read(k) for k in range(3)]
+        # every block is read before the references position them; each
+        # block's densities are kept before the next block reuses their buffer.
+        blocks = [
+            (index, ys, sums.copy())
+            for index, ys, sums in reader.blocks(pair._stream.seek(0), inst._noise.seek(0), 4)
+        ]
         scanned = pair.block_bits("scanned", 1, 70).T
-        for k, (rows, (index, ys)) in enumerate(zip((32, 32, 6), blocks)):
+        for k, (rows, (index, ys, sums)) in enumerate(zip((32, 32, 6), blocks)):
             assert index.shape == (rows, 9) and index.dtype == np.uint8
             assert np.array_equal(index, scanned[32 * k : 32 * k + rows] + 2 * ys[:, None])
+            assert np.array_equal(sums, density[index])
             assert ys.tolist() == [
                 inst.noisy_gm_response(g, g) for g in range(32 * k + 1, 32 * k + rows + 1)
             ]
+        assert len(blocks) == 3
 
 
 class TestUidResponse:

@@ -45,6 +45,14 @@ CLI_CALLS = (
         "--gm-flip", "0.35", "--epsilon", "0.9", "--steps", "1000000",
         "--trials", "50", "--seed", "4", "--format", "json",
     ]),
+    # The benchmark's noisy_small model over two workers: several blocks of
+    # trials, each in batches of 8, with trials that read a second block of
+    # groups and verifications that fail.
+    ("simulate-noisy-small-workers-2", [
+        "simulate", "--users", "16", "--groups", "65536", "--edge-flip", "0.15",
+        "--gm-flip", "0.25", "--prior", "zipf:1.0", "--epsilon", "0.1", "--steps", "4",
+        "--trials", "300", "--workers", "2", "--format", "json",
+    ]),
     ("sweep-zipf-crn", ["sweep", *_SMALL, "--trials", "100", "--axis", "zipf",
                         "--points", "0.5,1.0,2.0", "--crn"]),
     ("sweep-m", ["sweep", *_SMALL, "--trials", "100", "--axis", "m",
