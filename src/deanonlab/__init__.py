@@ -24,11 +24,9 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentSummary,
-    TrialStreams,
     emit_results,
     run_experiment,
     run_sweep,
-    trial_seeds,
 )
 from .oracle import VictimInstance
 from .stochastics import (
@@ -58,7 +56,6 @@ __all__ = [
     "InfoMeasures",
     "JointUYZ",
     "QueryChannel",
-    "TrialStreams",
     "VictimInstance",
     "VictimPrior",
     "auto_epsilon_steps",
@@ -77,5 +74,4 @@ __all__ = [
     "sample_victim",
     "select_candidate",
     "threshold_check",
-    "trial_seeds",
 ]

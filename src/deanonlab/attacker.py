@@ -13,77 +13,50 @@ queries walk a shared cursor through fresh groups; the walk stops as soon as
 some candidate's score reaches the threshold log2(1/epsilon). The
 top-scoring candidate is then verified with a single noiseless identity
 query. On failure the candidate is struck from all later consideration,
-scores reset, and the walk resumes on the next groups.
+scores reset, and the walk resumes on the next groups. A candidate whose
+expected bit makes the received response impossible (density -inf) drops
+out of the running step but is revived by the next reset.
 After ``steps_l - 1`` failed verifications (or if the graph runs out of
 groups), the attack falls back to exhaustive identity queries over the users
 not yet struck, so it always terminates with the victim found. With
 ``steps_l = 1`` there is no threshold step and the attack is that fallback
 alone: asked in a random order, it is the naive identity-scan baseline.
 
-The walk is computed a block of groups at a time rather than one query at a
-time, in one loop, ``_block_scan``: the received answers to all of the
-block's queries, each candidate's density per query looked up by its
-scanned bit and the answer, every candidate's running sum after
-each of them (a cumulative sum along the block), and the first query after
-which some score reaches the threshold. The queries past that crossing are
-dropped. This is exact, not an approximation: the running sum after query
-k is ((info + d_1) + d_2) + ... + d_k, the same floating-point adds in the
-same order as folding one answer at a time, and the stop test decides
-exactly what its subtraction and comparison decide (see below), so the
-transcript is bit-identical to the one-query walk. Dropped answers cost
-nothing either: noise is indexed by query ordinal, and every group query
-asks the next unused group, so a query's ordinal is its group index and the
-next step reads the same answers again.
+Scan exactness. The attack's one loop, ``_block_scan``, walks a block of
+groups at a time (read by ``oracle._BlockReader``, as the ``oracle`` module
+describes), and its transcript is bit-identical to the one-query walk of
+``gm_update`` and ``threshold_check``:
 
-The scan takes its blocks from an iterator, in block order, each once:
-a block comes with its density index, its answers and its densities
-already looked up, which the scan sums in place. A step that starts
-inside the block in hand looks the densities of the block's remaining
-rows up again from the index, since the earlier step summed them.
-Identity queries are answered through a callable, so the scan never reads
-the victim index. Its blocks come from one reader,
-``oracle._BlockReader``: for a campaign trial, block 0 from its batch's
-one decoding pass and later blocks from the trial's own streams; in
-``run_its``, the public one-trial API, every block from the streams of a
-graph pair and a victim instance, whose three results ``run_its`` wraps
-in an ``AttackTranscript``.
+- Sums. Every candidate's running sum after each query of a block is a
+  cumulative sum down the block's (queries, candidates) grid of densities,
+  its first row seeded with the sums so far: after query k it is
+  ((info + d_1) + d_2) + ... + d_k, the same floating-point adds in the
+  same order as one update per query. ``_accumulate`` makes them in one of
+  three forms, chosen by the candidate count m. From ``_ROWWISE_FROM`` up,
+  each query's row is added to the previous one in one contiguous pass,
+  where a sum down the grid would stride across a whole row per candidate.
+  Below it with m even, each row is read as m/2 complex numbers, one per
+  pair of neighbouring candidates: a complex add is the two candidates'
+  double adds side by side, so no add changes and the accumulate loop runs
+  half as often. Below it with m odd, the plain accumulate; padding to an
+  even width cost more than the pairing saved.
+- Crossings. The stop test is one compare per candidate and query,
+  ``sum >= limit``, with no subtraction. Candidate j's limit is the
+  smallest double L_j with ``L_j - surprisal_j >= threshold`` in float
+  arithmetic (``VictimPrior.crossing_limits``). Rounded subtraction is
+  monotone, so ``s >= L_j`` holds for exactly the doubles s with
+  ``s - surprisal_j >= threshold``. A struck candidate gets a NaN limit,
+  which no sum reaches. The first crossing of the flattened grid, divided
+  by m, is the query that ends the step.
+- Dropped queries. The queries past a crossing are dropped, at no cost:
+  noise is indexed by query ordinal and group query k asks group k, so the
+  next step reads the same answers again. A step that starts inside the
+  block in hand looks its remaining rows' densities up again from the
+  block's density index, since the earlier step summed them in place.
 
-The cumulative sum runs in place down the block's (queries, candidates) grid
-in one of three forms, chosen by the candidate count m, and each makes
-exactly the adds above. Below ``_ROWWISE_FROM`` candidates with m even, each
-row is read as m/2 complex numbers, one per pair of neighbouring candidates:
-a complex add is the two candidates' double adds side by side, so no add
-changes and the accumulate loop runs half as often. Below it with m odd, the
-grid keeps the plain accumulate; padding it to an even width cost more than
-the pairing saved. From ``_ROWWISE_FROM`` candidates up, a sum down the grid
-would stride across a whole row for every candidate, so each query's row is
-instead added to the previous one in one contiguous pass.
-
-The stop test is one compare per candidate and query, ``sum >= limit``,
-with no subtraction. Candidate j's limit is the smallest double L_j with
-``L_j - surprisal_j >= threshold`` in float arithmetic
-(``VictimPrior.crossing_limits``).
-Rounded subtraction is monotone, so ``s >= L_j`` holds for exactly the
-doubles s with ``s - surprisal_j >= threshold``: the compare decides what
-the subtraction and comparison of the one-query walk decide. A candidate
-struck by a failed verification gets a NaN limit, which no sum reaches.
-
-A candidate whose expected bit makes the received response impossible
-(density -inf) drops out of the running step but is revived by the next
-reset; only failed identity checks eliminate permanently.
-
-The scan returns what the walk cannot reproduce and nothing else, a
-transcript's fields: its queries. Group query k always asks group k, so its
-group queries are one ``bytes`` of answers, one byte per query, built from
-each block's answers up to the crossing and joined once per attack; its
-identity queries are a list of (target, response) pairs; and the group
-queries of each completed step are counted. Everything else is derived
-from these three on demand: the full (kind, target, response) list
-(``AttackTranscript.queries``), the query counts the campaign reads, and
-the outcome. The attack stops at the
-identity query that answers 1, so success is the last identity answer, the
-identified user its target, and the steps used the completed steps plus
-one if the fallback ran.
+The scan returns the three fields of an :class:`AttackTranscript`, whose
+docstring says how they store the queries. Identity queries are answered
+through a callable, so the scan never reads the victim index.
 """
 
 from __future__ import annotations
@@ -120,8 +93,9 @@ class ITSConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
-        if self.steps_l < 1:
-            raise ValueError("steps_l must be at least 1")
+        steps = self.steps_l
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"steps_l must be an integer of at least 1, got {steps!r}")
 
 
 def auto_epsilon_steps(m: int) -> tuple[float, int]:
@@ -245,18 +219,8 @@ def _accumulate(grid: np.ndarray) -> None:
 
     Row k becomes ((grid[0] + grid[1]) + ...) + grid[k], entry by entry: the
     adds of ``np.cumsum(grid, axis=0)`` in the same order, so the result is
-    the same to the bit whichever form the width c selects:
-
-    - c at least ``_ROWWISE_FROM``: w - 1 row adds, each one contiguous pass
-      over c doubles, where a cumsum would walk each column with a stride of
-      c doubles;
-    - c even and smaller: each row viewed as c/2 complex numbers, summed
-      with one complex accumulate. A complex add is two independent IEEE
-      double adds, one per candidate of the pair, so the accumulate loop
-      runs half as often;
-    - c odd and smaller: the plain accumulate.
-
-    The accumulates call ``np.add.accumulate``, which ``np.cumsum`` wraps.
+    the same to the bit in each of the three forms the width c selects
+    (module docstring).
     """
     w, c = grid.shape
     if c >= _ROWWISE_FROM:
@@ -270,21 +234,18 @@ def _accumulate(grid: np.ndarray) -> None:
 def _block_scan(blocks, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
     """Run the threshold attack on one graph and victim, a block of groups at a time.
 
-    The attack's one loop. ``blocks`` yields block 0, 1, ... of the graph,
-    groups k * ``width`` + 1 onward for block k, w = ``width`` except at
-    group ``n``, as (index, ys, sums): ``ys`` holds the victim's w received
-    answers to them as uint8, ``index`` is a (w, m) uint8 grid of entries of
-    ``density``, each candidate's scanned bit s plus 2 times the answer y,
-    and ``sums`` the writable (w, m) float64 grid of their densities, which
-    the scan overwrites with its running sums. The scan takes the next
-    block when its cursor passes the block in hand; a later step that
-    starts inside that block looks its rows' densities up again from
-    ``index``. ``density`` holds the information density i(s; y) at entry
-    s + 2y (``oracle._density_table``), ``limits`` the prior's
-    ``crossing_limits`` of the threshold, ``surprisal`` its surprisal, and
-    ``identify(j)`` answers the identity query for candidate j. The blocks
-    come from ``oracle._BlockReader``. Returns the three fields of an
-    :class:`AttackTranscript`: (gm_answers, uid_queries, tau_star_per_step).
+    ``blocks`` yields block 0, 1, ... of the graph, groups k * ``width`` + 1
+    onward for block k, w = ``width`` except at group ``n``, as (index, ys,
+    sums): ``ys`` holds the victim's w received answers as uint8, ``index``
+    a (w, m) uint8 grid of entries of ``density``, each candidate's scanned
+    bit s plus 2 times the answer y, and ``sums`` the writable (w, m)
+    float64 grid of their densities, which the scan overwrites with its
+    running sums. ``density`` holds i(s; y) at entry s + 2y
+    (``oracle._density_table``), ``limits`` the prior's ``crossing_limits``
+    of the threshold, ``surprisal`` its surprisal, and ``identify(j)``
+    answers the identity query for candidate j. Returns the three fields of
+    an :class:`AttackTranscript`: (gm_answers, uid_queries,
+    tau_star_per_step).
     """
     m = surprisal.size
     info = np.zeros(m)
@@ -349,29 +310,16 @@ def run_its(
     ``measures`` must be derived from the same model parameters that
     generated ``pair`` and drive ``inst``; the attack consumes the scanned
     graph through blocks of group columns and the victim only through oracle
-    responses. The exhaustive fallback asks the users not yet struck by
-    score, highest first, ties to the lower index. Given an ``order_seed``
-    (an int seed or a ``numpy.random.Generator``, which is copied and never
-    advanced, so two equal calls give equal transcripts), it asks them in
-    the random permutation drawn from it instead. ``steps_l = 1`` runs no
-    threshold step: the attack is the identity scan over all users in the
-    fallback order.
-
-    The attack is :func:`_block_scan` over blocks of ``_block_width(m)``
-    group columns, read by ``oracle._BlockReader.blocks`` from the pair's
-    generation stream and the instance's noise stream, each from its start,
-    so the scan never draws a column past the block of its last query. Each
-    block is drawn once, as a (w, m) grid of w groups by m candidates, and
-    the victim's w answers come from the same draw; the reader looks the
-    grid's densities up by scanned bit and answer into one buffer that
-    every block reuses, and the scan sums them down its group axis in place
-    (:func:`_accumulate`), the first row seeded with the running sums. The first row where a live candidate's sum reaches its
-    crossing limit ends the step (the first crossing of the flattened grid,
-    divided by m); struck candidates carry a NaN limit, so they never cross.
-    The adds are those of one update per query, in the same order, and each
-    compare decides what the score's threshold comparison decides, so the
-    transcript is identical to the one-query walk bit for bit, whichever
-    form :func:`_accumulate` takes for this m and whatever the block width.
+    responses. ``inst`` must be bound to ``pair``, and ``prior`` must have
+    the pair's user count; otherwise ``ValueError``. The exhaustive fallback
+    asks the users not yet struck by score, highest first, ties to the lower
+    index. Given an ``order_seed`` (an int seed or a
+    ``numpy.random.Generator``, which is copied and never advanced, so two
+    equal calls give equal transcripts), it asks them in the random
+    permutation drawn from it instead. ``steps_l = 1`` runs no threshold
+    step: the attack is the identity scan over all users in the fallback
+    order. The scan and its exactness are described in the module
+    docstring.
     """
     if inst.pair is not pair:
         raise ValueError("oracle instance is bound to a different graph pair")
@@ -394,15 +342,19 @@ def run_its(
 class AttackTranscript:
     """Ordered record of one attack run, stored compactly.
 
-    Group query k asks group k, so the group queries are kept as their
-    answers alone: byte k - 1 of ``gm_answers`` is the 0/1 answer to group
-    query k. ``uid_queries`` holds the identity queries as (target, response)
-    pairs in the order asked. ``tau_star_per_step`` is the number of group
-    queries in each completed threshold step; each such step ends with one
-    verification, the first ``len(tau_star_per_step)`` identity queries, and
-    the rest are the exhaustive fallback. A successful transcript ends with
-    the identifying (victim, 1) identity query; ``success``, ``identified``
-    and ``steps_used`` are read off these three fields.
+    Group query k always asks group k, so the group queries are kept as
+    their answers alone: byte k - 1 of ``gm_answers`` is the 0/1 answer to
+    group query k. ``uid_queries`` holds the identity queries as (target,
+    response) pairs in the order asked. ``tau_star_per_step`` is the number
+    of group queries in each completed threshold step; each such step ends
+    with one verification, the first ``len(tau_star_per_step)`` identity
+    queries, and the rest are the exhaustive fallback. Nothing else is
+    stored. The attack stops at the identity query that answers 1, so a
+    successful transcript ends with (victim, 1), and everything else is
+    read off the three fields on demand: ``queries`` rebuilds the full list
+    of (kind, target, response) triples in the order asked, ``success`` is
+    the last identity answer, ``identified`` its target, and ``steps_used``
+    the completed steps plus one if the fallback ran.
     """
 
     gm_answers: bytes

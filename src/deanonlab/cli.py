@@ -102,7 +102,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             try:
                 value = float(value) if key == "epsilon" else int(value)
             except ValueError:
-                raise ConfigError(key, "must be 'auto' or a number") from None
+                kind = "a number" if key == "epsilon" else "an integer"
+                raise ConfigError(key, f"must be 'auto' or {kind}") from None
         elif key == "strategy":
             value = value.replace("-", "_")
         data[key] = value

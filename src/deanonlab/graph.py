@@ -1,47 +1,35 @@
 """Correlated pairs of random bipartite membership graphs, read from their generation stream.
 
 A pair holds two m x n binary membership matrices: the true graph and the
-scanned (attacker-side) copy. Row i is user i's group signature. The pair
-stores no bits: it keeps its generation stream and decodes every read from
-it. ``BigraphPair.block_bits`` is the public block decoder: a single bit
-and the scanned matrix are each a slice of a block it decodes, and a
-user's signature decodes that user's column alone.
+scanned (attacker-side) copy. Row i is user i's group signature.
 
-Generation draws the outcome of every position i.i.d. from an
-``EdgeJointDistribution`` out of a single random stream per pair, the PCG64
-generator of ``numpy.random.default_rng(seed)``, consumed group by group,
-one 32-bit uniform per position. Group column g takes raw 64-bit outputs
-[(g-1)h, gh) of that stream (``random_raw``), h = ceil(m/2): user 2i+1
+Stream layout. Every position's (true, scanned) outcome is drawn i.i.d.
+from an ``EdgeJointDistribution`` out of one PCG64 stream per pair (the
+generator of ``numpy.random.default_rng(seed)``), one 32-bit uniform per
+position, group by group. Group column g takes raw 64-bit outputs
+[(g-1)h, gh) of the stream (``random_raw``), h = ceil(m/2): user 2i+1
 reads the low 32 bits of the group's output i and user 2i+2 its high 32
-bits, and for odd m the high half of the last output is unused. A uniform u
-picks the (true, scanned) outcome by inverse CDF over the outcomes laid out
-in the order (0,0), (0,1), (1,1), (1,0), cut at the law's integer cut
-points C1 <= C2 <= C3 (``EdgeJointDistribution.generation_cuts``), which
-round the law to within 2**-32 per outcome. In that order the true bit is
-``u >= C2`` and the scanned bit is 1 on [C1, C3). Rows are not individually
-re-derivable: row i's bits are spread over the whole stream.
+bits, and for odd m the high half of the last output is unused. Each group
+takes whole outputs, so group g starts at output (g-1)h however many groups
+a draw takes, and a stream can be positioned there directly
+(``PCG64.advance``). Rows are not individually re-derivable: row i's bits
+are spread over the whole stream.
 
-Uniforms are drawn a block of group columns at a time by ``_uniforms``, the
-one draw, and decoded by ``_decode`` into the scanned bits of every
-position it is given and the true bits of those its index selects: each
-victim's, for the attack's blocks (``oracle._answer``, which decodes one
-block or a stack of blocks, one per trial), every user's for a pair's
-block reads, one user's column for a row. Each group takes whole
-outputs, so group g starts at output (g-1)h whichever blocks drew the
-groups before it, and a stream can be positioned there directly
-(``PCG64.advance``). The width of the attack's blocks is
-``_block_width(m)`` and the number of trials whose first blocks a campaign
-decodes together is ``_batch_trials``; the rules live there alone, and
-neither changes a bit.
+Decoding. A uniform u picks its outcome by inverse CDF over the outcomes in
+the order (0,0), (0,1), (1,1), (1,0), cut at the law's integer cut points
+C1 <= C2 <= C3 (``EdgeJointDistribution.generation_cuts``). In that order
+the true bit is ``u >= C2`` and the scanned bit is 1 on [C1, C3), tested
+by one wrapping subtract and one compare, ``(u - C1) mod 2**32 < C3 - C1``.
+``_uniforms`` is the one draw and ``_decode`` the one decoder: it decodes
+the scanned bits of every position it is given and the true bits of those
+its index selects.
 
-A pair keeps the start state of its stream, on a private generator
-(:class:`_Stream`), as does ``oracle.VictimInstance`` for its response
-noise. A generator passed as a seed is copied and never advanced, so a
-pair reads the same bits however its caller's generator moves on. A read
-positions the private generator at its first output, so reading from any
-group gives the bits of reading in order from the start. A victim
-instance's single answer reads one true bit from that position's output
-alone (``BigraphPair._true_bit``).
+A pair stores no bits. It keeps the start state of its stream on a private
+generator (:class:`_Stream`), as ``oracle.VictimInstance`` does for its
+response noise; a generator passed as a seed is copied and never advanced.
+A read positions the private generator at its first output and decodes
+only what it returns: a block of groups (``BigraphPair.block_bits``), one
+user's column (``row_bits``), or a single true bit (``_true_bit``).
 """
 
 from __future__ import annotations

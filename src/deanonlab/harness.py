@@ -1,42 +1,28 @@
 """Reproducible Monte Carlo campaigns: config, trial driver, statistics, output.
 
-Trial k draws from four substreams of one PCG64 stream seeded by master_seed:
-stream s (0 graph, 1 victim, 2 noise, 3 identity-scan order) is
-``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not depend on
-execution order or on how trials are distributed over worker processes. A
-block of trials builds one generator per stream once, all from one seed
-sequence. Each trial steps the previous trial's state by four jumps, an
-affine map of the 128-bit PCG64 state whose constants are pure integers
-computed once, and assigns it through the one state dict the stream keeps.
-Trial 0 is the master state under the map of s jumps, also a constant; the
-first trial of a block that starts elsewhere advances each generator from
-the master state to its jump offset. Stream 3 is read only by the identity
-scan, which asks its users in a random order; the threshold attack's
-fallback goes by score, so its blocks never position that stream.
+Trial streams. Trial k draws from four substreams of one PCG64 stream seeded
+by master_seed: stream s (0 graph, 1 victim, 2 noise, 3 identity-scan order)
+is ``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not
+depend on execution order or on how trials are spread over worker
+processes. A block of trials seeds one generator per stream from one seed
+sequence, and ``trial_seeds`` positions them by one of two rules. From
+trial k to trial k + 1 each stream moves four jumps, an affine map of the
+128-bit PCG64 state whose constants are integers computed at import: one
+multiply-add, assigned through the one state dict the stream keeps. Any
+other trial, a block's first among them, is reached by advancing from the
+master state (``_stream_at``), the far rule. Stream 3 is read only by the
+identity scan (strategy "uid_scan"), which asks its users in a random
+order; the threshold attack's fallback goes by score, so its campaigns
+never position that stream.
 
 A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
-block scan (``attacker._block_scan``) on blocks of groups that the attack's
-one reader (``oracle._BlockReader``) draws from the graph stream and
-answers through the channel from the noise stream: each candidate's
-scanned bit and the victim's true bits are decoded from a block's 32-bit
-uniforms (``graph._decode``), the scan's density index is the scanned bit
-plus 2 times the answer, and each entry's density is looked up. Every
-trial reads its block 0, so trials run in batches of
-``graph._batch_trials``: each trial of a batch draws its block 0 into the
-batch's buffers as its streams stand at their starts, the batch decodes,
-answers and looks up all of them in one pass, and then each trial's scan
-runs, one trial at a time, on its block 0 and on the later blocks it
-reaches, read from its own streams, positioned past block 0 again from the
-master state. A batch of one reads every block from the trial's streams.
-It builds no graph pair, victim instance, attacker state or transcript;
-what depends only on the campaign (the cut points, the block width, the
-density and channel tables, the crossing limits) is looked up, and the
-reader's buffers allocated, once per block of trials. ``attacker.run_its``
-runs the same reader on a pair and an instance built from the same
-streams, so a trial's queries are the same.
-Every result of a trial is an entry of a per-trial array; one concatenation
-merges the arrays of the blocks in trial order, and aggregation is a single
-pass over them, which keeps repeated runs byte-identical.
+block scan (``attacker._block_scan``) over the blocks that
+``oracle._BlockReader`` reads from the trial's graph and noise streams, in
+batches of trials as the ``oracle`` module describes. No graph pair, victim
+instance, attacker state or transcript is built. Every result of a trial is
+an entry of a per-trial array; one concatenation merges the arrays of the
+blocks in trial order, and aggregation is a single pass over them, which
+keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -84,10 +70,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``field`` names the offending entry."""
 
@@ -99,6 +81,14 @@ class ConfigError(ValueError):
     def __reduce__(self):
         # Rebuilt from both arguments, so an error raised in a pool worker reaches the caller.
         return type(self), (self.field, self.message)
+
+
+def _check_real(name: str, value, rule: str, inside) -> None:
+    """Refuse ``value`` unless it is an int or a float (no bool) for which ``inside`` holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(name, f"must be {rule}, as an int or a float, not {type(value).__name__}")
+    if not inside(value):
+        raise ConfigError(name, f"must be {rule}")
 
 
 @dataclass
@@ -133,19 +123,15 @@ class ExperimentConfig:
                 raise ConfigError(name, "must be a positive integer")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError("master_seed", "must be a nonnegative integer")
-        if not _is_real(self.p0) or not 0.0 < self.p0 < 1.0:
-            raise ConfigError("p0", "must be a number strictly inside (0, 1)")
+        _check_real("p0", self.p0, "a number strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
         for name in ("edge_flip", "gm_flip"):
-            value = getattr(self, name)
-            if not _is_real(value) or not 0.0 <= value <= 1.0:
-                raise ConfigError(name, "must be a number in [0, 1]")
+            _check_real(name, getattr(self, name), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
         if isinstance(self.prior, str):
             if self.prior != "uniform" and not self.prior.startswith("zipf:"):
                 raise ConfigError("prior", "must be 'uniform', 'zipf:S', or a vector")
-        if self.epsilon != "auto" and not (
-            _is_real(self.epsilon) and 0.0 < self.epsilon < 1.0
-        ):
-            raise ConfigError("epsilon", "must be 'auto' or a number in (0, 1)")
+        if self.epsilon != "auto":
+            rule = "'auto' or a number in (0, 1)"
+            _check_real("epsilon", self.epsilon, rule, lambda v: 0.0 < v < 1.0)
         if self.steps != "auto" and not (_is_int(self.steps) and self.steps >= 1):
             raise ConfigError("steps", "must be 'auto' or an integer >= 1")
         if self.strategy not in STRATEGIES:
@@ -239,20 +225,13 @@ def _advance_map(d: int) -> tuple[int, int]:
 
 # Moving a stream from trial k to trial k + 1 advances it _STREAMS jumps.
 _TRIAL_MUL, _TRIAL_INC = _advance_map(_STREAMS * _JUMP & _MASK)
-# Stream s of trial 0 sits s jumps past the master state.
-_FIRST_TRIAL = tuple(_advance_map(s * _JUMP & _MASK) for s in range(_STREAMS))
 
 
 class TrialStreams:
     """Reusable generators for the first ``count`` substreams of each trial of a campaign.
 
-    Stream s of every trial has its own generator. Moving it from trial k to
-    trial k + 1 advances its PCG64 state by ``_STREAMS`` jumps, and an advance
-    by a fixed distance is an affine map of the 128-bit state,
-    ``s -> (_TRIAL_MUL*s + b) mod 2**128``, where b = ``inc * _TRIAL_INC``
-    for the ``inc`` that every jump of one master stream keeps. All
-    generators are seeded from one seed sequence. Each stream keeps one
-    PCG64 state dict, whose 128-bit state is updated and assigned to its
+    All generators are seeded from one seed sequence. Each stream keeps one
+    PCG64 state dict, which ``trial_seeds`` updates and assigns to its
     generator, so a trial builds no dict.
     """
 
@@ -283,12 +262,10 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
 
     Stream s of trial k is ``Generator(PCG64(master_seed).jumped(4k + s))``.
     The generators of ``streams`` are repositioned in place and returned, so
-    they hold trial k's streams only until the next call on ``streams``.
-    When k follows the previous call's trial, each stored state steps by one
-    multiply-add, and at k = 0 each is the master state under one
-    multiply-add of constants; otherwise each generator advances from the
-    master state, and a negative k, which is no trial, is refused with
-    ``ValueError``.
+    they hold trial k's streams only until the next call on ``streams``:
+    one step of the map when k follows the previous call's trial, the far
+    rule otherwise (module docstring). A negative k, which is no trial, is
+    refused with ``ValueError``.
     """
     if trial_index == streams._next:
         add = streams._add
@@ -296,14 +273,9 @@ def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Gene
             inner = state["state"]
             inner["state"] = (_TRIAL_MUL * inner["state"] + add) & _MASK
             gen.bit_generator.state = state
-    elif trial_index == 0:
-        master = streams.master_state["state"]
-        for gen, state, (mul, inc) in zip(streams.generators, streams._states, _FIRST_TRIAL):
-            state["state"]["state"] = (mul * master["state"] + master["inc"] * inc) & _MASK
-            gen.bit_generator.state = state
+    elif trial_index < 0:
+        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
     else:
-        if trial_index < 0:
-            raise ValueError(f"trial index must be nonnegative, got {trial_index}")
         for s, state in enumerate(streams._states):
             gen = _stream_at(streams, trial_index, s, 0)
             state["state"]["state"] = gen.bit_generator.state["state"]["state"]
@@ -324,15 +296,9 @@ def _stream_at(streams: TrialStreams, trial_index: int, s: int, output: int) -> 
     return gen
 
 
-def _trial_blocks(reader: _BlockReader, t: int, streams: TrialStreams, trial_index: int, victim):
-    """The blocks of trial ``trial_index``, slot t of ``reader``'s batch, for ``_block_scan``.
-
-    Block 0 comes from the batch. Later blocks are read from the trial's
-    graph and noise streams, repositioned past block 0 only when the scan
-    asks for block 1: the streams' generators have moved on to the batch's
-    later trials by then.
-    """
-    yield reader.first(t)
+def _trial_blocks(reader, index, ys, t, streams, trial_index, victim):
+    """The blocks of trial ``trial_index``, slot t of ``reader``'s batch: its block 0, then on."""
+    yield index, ys, reader.sums[t]
     graph_at, noise_at = reader.drawn
     graph = _stream_at(streams, trial_index, 0, graph_at)
     yield from reader.blocks(graph, _stream_at(streams, trial_index, 2, noise_at), victim, t, 1)
@@ -342,19 +308,10 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     """Run trials [start, start + count) and return their results.
 
     ``model`` is ``resolve_model(config)``. Everything a trial reads that
-    depends only on the campaign is looked up once, here. Trials run in
-    batches of ``graph._batch_trials`` trials. Each trial of a batch calls
-    ``trial_seeds`` and ``sample_victim`` and draws its block 0 from its
-    graph and noise streams (``oracle._BlockReader.draw``); the batch's
-    blocks 0 are then decoded, answered and looked up in one pass. Then
-    each trial, in order, runs the attack's block scan on its block 0 and
-    on the later blocks it reaches (``_trial_blocks``). A trial of a
-    one-trial batch calls ``trial_seeds`` and ``sample_victim`` and scans
-    blocks read from its streams as they stand. No pair, instance, state or
-    transcript is built.
-
-    Returns four arrays of ``count`` entries, one per trial: the query
-    count, the success, the verifications and the failed verifications.
+    depends only on the campaign is looked up once, here; the trials run in
+    batches through one block reader (``oracle`` module docstring). Returns
+    four arrays of ``count`` entries, one per trial: the query count, the
+    success, the verifications and the failed verifications.
     """
     # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
@@ -390,9 +347,9 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
                     graph_rng, victim_rng, noise_rng = trial_seeds(streams, k)
                     victims[u] = sample_victim(prior, victim_rng)
                     reader.draw(u, graph_rng, noise_rng, victims[u])
-                reader.answer(len(batch))
+                index, ys = reader.answer(len(batch))
             victim = victims[t]
-            blocks = _trial_blocks(reader, t, streams, trial, victim)
+            blocks = _trial_blocks(reader, index[t], ys[t], t, streams, trial, victim)
         gm_answers, uid_queries, taus = _block_scan(
             blocks, n, width, density, limits, surprisal, steps,
             partial(identity_answer, victim), *order_rng,
@@ -469,7 +426,7 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr names its type
     return str(value)
 
 

@@ -1,35 +1,43 @@
-"""Victim-side query answering.
+"""Victim-side query answering, and the attack's block reader.
 
-The oracle answers the two query kinds the attacker may issue:
+The oracle answers the two query kinds the attacker may issue, each in one
+place:
 
-* group membership, noisy: the correct answer is the victim's true-graph bit
-  for the group, passed through the channel;
-* user identity, noiseless: exact equality with the victim index.
+* group membership, noisy (``_channel``): the victim's true-graph bit for
+  the group, passed through the channel;
+* user identity, noiseless (``identity_answer``): exact equality with the
+  victim index.
 
-Each kind is answered in one place. ``_channel`` answers group queries from
-the victim's true bits in the queried groups and one noise uniform per
-query; ``identity_answer`` answers an identity query. The attack's blocks
-come from one reader, ``_BlockReader``, which draws each block of groups
-from a graph stream and answers it from a noise stream with one decoder,
-``_answer``: the scanned bits and the victim's true bits
-(``graph._decode``), the channel's answers, the scan's density index and
-each entry's density, for one block or for a stack of blocks, one per
-trial. A campaign reads block 0 of a batch of trials as one stack, from
-each trial's streams at their starts, and every later block of a trial,
-and every block of a one-trial batch, from the trial's own streams;
-``attacker.run_its`` reads every block from the streams of a pair and of a
-``VictimInstance``, which binds one victim of a pair to the channel for
-the public one-trial API.
+Channel noise is indexed by query ordinal, not by group, so re-asking a
+group draws fresh noise (the channel is memoryless) and replaying an
+ordinal reproduces its answer. Ordinal t takes uniform t of the noise
+stream, the double of its raw output t - 1, as ``Generator.random`` draws
+one output per double. ``VictimInstance`` binds one victim of a pair to the
+channel for the public one-trial API; it keeps the start state of its noise
+stream (``graph._Stream``) and answers a single query by positioning both
+streams at it.
 
-Channel noise is indexed by query ordinal, not by group, so re-asking the
-same group later draws fresh noise (the channel is memoryless). Replaying an
-ordinal reproduces the identical response bit. Query ordinal t takes
-uniform t of the noise stream, the double of its raw output t - 1, as
-``Generator.random`` draws one output per double: the attack asks group k
-with ordinal k, so its blocks read both streams in order. An instance keeps
-the start state of its noise stream (``graph._Stream``) and answers a
-single query by positioning both streams at it, decoding only the victim's
-true bit.
+Block reader. The attack asks group k with ordinal k, so it reads the graph
+and noise streams in order, a block of w = ``graph._block_width(m)`` groups
+at a time, through one reader, ``_BlockReader``: block k holds groups
+k*w + 1 onward, drawn from the graph stream (``graph._uniforms``) and
+answered from the next w noise uniforms. One decoder, ``_answer``, turns a
+block, or a stack of blocks one per trial, into what the scan reads: the
+scanned bits and the victim's true bits (``graph._decode``), the channel's
+answers, each candidate's density index (scanned bit + 2 * answer) and its
+density. ``attacker.run_its`` reads every block from the streams of a pair
+and an instance, from their starts. A campaign trial reads the same blocks
+from its own streams, so its queries are those of ``run_its`` on a pair and
+an instance built from them. Every trial reads its block 0, so a campaign
+takes trials in batches of ``graph._batch_trials(w, m)``: each trial of a
+batch draws its block 0 into the batch's buffers as its streams stand at
+their starts (``_BlockReader.draw``), and one ``_answer`` decodes the stack
+(``_BlockReader.answer``). Each trial then scans in turn, and a later block
+it reaches is read from its own streams, repositioned past block 0 by the
+far rule of the ``harness`` module, since the generators have moved on to
+the batch's later trials. A batch of one reads every block from the
+trial's streams as they stand. No block width and no batch size changes a
+bit.
 """
 
 from __future__ import annotations
@@ -80,30 +88,19 @@ def _answer(u, noise, at, cuts, p_one, offsets, density, sums):
 class _BlockReader:
     """The attack's block reader for one graph shape and model: a campaign's trials or one attack.
 
-    Block k (from 0) holds groups k * ``width`` + 1 onward of an n-group
-    graph over m users with the generation ``cuts``, and is read from a
-    graph stream and a noise stream: its graph uniforms are decoded by
-    :func:`_answer` and its queries answered from the next uniforms of the
-    noise stream through the channel of ``p_one``. A block comes as (index,
-    ys, sums), ``index`` the writable (w, m) uint8 grid of entries of
-    ``density``, ``ys`` the victim's w answers and ``sums`` their
-    densities, which the scan may overwrite.
-
-    A campaign reads block 0 of a batch of up to ``batch`` trials at once
-    (groups 1 to w, w = min(``width``, n)). ``draw`` draws a trial's block
-    0 from its streams at their starts, its raw graph outputs into one
-    (batch, w * ceil(m/2)) buffer and its noise uniforms into one (batch,
-    w); ``answer`` decodes the whole stack with one :func:`_answer`, the
-    densities into one (batch, w, m) buffer, and ``first(t)`` is then trial
-    t's block 0. ``blocks`` reads a trial's blocks from any block on, their
-    densities into slot t of that buffer: a one-trial batch and a single
-    attack read every block that way, and copy nothing. The buffers are
-    reused by every batch.
+    Block k of an n-group graph over m users, with the generation ``cuts``,
+    comes as (index, ys, sums): ``index`` the writable (w, m) uint8 grid of
+    entries of ``density``, ``ys`` the victim's w answers through the
+    channel of ``p_one``, and ``sums`` their densities, which the scan may
+    overwrite. ``draw`` and ``answer`` read block 0 of up to ``batch``
+    trials into buffers that every batch reuses; ``blocks`` reads one
+    trial's blocks from its streams, into slot t of the densities buffer.
+    The module docstring describes the reading.
     """
 
     __slots__ = (
         "n", "m", "width", "cuts", "p_one", "density", "rows", "drawn", "raw", "words",
-        "noise", "sums", "offsets", "trials", "users", "index", "ys",
+        "noise", "sums", "offsets", "trials", "users",
     )
 
     def __init__(self, n: int, m: int, width: int, cuts, p_one, density, batch: int = 1):
@@ -128,17 +125,13 @@ class _BlockReader:
         noise.random(out=self.noise[t])
         self.users[t] = victim - 1
 
-    def answer(self, size: int) -> None:
-        """Decode, answer and look up block 0 of the batch's first ``size`` trials."""
+    def answer(self, size: int):
+        """Decode, answer and look up block 0 of the batch's first ``size`` trials: (index, ys)."""
         at = (self.trials[:size], slice(None), self.users[:size])
-        self.index, self.ys = _answer(
+        return _answer(
             self.words[:size], self.noise[:size], at, self.cuts, self.p_one, self.offsets,
             self.density, self.sums[:size],
         )
-
-    def first(self, t: int):
-        """Block 0 of the batch's trial t."""
-        return self.index[t], self.ys[t], self.sums[t]
 
     def blocks(self, graph, noise, victim: int, t: int = 0, block: int = 0):
         """Blocks ``block``, ``block`` + 1, ... of slot t's trial, from its streams at that block.

@@ -13,19 +13,16 @@ group-membership query, and ``InfoMeasures`` derives the per-query evidence
 table: the information density i(u; y) = log2 P(y|u) / P(y), its expectation
 I(U; Y), and its maximum entry.
 
-The module also owns the layout of the outcomes on the generation stream's
-uniforms. ``EdgeJointDistribution.generation_cuts`` lays the (true,
-scanned) outcomes (0,0), (0,1), (1,1), (1,0) end to end on the 32-bit
-integers [0, 2**32) in that order, so the scanned bit is 1 on one interval,
-between the first and the third cut, and the true bit is 1 from the second
-cut up. ``QueryChannel.p_one_by_bit`` (P(answer 1 | true bit z) at entry
-z), the table the channel reads, is derived when the channel is built, and
-is read-only. A ``VictimPrior`` likewise builds its surprisals and the
-cumulative list that ``sample_victim`` bisects, and computes the threshold
-attack's per-candidate crossing limits for a threshold
-(``VictimPrior.crossing_limits``). The 2x2 laws are checked and combined
-as Python floats, adding and multiplying in the order numpy does, so each
-value equals numpy's to the bit; logarithms still come from ``np.log2``.
+Each law derives once, when built, the read-only tables its readers use:
+the integer cut points of the graph's generation stream
+(``EdgeJointDistribution.generation_cuts``; the ``graph`` module describes
+the layout), the channel's ``QueryChannel.p_one_by_bit`` (P(answer 1 | true
+bit z) at entry z), and the prior's surprisals and the cumulative list
+that ``sample_victim`` bisects. ``VictimPrior.crossing_limits`` computes
+the threshold attack's per-candidate crossing limits. The 2x2 laws are
+checked and combined as Python floats, adding and multiplying in the order
+numpy does, so each value equals numpy's to the bit; logarithms still come
+from ``np.log2``.
 
 Every logarithm in this package is base 2, so entropies, densities, mutual
 information and decision thresholds all share the same unit (bits).
@@ -207,7 +204,7 @@ class VictimPrior:
         The threshold must be positive, as log2(1/eps) is for every eps in
         (0, 1): below 0 a limit near 0 could be billions of ulps from its
         start, and the search would not end. The limits are returned
-        read-only; a campaign computes them once per block of trials.
+        read-only.
         """
         if not threshold > 0.0:
             raise ValueError("threshold must be a positive number of bits")

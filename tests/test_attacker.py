@@ -515,6 +515,13 @@ class TestRunIts:
         with pytest.raises(ValueError):
             run_its(pair_a, inst, make_prior("uniform", 4), measures_for(edge, gm), ITSConfig(0.5, 2))
 
+    def test_prior_of_another_length_rejected(self):
+        edge, gm = NOISY_MODEL
+        pair = generate_cprb(16, 4, edge, seed=1)
+        inst = VictimInstance(pair, 1, gm, noise_seed=0)
+        with pytest.raises(ValueError, match="prior length"):
+            run_its(pair, inst, make_prior("uniform", 5), measures_for(edge, gm), ITSConfig(0.5, 2))
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -896,6 +903,14 @@ class TestConfigAndDefaults:
             ITSConfig(1.0, 2)
         with pytest.raises(ValueError):
             ITSConfig(0.5, 0)
+        for steps_l in (2.5, True):
+            with pytest.raises(ValueError, match="steps_l"):
+                ITSConfig(0.25, steps_l)
+        assert ITSConfig(0.5, np.int64(2)).steps_l == 2
+
+    def test_auto_schedule_refuses_no_users(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            auto_epsilon_steps(0)
 
     def test_auto_small_m_clamp(self):
         assert auto_epsilon_steps(2) == (0.25, 3)

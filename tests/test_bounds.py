@@ -71,6 +71,8 @@ class TestUpperBound:
             _report(1.0, 0.5, 1.0, 0.0, 2, 4)
         with pytest.raises(ValueError):
             _report(1.0, 0.5, 1.0, 0.5, 0, 4)
+        with pytest.raises(ValueError, match="mutual information"):
+            _report(1.0, -0.5)
 
 
 class TestConverse:

@@ -145,6 +145,14 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("[1, 2]")
+    code = run_cli(["simulate", "--config", str(config_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config: must be a JSON object of fields")
+
+
 def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text('{"users": 4,')
@@ -284,6 +292,12 @@ def test_non_numeric_epsilon_flag_exits_2(capsys):
     code = run_cli(["bounds", "--users", "4", "--groups", "8", "--epsilon", "x"])
     assert code == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+def test_non_integral_steps_flag_exits_2_asking_for_an_integer(capsys):
+    code = run_cli(["simulate", "--users", "4", "--groups", "8", "--steps", "2.5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: steps: must be 'auto' or an integer")
 
 
 def _reject_constant(token):

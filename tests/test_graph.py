@@ -43,6 +43,11 @@ def test_rejects_empty_dimensions():
         generate_cprb(3, 0, FAIR_CORRELATED, seed=1)
 
 
+def test_rejects_an_edge_law_that_is_not_an_edge_joint_distribution():
+    with pytest.raises(TypeError, match="EdgeJointDistribution"):
+        generate_cprb(3, 3, FAIR_CORRELATED.table, seed=1)
+
+
 def test_fair_correlated_statistics():
     pair = generate_cprb(100, 100, FAIR_CORRELATED, seed=2024)
     true_bits = pair.block_bits("true", 1, pair.n)

@@ -465,6 +465,7 @@ class TestConfigValidation:
             ("gm_flip", None),
             ("epsilon", "x"),
             ("out", 3),
+            ("gm_flip", np.float32(0.1)),
         ],
     )
     def test_each_invalid_field_is_named(self, field, value):
@@ -473,6 +474,19 @@ class TestConfigValidation:
             config.validate()
         assert err.value.field == field
         assert field in str(err.value)
+
+    def test_a_numpy_float32_is_refused_naming_its_type(self):
+        # 0.1 is in range: the type is what is refused, and the message says so.
+        with pytest.raises(ConfigError, match="^gm_flip: .*float32$"):
+            small_config(gm_flip=np.float32(0.1)).validate()
+
+    def test_numpy_float64_fields_print_as_python_floats(self):
+        rows = []
+        for real in (float, np.float64):
+            summary = run_experiment(small_config(p0=real(0.5), gm_flip=real(0.1), trials=20))
+            rows.append(summary.csv_row())
+        assert rows[0] == rows[1]
+        assert rows[0][2:5] == ["0.5", "0.05", "0.1"]
 
     def test_a_path_like_out_is_accepted(self, tmp_path):
         summary = run_experiment(small_config(trials=2, out=tmp_path / "r.csv"))

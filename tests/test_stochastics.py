@@ -71,6 +71,8 @@ class TestEdgeJoint:
             EdgeJointDistribution(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             QueryChannel(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            EdgeJointDistribution(np.full((2, 3), 1.0 / 6.0))
 
     def test_table_is_read_only(self):
         edge = EdgeJointDistribution.from_marginal_flip(0.5, 0.0)
@@ -480,3 +482,16 @@ def test_sample_victim_is_the_right_side_searchsorted_of_its_uniform(prior, seed
         if 0.0 <= u < 1.0:
             expected = min(int(cdf.searchsorted(u, "right")), m - 1) + 1
             assert sample_victim(prior, _FixedUniform(float(u))) == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EdgeJointDistribution.from_marginal_flip(1.5, 0.1), "p0 must lie in"),
+    (lambda: EdgeJointDistribution.from_marginal_flip(0.5, -0.1), "flip must lie in"),
+    (lambda: QueryChannel.bsc(1.5), "flip must lie in"),
+    (lambda: VictimPrior(np.full((2, 2), 0.25)), "1-D"),
+    (lambda: VictimPrior(np.array([])), "nonempty"),
+    (lambda: make_prior("uniform"), "require a positive user count"),
+])
+def test_a_law_refuses_an_argument_out_of_its_domain(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
