@@ -45,9 +45,28 @@ describes), and its transcript is bit-identical to the one-query walk of
   smallest double L_j with ``L_j - surprisal_j >= threshold`` in float
   arithmetic (``VictimPrior.crossing_limits``). Rounded subtraction is
   monotone, so ``s >= L_j`` holds for exactly the doubles s with
-  ``s - surprisal_j >= threshold``. A struck candidate gets a NaN limit,
-  which no sum reaches. The first crossing of the flattened grid, divided
-  by m, is the query that ends the step.
+  ``s - surprisal_j >= threshold``. The limits come tiled once over a
+  block's w * m positions (``_tiled_limits``), so one function,
+  ``_first_crossings``, tests a flattened block, or each block of a
+  stack, with one contiguous compare. A struck candidate gets a NaN limit
+  at each of its positions, which no sum reaches. The first crossing of
+  the flattened grid, divided by m, is the query that ends the step.
+- Batch pass. A campaign that decodes block 0 of a batch of trials in one
+  pass (``oracle`` module docstring) also sums, tests and guesses step 1 on
+  that stack in one pass (``_first_steps``), with the same adds and the
+  same compare. Each trial's scan starts from that outcome, and from the
+  running sums left in its slot of the stack: the crossing row, or the
+  whole block's last row as the carry. Later steps and blocks run in the
+  scan as for one trial.
+- Victim bound. The victim is never struck, so no crossing comes first
+  after the victim's own first crossing in a block. From
+  ``_VICTIM_BOUND_FROM`` candidates up, the scan finds that row first, on a
+  copy of the victim's column summed with the grid's adds, and sums and
+  tests only the rows up to it; a block in which the victim does not cross
+  is summed whole. The rows not summed hold densities, never read. Too few
+  rows would still be exact: a part of a block with no crossing carries
+  its sums on, and the rest is scanned as a step that starts inside the
+  block is.
 - Dropped queries. The queries past a crossing are dropped, at no cost:
   noise is indexed by query ordinal and group query k asks group k, so the
   next step reads the same answers again. A step that starts inside the
@@ -56,7 +75,8 @@ describes), and its transcript is bit-identical to the one-query walk of
 
 The scan returns the three fields of an :class:`AttackTranscript`, whose
 docstring says how they store the queries. Identity queries are answered
-through a callable, so the scan never reads the victim index.
+through a callable. The scan reads the victim's column for the victim bound
+alone, which decides how many rows are summed but no query or answer.
 """
 
 from __future__ import annotations
@@ -69,13 +89,20 @@ import numpy as np
 
 from .graph import BigraphPair, _block_width
 from .oracle import VictimInstance, _BlockReader, _density_table
-from .stochastics import InfoMeasures, VictimPrior
+from .stochastics import InfoMeasures, VictimPrior, _read_only
 
 # Grids at least this many candidates wide are accumulated row by row, narrower
 # even ones two candidates per add. Timed per 32-row block, the row-wise form
 # is slower at 448 columns (22.4 against 19.3 us) and faster at 512 (24.1
 # against 26.9 us).
 _ROWWISE_FROM = 512
+# Grids at least this many candidates wide find the victim's first crossing
+# in a block before they sum it, and then sum only the rows up to it. Per
+# trial, the bound ran 1.03x as fast at m = 192 and 1.06x at 256 on the
+# sandwich model (flips 0.05, eps 0.1), but 0.98x and 1.00x on a low-
+# information one (flips 0.15 and 0.25), whose blocks mostly hold no victim
+# crossing, so that the bound's extra calls (about 1.8 us a block) are lost.
+_VICTIM_BOUND_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -214,24 +241,95 @@ def _fallback_order(info, surprisal, eliminated, order_seed) -> np.ndarray:
     return remaining[np.argsort(-scores[remaining], kind="stable")] + 1
 
 
+def _tiled_limits(prior: VictimPrior, epsilon: float, rows: int) -> np.ndarray:
+    """The prior's crossing limits of log2(1/epsilon), tiled over ``rows`` rows, read-only.
+
+    Entry k * m + j - 1 is candidate j's limit, so a block of up to ``rows``
+    rows of running sums is tested with one contiguous compare.
+    """
+    return _read_only(np.tile(prior.crossing_limits(math.log2(1.0 / epsilon)), rows))
+
+
 def _accumulate(grid: np.ndarray) -> None:
-    """Replace a C-contiguous (w, c) float64 grid by its running sums down the rows.
+    """Replace a C-contiguous (w, c) float64 grid, or a (T, w, c) stack, by its running row sums.
 
     Row k becomes ((grid[0] + grid[1]) + ...) + grid[k], entry by entry: the
-    adds of ``np.cumsum(grid, axis=0)`` in the same order, so the result is
+    adds of ``np.cumsum(grid, axis=-2)`` in the same order, so the result is
     the same to the bit in each of the three forms the width c selects
-    (module docstring).
+    (module docstring). Only batches of trials come as a stack, and they
+    stop at m = 32, so a stack never takes the row-wise form.
     """
-    w, c = grid.shape
+    c = grid.shape[-1]
     if c >= _ROWWISE_FROM:
-        for k in range(1, w):
+        for k in range(1, len(grid)):
             np.add(grid[k - 1], grid[k], out=grid[k])
     else:
         cells = grid.view(np.complex128) if c % 2 == 0 else grid
-        np.add.accumulate(cells, axis=0, out=cells)
+        np.add.accumulate(cells, axis=-2, out=cells)
 
 
-def _block_scan(blocks, n, width, density, limits, surprisal, steps_l, identify, order_seed=None):
+def _first_crossings(sums: np.ndarray, limits: np.ndarray):
+    """The first crossing of a block of running sums, or of each block of a stack: (stopped, rows).
+
+    The one crossing test of the attack. ``sums`` holds a block's (rows, m)
+    running sums or a (T, rows, m) stack of them, and ``limits`` the
+    crossing limits tiled over at least rows * m entries
+    (:func:`_tiled_limits`). A sum crosses when it is at least its limit;
+    the first crossing in row-major order ends the step, and ``rows`` counts
+    the block's rows up to it, or all of them where none crosses. A block
+    gives a bool and an int, a stack two arrays of T entries.
+    """
+    *stack, rows, m = sums.shape
+    crossed = sums.reshape(*stack, rows * m) >= limits[: rows * m]
+    hit = crossed.argmax(axis=-1)
+    if stack:
+        stopped = crossed[np.arange(len(hit)), hit]
+        return stopped, np.where(stopped, hit // m + 1, rows)
+    stop = bool(crossed[hit])
+    return stop, int(hit) // m + 1 if stop else rows
+
+
+def _sum_block(sums: np.ndarray, info: np.ndarray, limits: np.ndarray, victim) -> tuple[bool, int]:
+    """Sum a block of densities onto the carry ``info`` and test it: :func:`_first_crossings`.
+
+    Given the victim's 0-based column, the victim's own first crossing is
+    found first, on a copy of its column summed with the same adds, and
+    only the rows up to it are summed and tested (module docstring). With
+    None, the whole block is.
+    """
+    sums[0] += info
+    if victim is not None:
+        column = np.add.accumulate(sums[:, victim])
+        crossed = column >= limits[victim]
+        hit = int(crossed.argmax())
+        if crossed[hit]:
+            sums = sums[: hit + 1]
+    _accumulate(sums)
+    return _first_crossings(sums, limits)
+
+
+def _first_steps(sums: np.ndarray, limits: np.ndarray, surprisal: np.ndarray) -> list:
+    """Step 1 on block 0 of a batch of trials: each trial's (stopped, rows, guess), for its scan.
+
+    ``sums`` is the (T, rows, m) stack of the trials' block-0 densities,
+    which become their running sums, ``limits`` the tiled crossing limits
+    and ``surprisal`` the prior's. Step 1 starts from zero sums, so no carry
+    is added: adding 0.0 changes no density but -0.0, and none is -0.0.
+    ``guess`` is the candidate with the top score in the row that ends the
+    step, ties to the lower index; no candidate is struck in step 1, so it
+    is the scan's own guess.
+    """
+    _accumulate(sums)
+    stopped, rows = _first_crossings(sums, limits)
+    scores = sums[np.arange(len(sums)), rows - 1]
+    scores -= surprisal
+    guesses = scores.argmax(axis=1) + 1
+    return list(zip(stopped.tolist(), rows.tolist(), guesses.tolist()))
+
+
+def _block_scan(
+    blocks, n, width, density, limits, surprisal, steps_l, identify, order_seed, victim, summed
+):
     """Run the threshold attack on one graph and victim, a block of groups at a time.
 
     ``blocks`` yields block 0, 1, ... of the graph, groups k * ``width`` + 1
@@ -241,13 +339,20 @@ def _block_scan(blocks, n, width, density, limits, surprisal, steps_l, identify,
     bit s plus 2 times the answer y, and ``sums`` the writable (w, m)
     float64 grid of their densities, which the scan overwrites with its
     running sums. ``density`` holds i(s; y) at entry s + 2y
-    (``oracle._density_table``), ``limits`` the prior's ``crossing_limits``
-    of the threshold, ``surprisal`` its surprisal, and ``identify(j)``
-    answers the identity query for candidate j. Returns the three fields of
-    an :class:`AttackTranscript`: (gm_answers, uid_queries,
+    (``oracle._density_table``), ``limits`` the prior's crossing limits of
+    the threshold tiled over a block (:func:`_tiled_limits`), ``surprisal``
+    its surprisal, and ``identify(j)`` answers the identity query for
+    candidate j. ``order_seed`` is the fallback's, as for :func:`run_its`.
+    ``victim``, the victim's 0-based column, is read only to bound the rows
+    summed from ``_VICTIM_BOUND_FROM`` candidates up. ``summed`` is None,
+    or for a trial whose block 0 a batch pass summed and tested
+    (:func:`_first_steps`), that block's (stopped, rows, guess) in step 1,
+    and block 0 then comes with its running sums. Returns the three fields
+    of an :class:`AttackTranscript`: (gm_answers, uid_queries,
     tau_star_per_step).
     """
     m = surprisal.size
+    bound = victim if m >= _VICTIM_BOUND_FROM else None
     info = np.zeros(m)
     eliminated = np.zeros(m, dtype=bool)
     answers: list[bytes] = []
@@ -265,29 +370,30 @@ def _block_scan(blocks, n, width, density, limits, surprisal, steps_l, identify,
                 index, ys, sums = block = next(blocks)  # (w, m) contiguous, (w,), (w, m)
                 end += len(ys)
             else:  # the rest of the block in hand, after a crossing inside it
-                first = cursor - 1 - k * width
-                index, ys, sums = block[0][first:], block[1][first:], block[2][first:]
+                skip = cursor - 1 - k * width
+                index, ys, sums = block[0][skip:], block[1][skip:], block[2][skip:]
                 # Every index lies in [0, 4), so "clip" moves none.
                 density.take(index, out=sums, mode="clip")
-            sums[0] += info
-            _accumulate(sums)
-            crossed = (sums >= limits).ravel()
-            hit = int(crossed.argmax())
-            stop = bool(crossed[hit])
-            rows = hit // m + 1 if stop else len(ys)
+            if summed:
+                (stop, rows, guess), summed = summed, None
+            else:
+                stop, rows = _sum_block(sums, info, limits, bound)
+                guess = None
             info[:] = sums[rows - 1]
             answers.append(ys[:rows].tobytes())
             cursor += rows
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
         tau_star_per_step.append(cursor - step_first)
-        guess = int(_scores(info, surprisal, eliminated).argmax()) + 1
+        if guess is None:
+            guess = int(_scores(info, surprisal, eliminated).argmax()) + 1
         response = identify(guess)
         uid_queries.append((guess, response))
         if response == 1:
             return b"".join(answers), uid_queries, tau_star_per_step
         eliminated[guess - 1] = True
-        limits = np.where(eliminated, np.nan, limits)
+        limits = limits.copy()
+        limits[guess - 1 :: m] = np.nan
 
     for candidate in _fallback_order(info, surprisal, eliminated, order_seed).tolist():
         response = identify(candidate)
@@ -329,11 +435,11 @@ def run_its(
     width, density = _block_width(m), _density_table(measures.density)
     reader = _BlockReader(n, m, width, pair._cuts, inst._p_one, density)
     blocks = reader.blocks(pair._stream.seek(0), inst._noise.seek(0), inst.victim)
-    limits = prior.crossing_limits(math.log2(1.0 / config.epsilon))
+    limits = _tiled_limits(prior, config.epsilon, reader.rows)
     # A campaign trial's order stream is its own; a caller's generator is copied.
     fields = _block_scan(
         blocks, n, width, density, limits, prior.surprisal, config.steps_l,
-        inst.uid_response, copy.deepcopy(order_seed),
+        inst.uid_response, copy.deepcopy(order_seed), inst.victim - 1, None,
     )
     return AttackTranscript(*fields)
 

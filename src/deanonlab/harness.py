@@ -42,7 +42,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import _finite_or_none
-from .attacker import _block_scan, auto_epsilon_steps
+from .attacker import _block_scan, _first_steps, _tiled_limits, auto_epsilon_steps
 from .graph import _batch_trials, _block_width
 from .oracle import _BlockReader, _density_table, identity_answer
 from .stochastics import (
@@ -66,10 +66,6 @@ OUTPUT_FORMATS = ("csv", "json")
 _PATH_TYPES = (str, os.PathLike)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``field`` names the offending entry."""
 
@@ -83,12 +79,22 @@ class ConfigError(ValueError):
         return type(self), (self.field, self.message)
 
 
-def _check_real(name: str, value, rule: str, inside) -> None:
-    """Refuse ``value`` unless it is an int or a float (no bool) for which ``inside`` holds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"must be {rule}, as an int or a float, not {type(value).__name__}")
+def _check_number(name: str, value, rule: str, inside, kinds=(int, float)) -> None:
+    """Refuse ``value`` unless it is of one of ``kinds`` (no bool) and ``inside`` holds for it.
+
+    A value of another type is refused naming its type, so a numpy scalar
+    or array reads as such.
+    """
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or a ".join(kind.__name__ for kind in kinds)
+        raise ConfigError(name, f"must be {rule}, as an {names}, not {type(value).__name__}")
     if not inside(value):
         raise ConfigError(name, f"must be {rule}")
+
+
+def _is_auto(value) -> bool:
+    """Whether an ``epsilon`` or ``steps`` value is the string "auto"; no array is compared."""
+    return isinstance(value, str) and value == "auto"
 
 
 @dataclass
@@ -118,22 +124,22 @@ class ExperimentConfig:
     def validate(self) -> VictimPrior:
         """Check every field, and return the victim prior that checking ``prior`` builds."""
         for name in ("users", "groups", "trials", "workers"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(name, "must be a positive integer")
-        if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ConfigError("master_seed", "must be a nonnegative integer")
-        _check_real("p0", self.p0, "a number strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
+            _check_number(name, getattr(self, name), "a positive integer", lambda v: v >= 1, (int,))
+        rule = "a nonnegative integer"
+        _check_number("master_seed", self.master_seed, rule, lambda v: v >= 0, (int,))
+        _check_number("p0", self.p0, "a number strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
         for name in ("edge_flip", "gm_flip"):
-            _check_real(name, getattr(self, name), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+            rule = "a number in [0, 1]"
+            _check_number(name, getattr(self, name), rule, lambda v: 0.0 <= v <= 1.0)
         if isinstance(self.prior, str):
             if self.prior != "uniform" and not self.prior.startswith("zipf:"):
                 raise ConfigError("prior", "must be 'uniform', 'zipf:S', or a vector")
-        if self.epsilon != "auto":
+        if not _is_auto(self.epsilon):
             rule = "'auto' or a number in (0, 1)"
-            _check_real("epsilon", self.epsilon, rule, lambda v: 0.0 < v < 1.0)
-        if self.steps != "auto" and not (_is_int(self.steps) and self.steps >= 1):
-            raise ConfigError("steps", "must be 'auto' or an integer >= 1")
+            _check_number("epsilon", self.epsilon, rule, lambda v: 0.0 < v < 1.0)
+        if not _is_auto(self.steps):
+            rule = "'auto' or an integer >= 1"
+            _check_number("steps", self.steps, rule, lambda v: v >= 1, (int,))
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}")
         if self.format not in OUTPUT_FORMATS:
@@ -327,17 +333,18 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
         raise ConfigError("trials", "too many trials: the results do not fit in memory") from None
     width, cuts = _block_width(m), model.edge_joint.generation_cuts
     density, p_one = _density_table(model.measures.density), model.gm.p_one_by_bit
-    limits = prior.crossing_limits(math.log2(1.0 / model.epsilon))
     surprisal = prior.surprisal
     # With no threshold step a scan reads no block, and the identity scan
     # reads its order stream as it runs: such trials run one at a time.
     size = _batch_trials(width, m) if steps > 1 else 1
     reader = _BlockReader(n, m, width, cuts, p_one, density, size)
-    victims, order_rng = [0] * size, ()
+    limits = _tiled_limits(prior, model.epsilon, reader.rows)
+    victims, order, summed = [0] * size, None, None
     for i, trial in enumerate(range(start, start + count)):
         t = i % size
         if size == 1:
             graph_rng, victim_rng, noise_rng, *order_rng = trial_seeds(streams, trial)
+            order = order_rng[0] if order_rng else None
             victim = sample_victim(prior, victim_rng)
             blocks = reader.blocks(graph_rng, noise_rng, victim)
         else:
@@ -348,11 +355,12 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
                     victims[u] = sample_victim(prior, victim_rng)
                     reader.draw(u, graph_rng, noise_rng, victims[u])
                 index, ys = reader.answer(len(batch))
-            victim = victims[t]
+                firsts = _first_steps(reader.sums[: len(batch)], limits, surprisal)
+            victim, summed = victims[t], firsts[t]
             blocks = _trial_blocks(reader, index[t], ys[t], t, streams, trial, victim)
         gm_answers, uid_queries, taus = _block_scan(
             blocks, n, width, density, limits, surprisal, steps,
-            partial(identity_answer, victim), *order_rng,
+            partial(identity_answer, victim), order, victim - 1, summed,
         )
         qs[i] = len(gm_answers) + len(uid_queries)
         successes[i] = uid_queries[-1][1] == 1

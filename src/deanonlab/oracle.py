@@ -32,12 +32,15 @@ an instance built from them. Every trial reads its block 0, so a campaign
 takes trials in batches of ``graph._batch_trials(w, m)``: each trial of a
 batch draws its block 0 into the batch's buffers as its streams stand at
 their starts (``_BlockReader.draw``), and one ``_answer`` decodes the stack
-(``_BlockReader.answer``). Each trial then scans in turn, and a later block
-it reaches is read from its own streams, repositioned past block 0 by the
-far rule of the ``harness`` module, since the generators have moved on to
-the batch's later trials. A batch of one reads every block from the
-trial's streams as they stand. No block width and no batch size changes a
-bit.
+(``_BlockReader.answer``). Beyond the read, a batch decides step 1 on
+block 0 for all its trials in one pass: the running sums, the first
+crossing and the guess (``attacker._first_steps``). It decides nothing
+that needs an identity answer or a later block. Each trial then scans in
+turn from that outcome, and a later block it reaches is read from its own
+streams, repositioned past block 0 by the far rule of the ``harness``
+module, since the generators have moved on to the batch's later trials. A
+batch of one reads every block from the trial's streams as they stand. No
+block width and no batch size changes a bit.
 """
 
 from __future__ import annotations

@@ -427,6 +427,46 @@ class TestRunIts:
         assert transcript.success and transcript.identified == victim
         assert transcript.q_count <= n + m
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 32),
+        n=st.integers(1, 200),
+        p0=st.floats(0.05, 0.95),
+        edge_flip=st.floats(0.0, 1.0),
+        gm_flip=st.floats(0.0, 1.0),
+        epsilon=st.floats(0.05, 0.6, exclude_min=True, exclude_max=True),
+        steps_l=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_victim_bound_matches_hand_replay_on_random_models(
+        self, data, m, n, p0, edge_flip, gm_flip, epsilon, steps_l, seed
+    ):
+        # With the bound at every width, each block is summed only up to the
+        # victim's own first crossing in it; the hand replay sums every query.
+        model = (EdgeJointDistribution.from_marginal_flip(p0, edge_flip), QueryChannel.bsc(gm_flip))
+        prior = make_prior("zipf:1.0", m)
+        victim = data.draw(st.integers(1, m), label="victim")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacker, "_VICTIM_BOUND_FROM", 1)
+            transcript, expected = attack_and_replay(model, n, prior, victim, seed, epsilon, steps_l)
+        assert transcript.queries == expected
+
+    # At the bound's own widths: from ``seed``, the first seed whose first
+    # verification fails, so the next step starts inside a block.
+    @pytest.mark.parametrize("scale, seed", [(1, 3), (1.5, 11)])
+    def test_matches_hand_replay_with_the_victim_bound(self, scale, seed):
+        m = int(scale * attacker._VICTIM_BOUND_FROM)
+        prior = make_prior("zipf:1.0", m)
+
+        def args(seed):
+            return NOISY_MODEL, 256, prior, 1 + seed % m, seed, 0.3, 4
+
+        seed = first_seed(seed, lambda s: attack(*args(s))[0].step_uid_responses()[:1] == [0])
+        transcript, expected = attack_and_replay(*args(seed))
+        assert transcript.queries == expected
+        assert transcript.tau_star_per_step[0] % graph._block_width(m)
+
     def test_single_user_crosses_after_threshold_bits(self):
         # One user with unit prior mass: the zero-query clause cannot fire for
         # epsilon < 1, so the run needs ceil(log2(1/eps)) one-bit queries plus

@@ -16,7 +16,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deanonlab import graph, harness, oracle
-from deanonlab.attacker import AttackTranscript, ITSConfig, ITSState, run_its
+from deanonlab.attacker import (
+    AttackTranscript,
+    ITSConfig,
+    ITSState,
+    gm_update,
+    init_state,
+    run_its,
+    threshold_check,
+)
 from deanonlab.graph import BigraphPair, generate_cprb
 from deanonlab.harness import (
     CSV_COLUMNS,
@@ -332,7 +340,52 @@ BATCH_CASES = {
         dict(users=9, groups=50, strategy="uid_scan"),
         lambda t, w: not t.gm_answers and t.success,
     ),
+    # The edges of the batch pass, which sums and tests step 1 on block 0
+    # of a batch: a step 1 that ends on block 0's last row; two candidates
+    # that first cross in the row that ends step 1, the later with the
+    # higher score; a batch of three whose trials cross and verify, cross
+    # and fail, and do not cross in block 0. The last two are checked in
+    # full by test_batch_edge_cases_take_their_paths.
+    "crossing-on-the-last-row-of-block-0": (
+        dict(NOISY_16, users=32, gm_flip=0.3, prior="zipf:1.0", epsilon=0.3),
+        lambda t, w: t.tau_star_per_step[:1] == [w],
+    ),
+    "two-crossings-in-one-row": (
+        dict(NOISY_16, users=32, edge_flip=0.1, gm_flip=0.02, prior="zipf:1.0", epsilon=0.45),
+        lambda t, w: block_0_outcome(t, w) != "not crossed",
+    ),
+    "mixed-block-0-outcomes": (
+        dict(NOISY_16, users=32, gm_flip=0.3, prior="zipf:2.0", epsilon=0.6),
+        lambda t, w: block_0_outcome(t, w) == "crossed and failed",
+    ),
 }
+
+
+def block_0_outcome(transcript, width) -> str:
+    """How step 1 ends in block 0: crossed and verified, crossed and failed, or not crossed."""
+    taus = transcript.tau_star_per_step
+    if not taus or taus[0] > width:
+        return "not crossed"
+    return "crossed and " + ("verified" if transcript.step_uid_responses()[0] else "failed")
+
+
+def step_one_crossers(config, model, trial) -> list:
+    """(score, candidate) of every candidate at the threshold when the trial's step 1 ends.
+
+    Walks the trial's graph and answers one query at a time, through the
+    public one-query API; empty if step 1 never ends.
+    """
+    graph_rng, victim_rng, noise_rng = trial_seeds(TrialStreams(config.master_seed, 3), trial)
+    pair = generate_cprb(config.groups, config.users, model.edge_joint, graph_rng)
+    inst = VictimInstance(pair, sample_victim(model.prior, victim_rng), model.gm, noise_rng)
+    state = init_state(model.prior, ITSConfig(model.epsilon, model.steps))
+    for group in range(1, config.groups + 1):
+        y = inst.noisy_gm_response(group, group)
+        gm_update(state, pair.block_bits("scanned", group, group)[:, 0], y, model.measures)
+        stop, crossers = threshold_check(state, model.epsilon)
+        if stop:
+            return [(state.scores()[j - 1], j) for j in crossers.tolist()]
+    return []
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -372,6 +425,34 @@ def test_batched_trials_equal_their_public_replays(case, size, monkeypatch):
         )
     else:
         assert None in stacks and all(rows is None for rows in stacks)
+
+
+def test_batch_edge_cases_take_their_paths():
+    # On the trials of test_batched_trials_equal_their_public_replays: some
+    # trial's step 1 ends in block 0 at a row where two candidates first
+    # cross, and the later one has the higher score, so the row's first
+    # crossing is not the guess; and the first batch of three mixes all
+    # three block-0 outcomes.
+    start, count = 5, 8
+    fields = BATCH_CASES["two-crossings-in-one-row"][0]
+    config = ExperimentConfig(**fields, master_seed=21)
+    model = harness.resolve_model(config)
+    replays = public_replays(config, model, start, count)
+    width = graph._block_width(config.users)
+    later_leads = []
+    for trial, replay in zip(range(start, start + count), replays):
+        crossers = step_one_crossers(config, model, trial)
+        if len(crossers) >= 2 and block_0_outcome(replay, width) != "not crossed":
+            lead = max(crossers, key=lambda crosser: (crosser[0], -crosser[1]))[1]
+            assert replay.uid_queries[0][0] == lead
+            later_leads.append(lead > min(j for _, j in crossers))
+    assert any(later_leads)
+    config = ExperimentConfig(**BATCH_CASES["mixed-block-0-outcomes"][0], master_seed=21)
+    replays = public_replays(config, harness.resolve_model(config), start, 3)
+    width = graph._block_width(config.users)
+    assert {block_0_outcome(t, width) for t in replays} == {
+        "crossed and verified", "crossed and failed", "not crossed",
+    }
 
 
 @pytest.mark.parametrize("strategy", harness.STRATEGIES)
@@ -466,6 +547,13 @@ class TestConfigValidation:
             ("epsilon", "x"),
             ("out", 3),
             ("gm_flip", np.float32(0.1)),
+            ("users", np.int64(16)),
+            ("groups", np.int64(64)),
+            ("trials", np.int64(5)),
+            ("workers", np.int64(1)),
+            ("master_seed", np.int64(3)),
+            ("epsilon", np.array([0.5, 0.2])),
+            ("steps", np.array([2, 3])),
         ],
     )
     def test_each_invalid_field_is_named(self, field, value):
@@ -479,6 +567,18 @@ class TestConfigValidation:
         # 0.1 is in range: the type is what is refused, and the message says so.
         with pytest.raises(ConfigError, match="^gm_flip: .*float32$"):
             small_config(gm_flip=np.float32(0.1)).validate()
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("users", np.int64(16), "int64"),
+        ("master_seed", np.int64(3), "int64"),
+        ("epsilon", np.array([0.5, 0.2]), "ndarray"),
+        ("steps", np.array([2, 3]), "ndarray"),
+    ])
+    def test_a_numpy_integer_or_array_is_refused_naming_its_type(self, field, value, kind):
+        # Each value is in range or holds values in range: the type is what
+        # is refused, and the message says so.
+        with pytest.raises(ConfigError, match=rf"^{field}: .*, not {kind}$"):
+            small_config(**{field: value}).validate()
 
     def test_numpy_float64_fields_print_as_python_floats(self):
         rows = []
@@ -770,9 +870,10 @@ class TestRunExperiment:
 
 def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     # The scan's density table, the oracle's P(y=1 | true bit) table, the
-    # crossing limits and the prior surprisal are model constants: one
-    # read-only object each per campaign, whatever the trial. The channel
-    # answers each batch's first blocks in one call, and each later block.
+    # crossing limits, tiled over a block's rows, and the prior surprisal
+    # are model constants: one read-only object each per campaign, whatever
+    # the trial. The channel answers each batch's first blocks in one call,
+    # and each later block.
     seen, p_ones = [], []
     scan, channel = harness._block_scan, oracle._channel
 
@@ -798,7 +899,9 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     density, limits, surprisal, p_one = (same[0] for same in tables)
     # i(s; y) at entry s + 2y.
     assert density.tolist() == [model.measures.density[s, y] for y in (0, 1) for s in (0, 1)]
-    assert np.array_equal(limits, model.prior.crossing_limits(math.log2(1.0 / model.epsilon)))
+    rows = min(graph._block_width(16), config.groups)
+    expected = model.prior.crossing_limits(math.log2(1.0 / model.epsilon))
+    assert np.array_equal(limits, np.tile(expected, rows))
     assert np.array_equal(p_one, model.gm.p_one_by_bit)
     for table in (density, limits, surprisal, p_one):
         with pytest.raises(ValueError):

@@ -53,7 +53,19 @@ CLI_CALLS = (
         "--gm-flip", "0.25", "--prior", "zipf:1.0", "--epsilon", "0.1", "--steps", "4",
         "--trials", "300", "--workers", "2", "--format", "json",
     ]),
-    ("sweep-zipf-crn", ["sweep", *_SMALL, "--trials", "100", "--axis", "zipf",
+    # One-trial batches at m = 96, above the scan's victim bound, with
+    # verifications that fail inside a block.
+    ("simulate-one-trial-batches-failed-verifications", [
+        "simulate", "--users", "96", "--groups", "2048", "--edge-flip", "0.1",
+        "--gm-flip", "0.2", "--epsilon", "0.6", "--steps", "4", "--trials", "200",
+    ]),
+    # An odd user count in batches of 8: the plain accumulate of a stack.
+    ("simulate-odd-m-batches", [
+        "simulate", "--users", "15", "--groups", "4096", "--edge-flip", "0.15",
+        "--gm-flip", "0.25", "--prior", "zipf:1.0", "--epsilon", "0.1", "--steps", "4",
+        "--trials", "300", "--seed", "5", "--format", "json",
+    ]),
+    ("sweep-zipf-crn",["sweep", *_SMALL, "--trials", "100", "--axis", "zipf",
                         "--points", "0.5,1.0,2.0", "--crn"]),
     ("sweep-m", ["sweep", *_SMALL, "--trials", "100", "--axis", "m",
                  "--points", "16,32,64"]),
