@@ -27,9 +27,11 @@ its index selects.
 A pair stores no bits. It keeps the start state of its stream on a private
 generator (:class:`_Stream`), as ``oracle.VictimInstance`` does for its
 response noise; a generator passed as a seed is copied and never advanced.
-A read positions the private generator at its first output and decodes
-only what it returns: a block of groups (``BigraphPair.block_bits``), one
-user's column (``row_bits``), or a single true bit (``_true_bit``).
+Every read seeks from the stream's start: it sets the private generator
+to the start state, advances it to the read's first output
+(``_Stream.seek``) and decodes only what it returns: a block of groups
+(``BigraphPair.block_bits``), one user's column (``row_bits``), or a single
+true bit (``_true_bit``).
 """
 
 from __future__ import annotations
@@ -58,11 +60,10 @@ def _batch_trials(width: int, m: int) -> int:
     groups: 8 trials up to m = 32, one trial from m = 33 up. A batch pays
     where most trials end inside their first block and numpy's per-call
     cost outweighs the work per position. Narrower blocks send more trials
-    to later blocks, each of which repositions the trial's streams, and
-    wider grids cost about as much to copy into the batch as one pass
-    saves: per trial, 8 trials ran 1.27x as fast as one at m = 8, 1.05x at
-    m = 32 and 0.98x at m = 64, and 2 trials 0.98x at m = 256. Any size
-    gives the same bits.
+    to later blocks, which each trial reads alone, and wider grids cost
+    about as much to copy into the batch as one pass saves: per trial, 8
+    trials ran 1.27x as fast as one at m = 8, 1.05x at m = 32 and 0.98x at
+    m = 64, and 2 trials 0.98x at m = 256. Any size gives the same bits.
     """
     return max(1, 16384 // (width * m)) if width >= 64 else 1
 
@@ -72,12 +73,10 @@ class _Stream:
 
     ``seed`` is an int seed of the stream or a ``numpy.random.Generator``
     over PCG64, whose state is copied: the caller's generator is never
-    advanced. ``start`` is the state before the stream's first output, and
-    ``at`` the output the private generator reads next, or None before the
-    first seek and after a reader that did not say how far it read.
+    advanced. ``start`` is the state before the stream's first output.
     """
 
-    __slots__ = ("gen", "start", "at")
+    __slots__ = ("gen", "start")
 
     def __init__(self, seed, name: str):
         bit_gen = np.random.default_rng(seed).bit_generator
@@ -86,23 +85,16 @@ class _Stream:
                 f"{name} must be an int seed or a Generator over PCG64, "
                 f"not one over {type(bit_gen).__name__}"
             )
-        self.start, self.at = bit_gen.state, None
+        self.start = bit_gen.state
         # Any PCG64 will do: the first seek sets it to ``start``.
         self.gen = np.random.Generator(np.random.PCG64(0))
 
-    def seek(self, output: int, count: int | None = None) -> np.random.Generator:
-        """The private generator, positioned to read output ``output`` (from 0) next.
-
-        The caller then reads ``count`` outputs; with None, the next seek
-        starts again from ``start``.
-        """
+    def seek(self, output: int) -> np.random.Generator:
+        """The private generator, set to ``start`` and advanced to read output ``output`` next."""
         bit_gen = self.gen.bit_generator
-        if self.at is None:
-            bit_gen.state, self.at = self.start, 0
-        if output != self.at:
-            # advance takes its distance mod 2**128, so a negative one steps back.
-            bit_gen.advance(output - self.at)
-        self.at = None if count is None else output + count
+        bit_gen.state = self.start
+        if output:
+            bit_gen.advance(output)
         return self.gen
 
 
@@ -171,7 +163,7 @@ class BigraphPair:
             raise IndexError(f"need 1 <= first <= last <= {self.n}, got ({first}, {last})")
         _check_which(which)
         half, rows = (self.m + 1) // 2, last - first + 1
-        gen = self._stream.seek((first - 1) * half, rows * half)
+        gen = self._stream.seek((first - 1) * half)
         scanned, true = _decode(_uniforms(gen, rows, self.m), self._cuts, slice(None))
         return _read_only(scanned if which == "scanned" else true.view(np.uint8)).T
 
@@ -182,9 +174,7 @@ class BigraphPair:
         """
         self._check_user(user)
         _check_which(which)
-        half = (self.m + 1) // 2
-        gen = self._stream.seek(0, self.n * half)
-        column = _uniforms(gen, self.n, self.m)[:, user - 1]
+        column = _uniforms(self._stream.seek(0), self.n, self.m)[:, user - 1]
         scanned, true = _decode(column, self._cuts, slice(None))
         return _read_only(scanned if which == "scanned" else true.view(np.uint8))
 
@@ -202,9 +192,10 @@ class BigraphPair:
         if not 1 <= group <= self.n:
             raise IndexError(f"group index {group} outside [1, {self.n}]")
         j = user - 1
-        gen = self._stream.seek((group - 1) * ((self.m + 1) // 2) + j // 2, 1)
-        word = gen.bit_generator.random_raw()
-        return int((word >> 32 * (j & 1) & 0xFFFFFFFF) >= self._cuts[1])
+        gen = self._stream.seek((group - 1) * ((self.m + 1) // 2) + j // 2)
+        # The one output holding the user's uniform, as the two uniforms of a 2-user column.
+        u = _words(gen.bit_generator.random_raw(1), 1, 2)
+        return int(_decode(u, self._cuts, (0, j & 1))[1])
 
     def _check_user(self, user: int) -> None:
         # Checked before any read, so user 0 never wraps to the last row.

@@ -4,16 +4,20 @@ Trial streams. Trial k draws from four substreams of one PCG64 stream seeded
 by master_seed: stream s (0 graph, 1 victim, 2 noise, 3 identity-scan order)
 is ``Generator(PCG64(master_seed).jumped(4k + s))``, so results do not
 depend on execution order or on how trials are spread over worker
-processes. A block of trials seeds one generator per stream from one seed
-sequence, and ``trial_seeds`` positions them by one of two rules. From
-trial k to trial k + 1 each stream moves four jumps, an affine map of the
-128-bit PCG64 state whose constants are integers computed at import: one
-multiply-add, assigned through the one state dict the stream keeps. Any
-other trial, a block's first among them, is reached by advancing from the
-master state (``_stream_at``), the far rule. Stream 3 is read only by the
-identity scan (strategy "uid_scan"), which asks its users in a random
-order; the threshold attack's fallback goes by score, so its campaigns
-never position that stream.
+processes. A block of trials seeds its generators from one seed sequence:
+one per stream, and for each further slot of a batch of trials its own
+graph and noise generators, so no trial's streams are repositioned while
+it runs (``TrialStreams``). ``trial_seeds`` positions a slot's generators
+by one of two rules. From trial k to trial k + 1 each stream moves four
+jumps, an affine map of the 128-bit PCG64 state whose constants are
+integers computed at import: one multiply-add on the previous call's
+state, assigned through the one state dict each stream keeps. Any other
+trial is reached by one advance from the master state, the far rule; a
+block takes its trials in order, so the far rule serves only the first
+trial it reads. Stream 3 is read only by the identity scan (strategy
+"uid_scan"), which asks its users in a random order; the threshold
+attack's fallback goes by score, so its campaigns never position that
+stream.
 
 A trial is one pass: ``trial_seeds``, ``sample_victim``, then the attack's
 block scan (``attacker._block_scan``) over the blocks that
@@ -215,6 +219,8 @@ _PCG_MUL = 0x2360ED051FC65DA44385DF649FCCF645
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # Substreams per trial: graph, victim, noise, identity-scan order.
 _STREAMS = 4
+# The substreams each batch slot reads with its own generator: graph and noise.
+_OWN = (0, 2)
 _MASK = (1 << 128) - 1
 
 
@@ -236,19 +242,28 @@ _TRIAL_MUL, _TRIAL_INC = _advance_map(_STREAMS * _JUMP & _MASK)
 class TrialStreams:
     """Reusable generators for the first ``count`` substreams of each trial of a campaign.
 
-    All generators are seeded from one seed sequence. Each stream keeps one
-    PCG64 state dict, which ``trial_seeds`` updates and assigns to its
-    generator, so a trial builds no dict.
+    ``generators[u]`` holds the generators of batch slot u. Slot 0 has one
+    per stream; every other slot has its own graph and noise generators and
+    shares slot 0's victim and order generators, which a batch reads only
+    as it draws its block 0 or, in a batch of one, as the trial runs. All
+    generators are seeded from one seed sequence. Each stream keeps one
+    PCG64 state dict, which ``trial_seeds`` updates and assigns to the
+    slot's generator, so a trial builds no dict.
     """
 
     __slots__ = ("generators", "master_state", "_add", "_states", "_next")
 
-    def __init__(self, master_seed: int, count: int = _STREAMS):
+    def __init__(self, master_seed: int, count: int = _STREAMS, slots: int = 1):
         if not 1 <= count <= _STREAMS:
             raise ValueError(f"count must lie in [1, {_STREAMS}]")
         seq = np.random.SeedSequence(master_seed)
-        self.generators = tuple(np.random.Generator(np.random.PCG64(seq)) for _ in range(count))
-        self.master_state = self.generators[0].bit_generator.state
+        first = tuple(np.random.Generator(np.random.PCG64(seq)) for _ in range(count))
+        self.generators = (first,) + tuple(
+            tuple(np.random.Generator(np.random.PCG64(seq)) if s in _OWN else shared
+                  for s, shared in enumerate(first))
+            for _ in range(slots - 1)
+        )
+        self.master_state = first[0].bit_generator.state
         inc = self.master_state["state"]["inc"]
         self._add = inc * _TRIAL_INC & _MASK
         self._states = tuple(
@@ -263,51 +278,33 @@ class TrialStreams:
         self._next = None  # the trial index one step of the map reaches
 
 
-def trial_seeds(streams: TrialStreams, trial_index: int) -> tuple[np.random.Generator, ...]:
-    """The (graph, victim, noise[, order]) generators of one trial.
+def trial_seeds(streams: TrialStreams, trial_index: int, slot: int = 0) -> tuple:
+    """The (graph, victim, noise[, order]) generators of one trial, in batch slot ``slot``.
 
     Stream s of trial k is ``Generator(PCG64(master_seed).jumped(4k + s))``.
-    The generators of ``streams`` are repositioned in place and returned, so
-    they hold trial k's streams only until the next call on ``streams``:
-    one step of the map when k follows the previous call's trial, the far
-    rule otherwise (module docstring). A negative k, which is no trial, is
-    refused with ``ValueError``.
+    The slot's generators are repositioned in place and returned: one step
+    of the map when k follows the previous call's trial, whichever slot it
+    took, the far rule otherwise (module docstring). They hold trial k's
+    streams until the next call on the slot, and the shared victim and
+    order generators only until the next call on ``streams``. A negative
+    k, which is no trial, is refused with ``ValueError``.
     """
+    generators = streams.generators[slot]
     if trial_index == streams._next:
         add = streams._add
-        for gen, state in zip(streams.generators, streams._states):
+        for gen, state in zip(generators, streams._states):
             inner = state["state"]
             inner["state"] = (_TRIAL_MUL * inner["state"] + add) & _MASK
             gen.bit_generator.state = state
     elif trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
     else:
-        for s, state in enumerate(streams._states):
-            gen = _stream_at(streams, trial_index, s, 0)
+        for s, (gen, state) in enumerate(zip(generators, streams._states)):
+            gen.bit_generator.state = streams.master_state
+            gen.bit_generator.advance((_STREAMS * trial_index + s) * _JUMP & _MASK)
             state["state"]["state"] = gen.bit_generator.state["state"]["state"]
     streams._next = trial_index + 1
-    return streams.generators
-
-
-def _stream_at(streams: TrialStreams, trial_index: int, s: int, output: int) -> np.random.Generator:
-    """Generator s of ``streams``, at output ``output`` (from 0) of stream s of the trial.
-
-    One advance from the master state. The stored states that
-    ``trial_seeds`` steps are left alone, so the next call on ``streams``
-    is unaffected.
-    """
-    gen = streams.generators[s]
-    gen.bit_generator.state = streams.master_state
-    gen.bit_generator.advance(((_STREAMS * trial_index + s) * _JUMP + output) & _MASK)
-    return gen
-
-
-def _trial_blocks(reader, index, ys, t, streams, trial_index, victim):
-    """The blocks of trial ``trial_index``, slot t of ``reader``'s batch: its block 0, then on."""
-    yield index, ys, reader.sums[t]
-    graph_at, noise_at = reader.drawn
-    graph = _stream_at(streams, trial_index, 0, graph_at)
-    yield from reader.blocks(graph, _stream_at(streams, trial_index, 2, noise_at), victim, t, 1)
+    return generators
 
 
 def _trial_block(config: ExperimentConfig, start: int, count: int, model: _ResolvedModel):
@@ -319,10 +316,6 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     four arrays of ``count`` entries, one per trial: the query count, the
     success, the verifications and the failed verifications.
     """
-    # Only the identity scan reads stream 3: its order_seed draws a random order.
-    streams = TrialStreams(
-        config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1
-    )
     n, m, steps, prior = config.groups, config.users, model.steps, model.prior
     try:
         qs = np.empty(count, dtype=np.int64)
@@ -337,6 +330,10 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     # With no threshold step a scan reads no block, and the identity scan
     # reads its order stream as it runs: such trials run one at a time.
     size = _batch_trials(width, m) if steps > 1 else 1
+    # Only the identity scan reads stream 3: its order_seed draws a random order.
+    streams = TrialStreams(
+        config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1, size
+    )
     reader = _BlockReader(n, m, width, cuts, p_one, density, size)
     limits = _tiled_limits(prior, model.epsilon, reader.rows)
     victims, order, summed = [0] * size, None, None
@@ -351,13 +348,15 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
             if t == 0:  # the batch of this trial and the next size - 1
                 batch = range(trial, min(trial + size, start + count))
                 for u, k in enumerate(batch):
-                    graph_rng, victim_rng, noise_rng = trial_seeds(streams, k)
+                    graph_rng, victim_rng, noise_rng = trial_seeds(streams, k, u)
                     victims[u] = sample_victim(prior, victim_rng)
                     reader.draw(u, graph_rng, noise_rng, victims[u])
                 index, ys = reader.answer(len(batch))
                 firsts = _first_steps(reader.sums[: len(batch)], limits, surprisal)
+            # Blocks 1 on come from the slot's generators, where its block 0 left them.
+            graph_rng, _, noise_rng = streams.generators[t]
             victim, summed = victims[t], firsts[t]
-            blocks = _trial_blocks(reader, index[t], ys[t], t, streams, trial, victim)
+            blocks = reader.blocks(graph_rng, noise_rng, victim, t, (index[t], ys[t]))
         gm_answers, uid_queries, taus = _block_scan(
             blocks, n, width, density, limits, surprisal, steps,
             partial(identity_answer, victim), order, victim - 1, summed,

@@ -14,8 +14,8 @@ ordinal reproduces its answer. Ordinal t takes uniform t of the noise
 stream, the double of its raw output t - 1, as ``Generator.random`` draws
 one output per double. ``VictimInstance`` binds one victim of a pair to the
 channel for the public one-trial API; it keeps the start state of its noise
-stream (``graph._Stream``) and answers a single query by positioning both
-streams at it.
+stream (``graph._Stream``) and answers a single query by seeking both
+streams from their starts to it.
 
 Block reader. The attack asks group k with ordinal k, so it reads the graph
 and noise streams in order, a block of w = ``graph._block_width(m)`` groups
@@ -36,11 +36,11 @@ their starts (``_BlockReader.draw``), and one ``_answer`` decodes the stack
 block 0 for all its trials in one pass: the running sums, the first
 crossing and the guess (``attacker._first_steps``). It decides nothing
 that needs an identity answer or a later block. Each trial then scans in
-turn from that outcome, and a later block it reaches is read from its own
-streams, repositioned past block 0 by the far rule of the ``harness``
-module, since the generators have moved on to the batch's later trials. A
-batch of one reads every block from the trial's streams as they stand. No
-block width and no batch size changes a bit.
+turn from that outcome, and a later block it reaches comes from the
+trial's own graph and noise generators, as its block-0 draw left them:
+each slot of a batch has its own (``harness.TrialStreams``). A batch of one
+reads every block from the trial's streams as they stand. No block width
+and no batch size changes a bit.
 """
 
 from __future__ import annotations
@@ -96,23 +96,23 @@ class _BlockReader:
     entries of ``density``, ``ys`` the victim's w answers through the
     channel of ``p_one``, and ``sums`` their densities, which the scan may
     overwrite. ``draw`` and ``answer`` read block 0 of up to ``batch``
-    trials into buffers that every batch reuses; ``blocks`` reads one
-    trial's blocks from its streams, into slot t of the densities buffer.
-    The module docstring describes the reading.
+    trials into buffers that every batch reuses; ``blocks`` gives one
+    trial's blocks, after its block 0 from the batch if handed one, from
+    its streams, into slot t of the densities buffer. The module docstring
+    describes the reading.
     """
 
     __slots__ = (
-        "n", "m", "width", "cuts", "p_one", "density", "rows", "drawn", "raw", "words",
-        "noise", "sums", "offsets", "trials", "users",
+        "n", "m", "width", "cuts", "p_one", "density", "rows", "raw", "words", "noise", "sums",
+        "offsets", "trials", "users",
     )
 
     def __init__(self, n: int, m: int, width: int, cuts, p_one, density, batch: int = 1):
         self.n, self.m, self.width = n, m, width
         self.cuts, self.p_one, self.density = cuts, p_one, density
         self.rows = rows = min(width, n)
-        # The outputs block 0 takes from the graph stream and the noise stream.
-        self.drawn = rows * ((m + 1) // 2), rows
-        self.raw = np.empty((batch, self.drawn[0]), dtype="<u8")
+        # Block 0's raw outputs of the graph stream, per trial.
+        self.raw = np.empty((batch, rows * ((m + 1) // 2)), dtype="<u8")
         self.words = _words(self.raw, rows, m)
         self.noise = np.empty((batch, rows))
         self.sums = np.empty((batch, rows, m))
@@ -124,7 +124,7 @@ class _BlockReader:
 
     def draw(self, t: int, graph, noise, victim: int) -> None:
         """Draw block 0 of the batch's trial t, victim ``victim``, from its streams' starts."""
-        self.raw[t] = graph.bit_generator.random_raw(self.drawn[0])
+        self.raw[t] = graph.bit_generator.random_raw(self.raw.shape[1])
         noise.random(out=self.noise[t])
         self.users[t] = victim - 1
 
@@ -136,14 +136,18 @@ class _BlockReader:
             self.density, self.sums[:size],
         )
 
-    def blocks(self, graph, noise, victim: int, t: int = 0, block: int = 0):
-        """Blocks ``block``, ``block`` + 1, ... of slot t's trial, from its streams at that block.
+    def blocks(self, graph, noise, victim: int, t: int = 0, first=None):
+        """The blocks of slot t's trial, from its streams, into slot t of the densities buffer.
 
+        Given ``first``, the (index, ys) of the trial's block 0 as ``answer``
+        gave it, that block comes first and the streams stand at block 1.
         Each block is drawn when the next one is asked for; the two streams
         must be read by nothing else meanwhile.
         """
         n, m, width, sums, at = self.n, self.m, self.width, self.sums[t], (slice(None), victim - 1)
-        for start in range(block * width, n, width):
+        if first is not None:
+            yield (*first, sums)
+        for start in range(0 if first is None else width, n, width):
             rows = min(width, n - start)
             out = sums[:rows]
             index, ys = _answer(
@@ -193,7 +197,7 @@ class VictimInstance:
         if query_ordinal < 1:
             raise ValueError("query ordinal must be at least 1")
         true = self.pair._true_bit(self.victim, group)
-        return int(_channel(self._p_one, true, self._noise.seek(query_ordinal - 1, 1).random()))
+        return int(_channel(self._p_one, true, self._noise.seek(query_ordinal - 1).random()))
 
     def uid_response(self, candidate: int) -> int:
         """Noiseless identity check; never touches the noise stream."""

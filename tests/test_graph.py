@@ -441,6 +441,7 @@ class TestMembers:
 
 def test_index_errors():
     pair = generate_cprb(10, 5, FAIR_CORRELATED, seed=1)
+    before = pair._stream.gen.bit_generator.state
     with pytest.raises(IndexError):
         pair.row_bits("true", 0)
     with pytest.raises(IndexError):
@@ -453,7 +454,8 @@ def test_index_errors():
             pair.bit("true", user, group)
     with pytest.raises(IndexError, match=r"user index 0 outside \[1, 5\]"):
         pair.row_bits("guessed", 0)
-    assert pair._stream.at is None  # no read positioned the pair's stream
+    # No refused call read the stream: the private generator's state is unchanged.
+    assert pair._stream.gen.bit_generator.state == before
     with pytest.raises(ValueError):
         pair.row_bits("guessed", 1)
     with pytest.raises(ValueError):

@@ -106,16 +106,33 @@ class TestTrialSeeds:
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_every_visiting_order_positions_stream_s_at_jump_4k_plus_s(self, count):
-        # Consecutive calls step the affine jump map; backward, repeated and
-        # far calls reposition from the master state.
+        # Consecutive calls step the affine jump map from the previous call,
+        # whichever slot made it; backward, repeated and far calls reposition
+        # from the master state. With 3 slots the calls go to slots 0, 2, 1,
+        # 0, ... in turn, and no slot's call or draws move another slot's
+        # own graph and noise generators.
         master_seed = 2024
-        streams = TrialStreams(master_seed, count)
-        for k in (0, 1, 2, 3, 1, 2, 2, 2, 9, 10, 2**40 + 3, 2**40 + 4, 2**40 + 5, 0, 1):
-            generators = trial_seeds(streams, k)
-            assert len(generators) == count
-            for s, gen in enumerate(generators):
-                assert gen.bit_generator.state == jumped(master_seed, 4 * k + s).bit_generator.state
-                gen.random(1 + s)  # a trial draws from its streams before the next call
+        for slots in (1, 3):
+            streams = TrialStreams(master_seed, count, slots)
+            assert len(streams.generators) == slots
+
+            def others(slot):
+                return [
+                    streams.generators[u][s].bit_generator.state
+                    for u in range(slots) if u != slot for s in (0, 2)
+                ]
+
+            ks = (0, 1, 2, 3, 1, 2, 2, 2, 9, 10, 2**40 + 3, 2**40 + 4, 2**40 + 5, 0, 1)
+            for i, k in enumerate(ks):
+                slot = 2 * i % slots
+                before = others(slot)
+                generators = trial_seeds(streams, k, slot)
+                assert generators is streams.generators[slot] and len(generators) == count
+                for s, gen in enumerate(generators):
+                    reference = jumped(master_seed, 4 * k + s)
+                    assert gen.bit_generator.state == reference.bit_generator.state
+                    gen.random(1 + s)  # a trial draws from its streams before the next call
+                assert others(slot) == before
 
     def test_a_negative_trial_index_is_refused(self):
         # Jump 4k + s wraps mod 2**128 for k < 0, to no trial's stream.
@@ -316,7 +333,9 @@ def test_each_campaign_trial_equals_its_public_replay(
 # transcript and the block width w: a second block; a verification that
 # fails inside block 0, after which the next step scans the rest of block
 # 0 again; a graph shorter than one block; an odd user count, with second
-# blocks; and the identity scan, which reads no block.
+# blocks; a third block, so a slot's generators are read across two later
+# blocks after the rest of its batch drew; and the identity scan, which
+# reads no block.
 NOISY_16 = dict(users=16, groups=700, edge_flip=0.15, gm_flip=0.25, steps=4)
 BATCH_CASES = {
     "second-block": (
@@ -335,6 +354,10 @@ BATCH_CASES = {
     "odd-m": (
         dict(NOISY_16, users=15, groups=400, edge_flip=0.2, gm_flip=0.3, epsilon=0.1),
         lambda t, w: len(t.gm_answers) > w,
+    ),
+    "third-block": (
+        dict(NOISY_16, edge_flip=0.2, gm_flip=0.35, prior="zipf:1.0", epsilon=0.02),
+        lambda t, w: len(t.gm_answers) > 2 * w,
     ),
     "uid-scan": (
         dict(users=9, groups=50, strategy="uid_scan"),

@@ -178,9 +178,11 @@ class TestUidResponse:
     def test_never_consumes_noise(self):
         pair = make_pair(m=6)
         inst = VictimInstance(pair, 4, QueryChannel.bsc(0.4), 3)
+        before = inst._noise.gen.bit_generator.state
         for j in range(1, 7):
             inst.uid_response(j)
-        assert inst._noise.at is None  # no answer positioned the noise stream
+        # No answer read the noise stream: the private generator's state is unchanged.
+        assert inst._noise.gen.bit_generator.state == before
 
     def test_candidate_range_checked(self):
         inst = VictimInstance(make_pair(m=6), 4, NOISELESS, 0)

@@ -65,6 +65,13 @@ CLI_CALLS = (
         "--gm-flip", "0.25", "--prior", "zipf:1.0", "--epsilon", "0.1", "--steps", "4",
         "--trials", "300", "--seed", "5", "--format", "json",
     ]),
+    # Batches of 8 at low information: most trials read a third block of
+    # groups or further after the rest of their batch drew.
+    ("simulate-third-block-batches", [
+        "simulate", "--users", "16", "--groups", "4096", "--edge-flip", "0.2",
+        "--gm-flip", "0.35", "--prior", "zipf:1.0", "--epsilon", "0.02", "--steps", "4",
+        "--trials", "300", "--seed", "6", "--format", "json",
+    ]),
     ("sweep-zipf-crn",["sweep", *_SMALL, "--trials", "100", "--axis", "zipf",
                         "--points", "0.5,1.0,2.0", "--crn"]),
     ("sweep-m", ["sweep", *_SMALL, "--trials", "100", "--axis", "m",
