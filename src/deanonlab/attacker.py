@@ -71,7 +71,11 @@ describes), and its transcript is bit-identical to the one-query walk of
   noise is indexed by query ordinal and group query k asks group k, so the
   next step reads the same answers again. A step that starts inside the
   block in hand looks its remaining rows' densities up again from the
-  block's density index, since the earlier step summed them in place.
+  block's density index, since the earlier step summed them in place. That
+  lookup is ``oracle._look_up``, the one the reader makes: at an even m it
+  gathers two neighbouring candidates' densities at a time from the pair
+  table, and the rows from the step's start on are still whole rows, so
+  every pair of neighbours stays together.
 
 The scan returns the three fields of an :class:`AttackTranscript`, whose
 docstring says how they store the queries. Identity queries are answered
@@ -88,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BigraphPair, _block_width
-from .oracle import VictimInstance, _BlockReader, _density_table
+from .oracle import VictimInstance, _BlockReader, _density_table, _look_up
 from .stochastics import InfoMeasures, VictimPrior, _read_only
 
 # Grids at least this many candidates wide are accumulated row by row, narrower
@@ -166,10 +170,15 @@ class ITSState:
         return _scores(self.info, self.prior_surprisal, self.eliminated)
 
 
-def _scores(info: np.ndarray, surprisal: np.ndarray, eliminated: np.ndarray) -> np.ndarray:
-    """Accumulated density minus prior surprisal, -inf for the struck candidates."""
+def _scores(info: np.ndarray, surprisal: np.ndarray, eliminated) -> np.ndarray:
+    """Accumulated density minus prior surprisal, -inf for the struck candidates.
+
+    ``eliminated`` is a bool mask of the struck candidates, or None where
+    none is struck.
+    """
     out = info - surprisal
-    out[eliminated] = -np.inf
+    if eliminated is not None:
+        out[eliminated] = -np.inf
     return out
 
 
@@ -289,15 +298,18 @@ def _first_crossings(sums: np.ndarray, limits: np.ndarray):
     return stop, int(hit) // m + 1 if stop else rows
 
 
-def _sum_block(sums: np.ndarray, info: np.ndarray, limits: np.ndarray, victim) -> tuple[bool, int]:
+def _sum_block(sums: np.ndarray, info, limits: np.ndarray, victim) -> tuple[bool, int]:
     """Sum a block of densities onto the carry ``info`` and test it: :func:`_first_crossings`.
 
-    Given the victim's 0-based column, the victim's own first crossing is
+    ``info`` is None in a step's first block, which starts from zero sums:
+    adding 0.0 would change no density but -0.0, and none is -0.0. Given
+    the victim's 0-based column, the victim's own first crossing is
     found first, on a copy of its column summed with the same adds, and
     only the rows up to it are summed and tested (module docstring). With
     None, the whole block is.
     """
-    sums[0] += info
+    if info is not None:
+        sums[0] += info
     if victim is not None:
         column = np.add.accumulate(sums[:, victim])
         crossed = column >= limits[victim]
@@ -335,13 +347,16 @@ def _block_scan(
     ``blocks`` yields block 0, 1, ... of the graph, groups k * ``width`` + 1
     onward for block k, w = ``width`` except at group ``n``, as (index, ys,
     sums): ``ys`` holds the victim's w received answers as uint8, ``index``
-    a (w, m) uint8 grid of entries of ``density``, each candidate's scanned
-    bit s plus 2 times the answer y, and ``sums`` the writable (w, m)
-    float64 grid of their densities, which the scan overwrites with its
-    running sums. ``density`` holds i(s; y) at entry s + 2y
-    (``oracle._density_table``), ``limits`` the prior's crossing limits of
-    the threshold tiled over a block (:func:`_tiled_limits`), ``surprisal``
-    its surprisal, and ``identify(j)`` answers the identity query for
+    a (w, m) uint8 grid of density indexes, each candidate's scanned bit s
+    plus 2 times the answer y, and ``sums`` the writable (w, m) float64
+    grid of their densities, which the scan overwrites with its running
+    sums. ``density`` is the scan's density table of i(s; y)
+    (``oracle._density_table``), which ``oracle._look_up`` reads two
+    neighbouring candidates per gather at an even m; the scan looks a
+    block's rows up again from ``index`` when a step starts inside the
+    block. ``limits`` holds the prior's crossing limits of the threshold
+    tiled over a block (:func:`_tiled_limits`), ``surprisal`` its
+    surprisal, and ``identify(j)`` answers the identity query for
     candidate j. ``order_seed`` is the fallback's, as for :func:`run_its`.
     ``victim``, the victim's 0-based column, is read only to bound the rows
     summed from ``_VICTIM_BOUND_FROM`` candidates up. ``summed`` is None,
@@ -350,20 +365,24 @@ def _block_scan(
     and block 0 then comes with its running sums. Returns the three fields
     of an :class:`AttackTranscript`: (gm_answers, uid_queries,
     tau_star_per_step).
+
+    A trial builds no array of its own until it needs one: ``info``, the
+    buffer that carries a step's sums into its next block, once a step runs
+    past its block, and ``eliminated`` once a verification fails. So a
+    trial whose step 1 the batch pass settled on its victim makes its one
+    identity query and returns.
     """
     m = surprisal.size
     bound = victim if m >= _VICTIM_BOUND_FROM else None
-    info = np.zeros(m)
-    eliminated = np.zeros(m, dtype=bool)
+    info = eliminated = None
+    carry = None  # a step's running sums so far: a row of the block in hand, or ``info``
     answers: list[bytes] = []
     uid_queries: list[tuple[int, int]] = []
     tau_star_per_step: list[int] = []
     cursor, k, end = 1, -1, 0  # groups up to ``end`` are in block k, in hand
 
     for _ in range(1, steps_l):
-        info.fill(0.0)
-        stop = False
-        step_first = cursor
+        carry, stop, step_first = None, False, cursor
         while not stop and cursor <= n:
             if cursor > end:
                 k += 1
@@ -372,30 +391,39 @@ def _block_scan(
             else:  # the rest of the block in hand, after a crossing inside it
                 skip = cursor - 1 - k * width
                 index, ys, sums = block[0][skip:], block[1][skip:], block[2][skip:]
-                # Every index lies in [0, 4), so "clip" moves none.
-                density.take(index, out=sums, mode="clip")
+                _look_up(density, index, sums)
             if summed:
                 (stop, rows, guess), summed = summed, None
             else:
-                stop, rows = _sum_block(sums, info, limits, bound)
+                stop, rows = _sum_block(sums, carry, limits, bound)
                 guess = None
-            info[:] = sums[rows - 1]
+            carry = sums[rows - 1]
             answers.append(ys[:rows].tobytes())
             cursor += rows
+            if not stop:  # the next block overwrites this one's rows
+                if info is None:
+                    info = np.empty(m)
+                info[:] = carry
+                carry = info
         if not stop:
             break  # groups exhausted; fall through to exhaustive identity queries
         tau_star_per_step.append(cursor - step_first)
         if guess is None:
-            guess = int(_scores(info, surprisal, eliminated).argmax()) + 1
+            guess = int(_scores(carry, surprisal, eliminated).argmax()) + 1
         response = identify(guess)
         uid_queries.append((guess, response))
         if response == 1:
             return b"".join(answers), uid_queries, tau_star_per_step
+        if eliminated is None:
+            eliminated = np.zeros(m, dtype=bool)
         eliminated[guess - 1] = True
         limits = limits.copy()
         limits[guess - 1 :: m] = np.nan
 
-    for candidate in _fallback_order(info, surprisal, eliminated, order_seed).tolist():
+    # The fallback ranks by the last step's sums: zero where no step ran or it read no group.
+    final = np.zeros(m) if carry is None else carry
+    struck = np.zeros(m, dtype=bool) if eliminated is None else eliminated
+    for candidate in _fallback_order(final, surprisal, struck, order_seed).tolist():
         response = identify(candidate)
         uid_queries.append((candidate, response))
         if response == 1:
@@ -432,7 +460,7 @@ def run_its(
     if prior.m != pair.m:
         raise ValueError("prior length disagrees with the pair's user count")
     n, m = pair.n, pair.m
-    width, density = _block_width(m), _density_table(measures.density)
+    width, density = _block_width(m), _density_table(measures.density, m)
     reader = _BlockReader(n, m, width, pair._cuts, inst._p_one, density)
     blocks = reader.blocks(pair._stream.seek(0), inst._noise.seek(0), inst.victim)
     limits = _tiled_limits(prior, config.epsilon, reader.rows)

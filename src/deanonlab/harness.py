@@ -40,7 +40,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -239,16 +239,36 @@ def _advance_map(d: int) -> tuple[int, int]:
 _TRIAL_MUL, _TRIAL_INC = _advance_map(_STREAMS * _JUMP & _MASK)
 
 
+@cache
+def _unseeded():
+    """A seed sequence of all-zero state, for a generator whose state is assigned before any read.
+
+    It hashes nothing, where a ``SeedSequence`` hashes its seed for each
+    generator built on it (about 5 of the 6 us a generator takes). Made on
+    first use: its base class loads ``numpy.random``, which importing this
+    package does not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Unseeded(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return Unseeded()
+
+
 class TrialStreams:
     """Reusable generators for the first ``count`` substreams of each trial of a campaign.
 
     ``generators[u]`` holds the generators of batch slot u. Slot 0 has one
     per stream; every other slot has its own graph and noise generators and
     shares slot 0's victim and order generators, which a batch reads only
-    as it draws its block 0 or, in a batch of one, as the trial runs. All
-    generators are seeded from one seed sequence. Each stream keeps one
-    PCG64 state dict, which ``trial_seeds`` updates and assigns to the
-    slot's generator, so a trial builds no dict.
+    as it draws its block 0 or, in a batch of one, as the trial runs. Only
+    slot 0's graph generator hashes the master seed, which gives the master
+    state; every other generator is built unseeded (``_unseeded``), as
+    ``trial_seeds`` assigns each generator's state before it is read. Each
+    stream keeps one PCG64 state dict, which ``trial_seeds`` updates and
+    assigns to the slot's generator, so a trial builds no dict.
     """
 
     __slots__ = ("generators", "master_state", "_add", "_states", "_next")
@@ -256,14 +276,15 @@ class TrialStreams:
     def __init__(self, master_seed: int, count: int = _STREAMS, slots: int = 1):
         if not 1 <= count <= _STREAMS:
             raise ValueError(f"count must lie in [1, {_STREAMS}]")
-        seq = np.random.SeedSequence(master_seed)
-        first = tuple(np.random.Generator(np.random.PCG64(seq)) for _ in range(count))
+        Generator, PCG64 = np.random.Generator, np.random.PCG64
+        master = Generator(PCG64(np.random.SeedSequence(master_seed)))
+        first = (master,) + tuple(Generator(PCG64(_unseeded())) for _ in range(count - 1))
         self.generators = (first,) + tuple(
-            tuple(np.random.Generator(np.random.PCG64(seq)) if s in _OWN else shared
+            tuple(Generator(PCG64(_unseeded())) if s in _OWN else shared
                   for s, shared in enumerate(first))
             for _ in range(slots - 1)
         )
-        self.master_state = first[0].bit_generator.state
+        self.master_state = master.bit_generator.state
         inc = self.master_state["state"]["inc"]
         self._add = inc * _TRIAL_INC & _MASK
         self._states = tuple(
@@ -325,7 +346,7 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     except (MemoryError, ValueError):  # ValueError: more entries than numpy can index
         raise ConfigError("trials", "too many trials: the results do not fit in memory") from None
     width, cuts = _block_width(m), model.edge_joint.generation_cuts
-    density, p_one = _density_table(model.measures.density), model.gm.p_one_by_bit
+    density, p_one = _density_table(model.measures.density, m), model.gm.p_one_by_bit
     surprisal = prior.surprisal
     # With no threshold step a scan reads no block, and the identity scan
     # reads its order stream as it runs: such trials run one at a time.

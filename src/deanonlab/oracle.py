@@ -25,10 +25,18 @@ answered from the next w noise uniforms. One decoder, ``_answer``, turns a
 block, or a stack of blocks one per trial, into what the scan reads: the
 scanned bits and the victim's true bits (``graph._decode``), the channel's
 answers, each candidate's density index (scanned bit + 2 * answer) and its
-density. ``attacker.run_its`` reads every block from the streams of a pair
-and an instance, from their starts. A campaign trial reads the same blocks
-from its own streams, so its queries are those of ``run_its`` on a pair and
-an instance built from them. Every trial reads its block 0, so a campaign
+density. One function, ``_look_up``, does every density lookup of the
+attack. For an even user count m it reads each two neighbouring
+candidates' uint8 indexes as one uint16 key into a pair table of
+complex128 entries (``_density_table``), so one gather writes both
+candidates' doubles: half the gathers, and half the casts of the key to
+intp, of one per candidate. An odd m keeps the 4-entry table and one
+gather per candidate.
+
+``attacker.run_its`` reads every block from the streams of a pair and an
+instance, from their starts. A campaign trial reads the same blocks from
+its own streams, so its queries are those of ``run_its`` on a pair and an
+instance built from them. Every trial reads its block 0, so a campaign
 takes trials in batches of ``graph._batch_trials(w, m)``: each trial of a
 batch draws its block 0 into the batch's buffers as its streams stand at
 their starts (``_BlockReader.draw``), and one ``_answer`` decodes the stack
@@ -71,21 +79,42 @@ def _answer(u, noise, at, cuts, p_one, offsets, density, sums):
     overwrites, ``noise`` the (w,) or (T, w) noise uniforms of their
     queries, and ``at`` the index of ``u`` that gives the uniforms of each
     block's victim, in the shape of ``noise``. ``ys`` holds the received
-    answers as uint8 and ``index`` each candidate's scanned bit s plus 2
-    times the answer y, its entry of the scan's density table ``density``
-    (:func:`_density_table`), which is looked up into the float64 array
-    ``sums`` of u's shape. ``offsets`` is a (2, m) uint8 array whose row y
-    holds 2y in every column.
+    answers as uint8 and ``index`` each candidate's density index, its
+    scanned bit s plus 2 times the answer y. :func:`_look_up` reads the
+    densities i(s; y) from the scan's table ``density``
+    (:func:`_density_table`), two neighbouring candidates per gather at an
+    even m, into the float64 array ``sums`` of u's shape. ``offsets`` is a
+    (2, m) uint8 array whose row y holds 2y in every column.
     """
     index, true = _decode(u, cuts, at)
     ys = _channel(p_one, true, noise)
     # A row gather and a contiguous add: 3.5 us at (8, 128, 16), where the
     # broadcast add of (ys << 1)[..., None] takes 12.6 us.
     index += offsets.take(ys, axis=0)
-    # Every index lies in [0, 4), so "clip" moves none; with a uint8 index it
-    # is the faster mode (2.9 against 5.1 us at (128, 16)).
-    density.take(index, out=sums, mode="clip")
+    _look_up(density, index, sums)
     return index, ys
+
+
+def _look_up(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Write the densities of the uint8 density index ``index`` into the float64 array ``out``.
+
+    The one density lookup of the attack. ``table`` is a
+    :func:`_density_table`, ``index`` a block's grid, a stack of them or
+    some of a block's rows, and ``out`` a float64 array of its shape; the
+    last axis of both is contiguous. With the pair table of an even m, each
+    two neighbouring entries lo, hi of ``index`` are read as one
+    little-endian uint16 key lo + 256 * hi, and one gather writes their two
+    densities into ``out`` viewed as complex128: the same doubles in the
+    same places, with half the gathers and half the casts of the key to
+    intp (8.6 against 17.1 us at (8, 128, 16)). With the 4-entry table of
+    an odd m, one gather per entry.
+    """
+    # Every key lies inside the table, so "clip" moves none; with a narrow
+    # key it is the faster mode (2.9 against 5.1 us at (128, 16)).
+    if len(table) > 4:
+        table.take(index.view("<u2"), out=out.view(np.complex128), mode="clip")
+    else:
+        table.take(index, out=out, mode="clip")
 
 
 class _BlockReader:
@@ -93,9 +122,9 @@ class _BlockReader:
 
     Block k of an n-group graph over m users, with the generation ``cuts``,
     comes as (index, ys, sums): ``index`` the writable (w, m) uint8 grid of
-    entries of ``density``, ``ys`` the victim's w answers through the
-    channel of ``p_one``, and ``sums`` their densities, which the scan may
-    overwrite. ``draw`` and ``answer`` read block 0 of up to ``batch``
+    density indexes into ``density``, ``ys`` the victim's w answers through
+    the channel of ``p_one``, and ``sums`` their densities, which the scan
+    may overwrite. ``draw`` and ``answer`` read block 0 of up to ``batch``
     trials into buffers that every batch reuses; ``blocks`` gives one
     trial's blocks, after its block 0 from the batch if handed one, from
     its streams, into slot t of the densities buffer. The module docstring
@@ -157,13 +186,23 @@ class _BlockReader:
             yield index, ys, out
 
 
-def _density_table(density: np.ndarray) -> np.ndarray:
-    """The scan's density table, read-only: i(s; y) at entry s + 2y.
+def _density_table(density: np.ndarray, m: int) -> np.ndarray:
+    """The scan's density table for m candidates, read-only, in the form :func:`_look_up` reads.
 
-    ``density`` is ``InfoMeasures.density``, i(u; y) at [u, y]; the entries
-    are those ``_answer`` indexes.
+    ``density`` is ``InfoMeasures.density``, i(u; y) at [u, y], and a
+    density index s + 2y (``_answer``) stands for i(s; y). For an odd m the
+    table holds those 4 doubles, i(s; y) at entry s + 2y. For an even m it
+    is the pair table of 4 * 256 complex128 entries: entry lo + 256 * hi
+    holds the doubles (i(lo), i(hi)) for each two density indexes lo and
+    hi, and every other entry is zero.
     """
-    return _read_only(density.T.ravel())
+    plain = density.T.ravel()
+    if m % 2:
+        return _read_only(plain)
+    pairs = np.zeros((4, 256, 2))  # [hi, lo]: (i(lo), i(hi))
+    pairs[:, :4, 0] = plain
+    pairs[:, :4, 1] = plain[:, None]
+    return _read_only(pairs.view(np.complex128).ravel())
 
 
 def identity_answer(victim: int, candidate: int) -> int:

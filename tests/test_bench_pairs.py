@@ -35,6 +35,30 @@ def test_summary_gives_medians_quartiles_and_pair_wins():
     ]
 
 
+def test_gain_verdict_needs_nine_tenths_of_pairs_and_a_lead_over_the_spread():
+    tool = load_tool()
+    base = [result_line(v, 0.2) for v in (100.0, 101.0, 102.0, 103.0, 104.0) * 2]
+    # Base quartiles 101 and 103: a spread of 2.
+    change = [result_line(v, 0.2) for v in (106.0,) * 9 + (100.0,)]
+    assert tool.gain_verdict(base, change) == "trials_per_s gain: shown"
+    # A tie in one pair more counts for neither side: 8 of 10.
+    change[0] = result_line(100.0, 0.2)
+    assert tool.gain_verdict(base, change) == (
+        "trials_per_s gain: not shown, higher in only 8 of 10 pairs"
+    )
+    # Every pair won, but the median leads by 1, less than the spread.
+    change = [result_line(v + 1.0, 0.2) for v in (100.0, 101.0, 102.0, 103.0, 104.0) * 2]
+    assert tool.gain_verdict(base, change) == (
+        "trials_per_s gain: not shown, the median leads by 1, not more than the base's spread 2"
+    )
+    # Neither.
+    change = [result_line(104.0, 0.2)] * 10
+    assert tool.gain_verdict(base, change) == (
+        "trials_per_s gain: not shown, higher in only 8 of 10 pairs; "
+        "the median leads by 2, not more than the base's spread 2"
+    )
+
+
 def metric_line(**values):
     metrics = {name: {"value": value, "unit": "-"} for name, value in values.items()}
     return json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics})

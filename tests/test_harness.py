@@ -799,6 +799,28 @@ class TestRunExperiment:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["[]", "[]"]
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # A fresh interpreter, as above. The unseeded seed sequence of a
+        # campaign's trial streams subclasses a numpy.random class, so it is
+        # made only when a campaign builds them.
+        script = (
+            "import sys\n"
+            "import deanonlab\n"
+            "after_import = 'numpy.random' in sys.modules\n"
+            "deanonlab.run_experiment(deanonlab.ExperimentConfig(users=8, groups=64, trials=2))\n"
+            "print(after_import, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
+
     def test_worker_count_is_capped_by_trials_and_cores(self, in_process_pool):
         capped = run_experiment(small_config(trials=3, workers=10**6))
         assert all(count <= min(3, harness._usable_cpus()) for count in in_process_pool)
@@ -920,8 +942,16 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     for same in tables:
         assert all(table is same[0] for table in same)
     density, limits, surprisal, p_one = (same[0] for same in tables)
-    # i(s; y) at entry s + 2y.
-    assert density.tolist() == [model.measures.density[s, y] for y in (0, 1) for s in (0, 1)]
+    # m = 16 is even: the pair table, (i(lo), i(hi)) at entry lo + 256 * hi
+    # for density indexes lo and hi, where index s + 2y stands for i(s; y),
+    # and zero at every other entry.
+    plain = [model.measures.density[s, y] for y in (0, 1) for s in (0, 1)]
+    expected_pairs = np.zeros(4 * 256, dtype=complex)
+    for lo in range(4):
+        for hi in range(4):
+            expected_pairs[lo + 256 * hi] = complex(plain[lo], plain[hi])
+    assert density.dtype == np.complex128
+    assert np.array_equal(density.view(np.uint64), expected_pairs.view(np.uint64))
     rows = min(graph._block_width(16), config.groups)
     expected = model.prior.crossing_limits(math.log2(1.0 / model.epsilon))
     assert np.array_equal(limits, np.tile(expected, rows))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deanonlab.attacker import expected_response_column
 from deanonlab.graph import generate_cprb
-from deanonlab.oracle import VictimInstance, _BlockReader
+from deanonlab.oracle import VictimInstance, _BlockReader, _density_table, _look_up
 from deanonlab.stochastics import EdgeJointDistribution, QueryChannel
 
 NOISELESS = QueryChannel.identity()
@@ -166,6 +168,50 @@ class TestBlockResponses:
                 inst.noisy_gm_response(g, g) for g in range(32 * k + 1, 32 * k + rows + 1)
             ]
         assert len(blocks) == 3
+
+
+# A density: finite, or -inf where a candidate's bit makes the answer impossible.
+DENSITIES = st.one_of(st.just(-np.inf), st.floats(-64.0, 64.0))
+
+
+class TestDensityLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        half=st.integers(1, 40),
+        trials=st.one_of(st.none(), st.integers(1, 8)),
+        rows=st.integers(1, 40),
+        values=st.lists(DENSITIES, min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_gather_equals_the_plain_take_bit_for_bit(
+        self, data, half, trials, rows, values, seed
+    ):
+        # One block or a (T, w, m) stack, and the rows after a crossing that
+        # the scan looks up again.
+        m = 2 * half
+        density = np.array(values).reshape(2, 2)
+        shape = (rows, m) if trials is None else (trials, rows, m)
+        index = np.random.default_rng(seed).integers(0, 4, shape, dtype=np.uint8)
+        sums = np.full(shape, np.nan)
+        skip = data.draw(st.integers(0, rows - 1))
+        if trials is None:
+            rest = index[skip:], sums[skip:]
+        else:
+            t = data.draw(st.integers(0, trials - 1))
+            rest = index[t, skip:], sums[t, skip:]
+        table, plain = _density_table(density, m), _density_table(density, m + 1)
+        for grid, out in ((index, sums), rest):
+            _look_up(table, grid, out)
+            assert np.array_equal(out.view(np.uint64), plain.take(grid).view(np.uint64))
+
+    @pytest.mark.parametrize("m", [1, 9, 255])
+    def test_odd_m_keeps_the_four_entry_table(self, m):
+        density = np.array([[0.5, -np.inf], [-1.0, 2.0]])
+        table = _density_table(density, m)
+        assert table.dtype == np.float64 and not table.flags.writeable
+        # i(s; y) at entry s + 2y.
+        assert table.tolist() == [0.5, -1.0, -np.inf, 2.0]
 
 
 class TestUidResponse:

@@ -9,7 +9,10 @@ once in the BASE checkout and once in the CHANGE checkout. The side that
 runs first alternates from pair to pair, so a drift in machine speed falls
 on both sides alike. The tool then prints, for each end-to-end metric, each
 side's median and quartiles over the pairs, and in how many pairs the change
-had the higher ``trials_per_s``. Last, for each end-to-end metric that the
+had the higher ``trials_per_s``, and whether the pairs show a gain in it:
+the change higher in at least nine tenths of the pairs, ties counting for
+neither side, and its median above the base's by more than the distance
+between the base's quartiles. Last, for each end-to-end metric that the
 CHANGE checkout's BENCHMARK.json declares, it prints how far the change's
 median moved in the metric's worse direction beside the metric's bound, and
 whether the base runs spread too widely to tell. Each run's last output line
@@ -87,6 +90,28 @@ def summarize(base_lines: list[str], change_lines: list[str]) -> str:
     return "\n".join(out)
 
 
+def gain_verdict(base_lines: list[str], change_lines: list[str]) -> str:
+    """Whether the pairs show a gain in ``WIN_METRIC``, and if not, why not.
+
+    A gain is shown when the change is higher in at least nine tenths of
+    the pairs, a tie counting for neither side, and the change's median
+    exceeds the base's by more than the base's quartile spread (third
+    quartile minus first). The lines are paired by position, as for
+    :func:`summarize`.
+    """
+    base = [json.loads(line)["metrics"][WIN_METRIC]["value"] for line in base_lines]
+    change = [json.loads(line)["metrics"][WIN_METRIC]["value"] for line in change_lines]
+    wins = sum(c > b for b, c in zip(base, change))
+    q1, median, q3 = _quartiles(base)
+    lead, spread = _quartiles(change)[1] - median, q3 - q1
+    faults = []
+    if 10 * wins < 9 * len(base):
+        faults.append(f"higher in only {wins} of {len(base)} pairs")
+    if lead <= spread:
+        faults.append(f"the median leads by {lead:.6g}, not more than the base's spread {spread:.6g}")
+    return f"{WIN_METRIC} gain: " + ("not shown, " + "; ".join(faults) if faults else "shown")
+
+
 def check_bounds(base_lines: list[str], change_lines: list[str], benchmark) -> str:
     """Per end-to-end metric of the BENCHMARK.json at ``benchmark``: its worsening and bound.
 
@@ -133,6 +158,7 @@ def main(argv=None) -> int:
             lines.append(run_once(checkout, args.workload, args.seed, args.seconds))
             print(f"pair {pair + 1} {side}: {lines[-1]}", file=sys.stderr, flush=True)
     print(summarize(sides[0][2], sides[1][2]))
+    print(gain_verdict(sides[0][2], sides[1][2]))
     print(check_bounds(sides[0][2], sides[1][2], Path(args.change) / "BENCHMARK.json"))
     return 0
 

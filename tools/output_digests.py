@@ -72,6 +72,12 @@ CLI_CALLS = (
         "--gm-flip", "0.35", "--prior", "zipf:1.0", "--epsilon", "0.02", "--steps", "4",
         "--trials", "300", "--seed", "6", "--format", "json",
     ]),
+    # Both flips 0 at an even user count in batches of 8: every answer a
+    # candidate's bit makes impossible looks up a density of -inf.
+    ("simulate-noiseless-even-m-batches", [
+        "simulate", "--users", "32", "--groups", "512", "--edge-flip", "0", "--gm-flip", "0",
+        "--trials", "300", "--seed", "8", "--format", "json",
+    ]),
     ("sweep-zipf-crn",["sweep", *_SMALL, "--trials", "100", "--axis", "zipf",
                         "--points", "0.5,1.0,2.0", "--crn"]),
     ("sweep-m", ["sweep", *_SMALL, "--trials", "100", "--axis", "m",
