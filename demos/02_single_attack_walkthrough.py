@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Replay one seeded attack on a small graph and narrate every query.
+"""Run one seeded attack on a small graph and narrate its first step.
 
-Shows the candidate scores (accumulated density minus prior surprisal)
-evolving after each group-membership response, the threshold crossing, the
-verification query, and the final transcript.
+One ``run_its`` call runs the attack. Its first threshold step is then told
+from the transcript: the candidate scores (accumulated density minus prior
+surprisal) after each group-membership response, the threshold crossing and
+the verification query. The full transcript follows.
 """
 
 import math
@@ -17,14 +18,9 @@ from deanonlab import (
     QueryChannel,
     VictimInstance,
     build_joint_uyz,
-    expected_response_column,
     generate_cprb,
-    gm_update,
-    init_state,
     make_prior,
     run_its,
-    select_candidate,
-    threshold_check,
 )
 
 M, N = 8, 64
@@ -38,37 +34,29 @@ prior = make_prior("zipf:1.0", M)
 pair = generate_cprb(N, M, edge, seed=GRAPH_SEED)
 victim = 3
 inst = VictimInstance(pair, victim, gm, noise_seed=NOISE_SEED)
+transcript = run_its(pair, inst, prior, measures, ITSConfig(EPSILON, STEPS))
 
 threshold = math.log2(1.0 / EPSILON)
 print(f"m={M} users, n={N} groups, victim secretly = user {victim}")
 print(f"threshold: score >= log2(1/{EPSILON}) = {threshold:.2f} bits\n")
+print("prior surprisal per user:", np.round(prior.surprisal, 2))
 
-state = init_state(prior, ITSConfig(EPSILON, STEPS))
-print("prior surprisal per user:", np.round(state.prior_surprisal, 2))
+# Group query k asks group k. Column k - 1 of the scores is every candidate's
+# score after query k: the running density sums, added in query order.
+tau = transcript.tau_star_per_step[0]
+answers = np.frombuffer(transcript.gm_answers, dtype=np.uint8)[:tau]
+scores = np.cumsum(measures.density[pair.sig1[:, :tau], answers], axis=1) - prior.surprisal[:, None]
+for query, y in enumerate(answers, start=1):
+    leader = int(np.argmax(scores[:, query - 1])) + 1
+    print(f"query {query:2d}: group {query:2d} -> response {y} | "
+          f"leader user {leader} at {scores[leader - 1, query - 1]:6.2f} bits")
 
-# Query k asks group k, so one counter is both the ordinal and the group.
-ordinal = 0
-stop, crossers = threshold_check(state, EPSILON)
-while not stop:
-    ordinal += 1
-    group = ordinal
-    column = expected_response_column(pair, group)
-    y = inst.noisy_gm_response(group, ordinal)
-    gm_update(state, column, y, measures)
-    scores = state.info - state.prior_surprisal
-    leader = int(np.argmax(scores)) + 1
-    print(f"query {ordinal:2d}: group {group:2d} -> response {y} | "
-          f"leader user {leader} at {scores[leader - 1]:6.2f} bits")
-    stop, crossers = threshold_check(state, EPSILON)
-
-guess = select_candidate(state)
-print(f"\nthreshold crossed by user(s) {crossers.tolist()} after {ordinal} group queries")
-print(f"verification: is the victim user {guess}? -> {inst.uid_response(guess)}")
+crossers = np.flatnonzero(scores[:, -1] >= threshold) + 1
+guess, answer = transcript.uid_queries[0]
+print(f"\nthreshold crossed by user(s) {crossers.tolist()} after {tau} group queries")
+print(f"verification: is the victim user {guess}? -> {answer}")
 
 print("\nFull transcript via run_its (identical queries, fresh replay):")
-pair2 = generate_cprb(N, M, edge, seed=GRAPH_SEED)
-inst2 = VictimInstance(pair2, victim, gm, noise_seed=NOISE_SEED)
-transcript = run_its(pair2, inst2, prior, measures, ITSConfig(EPSILON, STEPS))
 for kind, target, response in transcript.queries:
     print(f"  {kind:3s} target={target:3d} response={response}")
 print(f"success={transcript.success}, identified={transcript.identified}, "

@@ -6,18 +6,7 @@ information-density accumulator against a confidence threshold, and verifies
 the measured query cost against closed-form upper and lower bounds.
 """
 
-from .attacker import (
-    AttackTranscript,
-    ITSConfig,
-    ITSState,
-    auto_epsilon_steps,
-    expected_response_column,
-    gm_update,
-    init_state,
-    run_its,
-    select_candidate,
-    threshold_check,
-)
+from .attacker import AttackTranscript, ITSConfig, auto_epsilon_steps, run_its
 from .bounds import BoundReport, build_report
 from .graph import BigraphPair, generate_cprb
 from .harness import (
@@ -52,7 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "ITSConfig",
-    "ITSState",
     "InfoMeasures",
     "JointUYZ",
     "QueryChannel",
@@ -63,15 +51,10 @@ __all__ = [
     "build_report",
     "emit_results",
     "entropy",
-    "expected_response_column",
     "generate_cprb",
-    "gm_update",
-    "init_state",
     "make_prior",
     "run_experiment",
     "run_its",
     "run_sweep",
     "sample_victim",
-    "select_candidate",
-    "threshold_check",
 ]

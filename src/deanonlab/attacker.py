@@ -77,6 +77,13 @@ describes), and its transcript is bit-identical to the one-query walk of
   table, and the rows from the step's start on are still whole rows, so
   every pair of neighbours stays together.
 
+The one-query walk (``ITSState``, ``init_state``,
+``expected_response_column``, ``gm_update``, ``threshold_check`` and
+``select_candidate``) is the scan's reference: the acceptance gate and the
+tests replay attacks with it, and the benchmark's tracer patches it. It is
+not exported from the package, whose one way to run an attack is
+:func:`run_its`.
+
 The scan returns the three fields of an :class:`AttackTranscript`, whose
 docstring says how they store the queries. Identity queries are answered
 through a callable. The scan reads the victim's column for the victim bound
@@ -151,7 +158,7 @@ def auto_epsilon_steps(m: int) -> tuple[float, int]:
 
 @dataclass
 class ITSState:
-    """Mutable per-run attacker state.
+    """Mutable state of the one-query reference of :func:`_block_scan`.
 
     ``info`` accumulates the density sums; a -inf entry means the candidate
     is out of the current step. ``eliminated`` marks candidates struck by a
@@ -183,8 +190,9 @@ def _scores(info: np.ndarray, surprisal: np.ndarray, eliminated) -> np.ndarray:
 
 
 def init_state(prior: VictimPrior, config: ITSConfig) -> ITSState:
-    """Fresh state: zero accumulators, surprisal log2(1/P(j)), nobody struck.
+    """Fresh state of the one-query reference of :func:`_block_scan`.
 
+    Zero accumulators, surprisal log2(1/P(j)), nobody struck.
     ``config`` is not read. The parameter stays only because the acceptance
     gate calls ``init_state(prior, config)``.
     """
@@ -201,7 +209,7 @@ def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
 
     Entry j-1 is the response the attacker would expect if candidate j were
     the victim, i.e. candidate j's scanned-graph membership bit. This is the
-    one-group form of the block read in :func:`_block_scan`.
+    one-query reference's form of the block read in :func:`_block_scan`.
     """
     return pair.block_bits("scanned", group, group)[:, 0]
 
@@ -209,7 +217,7 @@ def expected_response_column(pair: BigraphPair, group: int) -> np.ndarray:
 def gm_update(state: ITSState, column: np.ndarray, y: int, measures: InfoMeasures) -> ITSState:
     """Fold one group-membership response into every candidate's accumulator.
 
-    This is the one-query form of :func:`_block_scan`.
+    This is the one-query reference's form of the sums in :func:`_block_scan`.
     ``column`` holds each candidate's expected bit for the queried group.
     Candidates whose expected bit makes ``y`` impossible pick up the -inf
     sentinel and thereby leave the current step. Struck candidates already
@@ -223,14 +231,18 @@ def threshold_check(state: ITSState, epsilon: float) -> tuple[bool, np.ndarray]:
     """Stop decision: does any live candidate's score reach log2(1/epsilon)?
 
     Returns the decision plus the 1-based indices of all candidates at or
-    above the threshold (the comparison is inclusive).
+    above the threshold (the comparison is inclusive). This is the one-query
+    reference's form of the crossing test in :func:`_block_scan`.
     """
     crossed = state.scores() >= math.log2(1.0 / epsilon)
     return bool(crossed.any()), np.flatnonzero(crossed) + 1
 
 
 def select_candidate(state: ITSState) -> int:
-    """The top-scoring live candidate, ties broken toward the lowest index."""
+    """The top-scoring live candidate, ties broken toward the lowest index.
+
+    This is the one-query reference's form of the guess in :func:`_block_scan`.
+    """
     return int(state.scores().argmax()) + 1
 
 

@@ -53,19 +53,20 @@ def _block_width(m: int) -> int:
     return max(32, 2048 // m) if m <= 512 else max(1, 16384 // m)
 
 
-def _batch_trials(width: int, m: int) -> int:
-    """Trials whose first blocks of ``width`` columns of m users a campaign decodes in one pass.
+def _batch_trials(m: int) -> int:
+    """How many trials' first blocks a campaign decodes in one pass: 8 up to m = 32, else 1.
 
-    About 16384 positions of first blocks, where a block holds at least 64
-    groups: 8 trials up to m = 32, one trial from m = 33 up. A batch pays
-    where most trials end inside their first block and numpy's per-call
-    cost outweighs the work per position. Narrower blocks send more trials
-    to later blocks, which each trial reads alone, and wider grids cost
-    about as much to copy into the batch as one pass saves: per trial, 8
-    trials ran 1.27x as fast as one at m = 8, 1.05x at m = 32 and 0.98x at
-    m = 64, and 2 trials 0.98x at m = 256. Any size gives the same bits.
+    Up to m = 32 a block holds at least 64 groups (``_block_width``) and 8
+    first blocks hold about 16384 positions. A batch pays where most trials
+    end inside their first block and numpy's per-call cost outweighs the
+    work per position. From m = 33 up, blocks narrower than 64 groups send
+    more trials to later blocks, which each trial reads alone, and wider
+    grids cost about as much to copy into the batch as one pass saves: per
+    trial, 8 trials ran 1.27x as fast as one at m = 8, 1.05x at m = 32 and
+    0.98x at m = 64, and 2 trials 0.98x at m = 256. Any size gives the same
+    bits.
     """
-    return max(1, 16384 // (width * m)) if width >= 64 else 1
+    return 8 if m <= 32 else 1
 
 
 class _Stream:

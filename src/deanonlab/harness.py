@@ -350,7 +350,7 @@ def _trial_block(config: ExperimentConfig, start: int, count: int, model: _Resol
     surprisal = prior.surprisal
     # With no threshold step a scan reads no block, and the identity scan
     # reads its order stream as it runs: such trials run one at a time.
-    size = _batch_trials(width, m) if steps > 1 else 1
+    size = _batch_trials(m) if steps > 1 else 1
     # Only the identity scan reads stream 3: its order_seed draws a random order.
     streams = TrialStreams(
         config.master_seed, _STREAMS if config.strategy == "uid_scan" else _STREAMS - 1, size

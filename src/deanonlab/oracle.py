@@ -37,7 +37,7 @@ gather per candidate.
 instance, from their starts. A campaign trial reads the same blocks from
 its own streams, so its queries are those of ``run_its`` on a pair and an
 instance built from them. Every trial reads its block 0, so a campaign
-takes trials in batches of ``graph._batch_trials(w, m)``: each trial of a
+takes trials in batches of ``graph._batch_trials(m)``: each trial of a
 batch draws its block 0 into the batch's buffers as its streams stand at
 their starts (``_BlockReader.draw``), and one ``_answer`` decodes the stack
 (``_BlockReader.answer``). Beyond the read, a batch decides step 1 on

@@ -409,7 +409,7 @@ def test_block_width_rule(m, width):
     [(1, 8), (16, 8), (20, 8), (32, 8), (33, 1), (64, 1), (256, 1), (512, 1), (65536, 1)],
 )
 def test_batch_trials_rule(m, trials):
-    assert graph._batch_trials(graph._block_width(m), m) == trials
+    assert graph._batch_trials(m) == trials
 
 
 class TestMembers:

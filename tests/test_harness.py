@@ -428,7 +428,7 @@ def test_batched_trials_equal_their_public_replays(case, size, monkeypatch):
         stacks.append(u.shape[0] if u.ndim == 3 else None)
         return answer(u, *rest)
 
-    monkeypatch.setattr(harness, "_batch_trials", lambda width, m: size)
+    monkeypatch.setattr(harness, "_batch_trials", lambda m: size)
     monkeypatch.setattr(oracle, "_answer", recording_answer)
     transcripts = record_scans(monkeypatch)
     start, count = 5, 8
@@ -935,7 +935,7 @@ def test_trials_of_a_campaign_share_read_only_scan_tables(monkeypatch):
     config = small_config(trials=12, prior="zipf:1.0")
     model = harness.resolve_model(config)
     run_experiment(config)
-    batches = -(-12 // graph._batch_trials(graph._block_width(16), 16))
+    batches = -(-12 // graph._batch_trials(16))
     assert batches == 2
     assert len(seen) == 12 and len(p_ones) >= batches
     tables = [*zip(*seen), p_ones]

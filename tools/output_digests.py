@@ -53,11 +53,19 @@ CLI_CALLS = (
         "--gm-flip", "0.25", "--prior", "zipf:1.0", "--epsilon", "0.1", "--steps", "4",
         "--trials", "300", "--workers", "2", "--format", "json",
     ]),
-    # One-trial batches at m = 96, above the scan's victim bound, with
+    # One-trial batches at m = 96, below the scan's victim bound, with
     # verifications that fail inside a block.
     ("simulate-one-trial-batches-failed-verifications", [
         "simulate", "--users", "96", "--groups", "2048", "--edge-flip", "0.1",
         "--gm-flip", "0.2", "--epsilon", "0.6", "--steps", "4", "--trials", "200",
+    ]),
+    # The same model at m = 256, where the scan's victim bound starts: trials
+    # whose step 1 fails inside block 0 run both the bound and the lookup of
+    # the rest of the block.
+    ("simulate-victim-bound-failed-verifications", [
+        "simulate", "--users", "256", "--groups", "2048", "--edge-flip", "0.1",
+        "--gm-flip", "0.2", "--epsilon", "0.6", "--steps", "4", "--trials", "200",
+        "--seed", "9", "--format", "json",
     ]),
     # An odd user count in batches of 8: the plain accumulate of a stack.
     ("simulate-odd-m-batches", [
